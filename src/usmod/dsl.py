@@ -31,8 +31,8 @@ from .modules import (
     FiniteModule,
     Homomorphism,
     Submodule,
-    _closure_extend,
     direct_sum,
+    extend_images,
     quotient_module,
     regular_module,
     submodule_as_module,
@@ -261,7 +261,7 @@ def _hom_from_images(
     for k, v in images.items():
         if not (0 <= k < src.size and 0 <= v < dst.size):
             raise ConfigError(f"line {lineno}: image pair {k}:{v} out of range")
-    extended = _closure_extend(src, dst, list(images.items()))
+    extended = extend_images(src, dst, list(images.items()))
     if extended is None:
         raise ConfigError(f"line {lineno}: images are inconsistent with linearity")
     if len(extended) != src.size:

@@ -2,8 +2,17 @@
 
 A module is an additive table plus a scalar-action table indexed by ring
 elements.  Submodules are canonical sorted element sets, so lattice meet and
-join are plain set operations; homomorphisms are explicit index maps and are
-enumerated from a greedily chosen generating set.
+join are plain set operations; homomorphisms are explicit index maps.
+
+Homomorphisms are enumerated from a greedily chosen generating set by
+backtracking over candidate images of each generator.  A derivation plan,
+built once per source module and cached, says how every element of each
+generator prefix's span is derived (the generator, r.y or y+z) and names an
+additive generating set of the span; at each level the map is filled along
+the plan into a flat list and kept only if it is additive against that set
+and R-linear on it.  The DSL's ``images {...}`` replays the same kind of plan
+built from the listed elements, which must determine the map on the whole
+module.
 """
 from __future__ import annotations
 
@@ -196,8 +205,12 @@ def make_hom(
 # constructors
 
 
+@lru_cache(maxsize=None)
 def regular_module(ring: FiniteRing) -> FiniteModule:
-    """The ring as a module over itself; its submodules are the ideals."""
+    """The ring as a module over itself; its submodules are the ideals.
+
+    Cached, so the axioms of each distinct ring's module are checked once.
+    """
     module = FiniteModule(
         ring=ring,
         add=ring.add,
@@ -221,8 +234,9 @@ def zero_module(ring: FiniteRing) -> FiniteModule:
     )
 
 
+@lru_cache(maxsize=None)
 def cyclic_zmod_module(ring: FiniteRing, d: int) -> FiniteModule:
-    """Z/d as a module over Z/n; requires d | n."""
+    """Z/d as a module over Z/n; requires d | n.  Cached like regular_module."""
     n = ring.zmod_n
     if n is None or n % d != 0:
         raise DomainError(f"Z/{d} is not a Z/{n} module")
@@ -395,9 +409,16 @@ def submodule_as_module(sub: Submodule) -> tuple[FiniteModule, Homomorphism]:
 
 
 def direct_sum(
-    m1: FiniteModule, m2: FiniteModule, caps: Caps = DEFAULT_CAPS
+    m1: FiniteModule,
+    m2: FiniteModule,
+    caps: Caps = DEFAULT_CAPS,
+    *,
+    summands: Optional[tuple[FiniteModule, ...]] = None,
 ) -> tuple[FiniteModule, Homomorphism, Homomorphism, Homomorphism, Homomorphism]:
-    """Componentwise module on pairs; returns (M, i1, i2, p1, p2)."""
+    """Componentwise module on pairs; returns (M, i1, i2, p1, p2).
+
+    M records *summands* as its provenance, (m1, m2) by default.
+    """
     if m1.ring != m2.ring:
         raise DomainError("summands are over different rings")
     n1, n2 = m1.size, m2.size
@@ -422,7 +443,7 @@ def direct_sum(
         act=act,
         label=f"{m1.label}(+){m2.label}",
         names=tuple(f"({m1.name(x)}|{m2.name(y)})" for (x, y) in pairs),
-        summands=(m1, m2),
+        summands=(m1, m2) if summands is None else summands,
     )
     i1 = Homomorphism(m1, out, tuple(idx(x, m2.zero) for x in range(n1)))
     i2 = Homomorphism(m2, out, tuple(idx(m1.zero, y) for y in range(n2)))
@@ -440,15 +461,12 @@ def direct_sum_many(
     total = mods[0]
     injections = [identity_hom(mods[0])]
     projections = [identity_hom(mods[0])]
-    for m in mods[1:]:
-        total2, i1, i2, p1, p2 = direct_sum(total, m, caps)
+    for k, m in enumerate(mods[1:], start=2):
+        total, i1, i2, p1, p2 = direct_sum(total, m, caps, summands=tuple(mods[:k]))
         injections = [compose(i1, inj) for inj in injections]
         injections.append(i2)
         projections = [compose(proj, p1) for proj in projections]
         projections.append(p2)
-        total = total2
-    if len(mods) > 1:
-        object.__setattr__(total, "summands", tuple(mods))
     return total, injections, projections
 
 
@@ -462,10 +480,6 @@ def identity_hom(module: FiniteModule) -> Homomorphism:
 
 def zero_hom(source: FiniteModule, target: FiniteModule) -> Homomorphism:
     return Homomorphism(source, target, tuple(target.zero for _ in source.elements()))
-
-
-def inclusion_hom(sub: Submodule) -> tuple[FiniteModule, Homomorphism]:
-    return submodule_as_module(sub)
 
 
 def compose(g: Homomorphism, f: Homomorphism) -> Homomorphism:
@@ -524,32 +538,146 @@ def generating_set(module: FiniteModule) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _closure_extend(
-    src: FiniteModule, dst: FiniteModule, assigned: Sequence[tuple[int, int]]
-) -> Optional[dict[int, int]]:
-    """Forced extension of generator images to the span, or None on conflict.
+@dataclass(frozen=True)
+class PlanLevel:
+    """How span(k_1..k_i) is derived from span(k_1..k_{i-1}) and the key k_i.
 
-    Works the full pair/action closure, so a completed extension is a
-    genuine homomorphism on its domain (every sum and scalar derivation is
-    checked, not just a spanning tree).
+    Every new element is derived once: the key itself, ``z = r.key`` (*acts*)
+    or ``z = x + c`` (*adds*, with x old and c a new multiple of the key).
+    *additive* is an additive generating set A_i of the span.  A map filled
+    along the derivations is R-linear on the span iff f(x+a) = f(x)+f(a) for
+    every x in the span and a in A_i, and f(r.a) = r.f(a) for every r and a
+    in A_i; *add_checks* and *act_checks* hold the (x, a, x+a) and (r, a, r.a)
+    triples of those equations that no earlier level already checked and
+    that do not hold by a derivation of this level.
     """
-    f: dict[int, int] = {}
-    stack: list[tuple[int, int]] = [(src.zero, dst.zero)]
-    stack.extend(assigned)
-    ring = src.ring
-    while stack:
-        x, fx = stack.pop()
-        cur = f.get(x)
-        if cur is not None:
-            if cur != fx:
-                return None
-            continue
-        f[x] = fx
-        for y, fy in list(f.items()):
-            stack.append((src.add[x][y], dst.add[fx][fy]))
-        for r in ring.elements():
-            stack.append((src.act[r][x], dst.act[r][fx]))
-    return f
+
+    key: int
+    fresh: bool  # the key lies outside the previous span
+    acts: tuple[tuple[int, int], ...]  # (z, r): z = r.key
+    adds: tuple[tuple[int, int, int], ...]  # (z, x, c): z = x + c
+    additive: tuple[int, ...]
+    add_checks: tuple[tuple[int, int, int], ...]
+    act_checks: tuple[tuple[int, int, int], ...]
+    members: tuple[int, ...]  # the span, sorted
+
+
+@lru_cache(maxsize=None)
+def derivation_plan(module: FiniteModule, keys: tuple[int, ...]) -> tuple[PlanLevel, ...]:
+    """One level per key: the spans of the key prefixes, built once per module."""
+    add, act = module.add, module.act
+    ring_elements = module.ring.elements()
+    span_list = [module.zero]
+    in_span = {module.zero}
+    additive: list[int] = []
+    levels: list[PlanLevel] = []
+    for key in keys:
+        fresh = key not in in_span
+        old = list(span_list)
+        old_set = set(old)
+        n_old_additive = len(additive)
+        acts: list[tuple[int, int]] = []
+        adds: list[tuple[int, int, int]] = []
+        if fresh:
+            multiples = [key]
+            in_span.add(key)
+            span_list.append(key)
+            for r in ring_elements:
+                z = act[r][key]
+                if z not in in_span:
+                    in_span.add(z)
+                    span_list.append(z)
+                    acts.append((z, r))
+                    multiples.append(z)
+            for c in multiples:
+                for x in old:
+                    z = add[x][c]
+                    if z not in in_span:
+                        in_span.add(z)
+                        span_list.append(z)
+                        adds.append((z, x, c))
+            reached = old_set
+            for c in multiples:
+                if c not in reached:
+                    additive.append(c)
+                    reached = _add_subgroup(add, reached, c)
+        new_additive = set(additive[n_old_additive:])
+        derived_adds = {(x, c) for _, x, c in adds}
+        derived_acts = {r for _, r in acts}
+        add_checks = tuple(
+            (x, a, add[x][a])
+            for x in span_list
+            for a in additive
+            if (x not in old_set or a in new_additive) and (x, a) not in derived_adds
+        )
+        act_checks = tuple(
+            (r, a, act[r][a])
+            for a in additive[n_old_additive:]
+            for r in ring_elements
+            if not (a == key and r in derived_acts)
+        )
+        levels.append(
+            PlanLevel(
+                key,
+                fresh,
+                tuple(acts),
+                tuple(adds),
+                tuple(additive),
+                add_checks,
+                act_checks,
+                tuple(sorted(span_list)),
+            )
+        )
+    return tuple(levels)
+
+
+def _add_subgroup(add: Table, group: set[int], c: int) -> set[int]:
+    """The additive subgroup generated by the subgroup *group* and c."""
+    out = set(group)
+    t = c
+    while t not in group:
+        out.update(add[x][t] for x in group)
+        t = add[t][c]
+    return out
+
+
+def _replay(level: PlanLevel, y: int, f: list[int], target: FiniteModule) -> bool:
+    """Extend f from the previous span to the level's span with f(key) = y.
+
+    False when no R-linear map on the span restricts to f on the previous
+    span and sends the key to y.
+    """
+    if not level.fresh:
+        return f[level.key] == y
+    add, act = target.add, target.act
+    f[level.key] = y
+    for z, r in level.acts:
+        f[z] = act[r][y]
+    for z, x, c in level.adds:
+        f[z] = add[f[x]][f[c]]
+    for x, a, s in level.add_checks:
+        if f[s] != add[f[x]][f[a]]:
+            return False
+    for r, a, s in level.act_checks:
+        if f[s] != act[r][f[a]]:
+            return False
+    return True
+
+
+def extend_images(
+    source: FiniteModule, target: FiniteModule, images: Sequence[tuple[int, int]]
+) -> Optional[dict[int, int]]:
+    """The R-linear map on the span of the keys with the given images, or None.
+
+    The span always contains 0, which goes to 0.
+    """
+    plan = derivation_plan(source, tuple(k for k, _ in images))
+    f = [target.zero] * source.size
+    for level, (_, y) in zip(plan, images):
+        if not _replay(level, y, f, target):
+            return None
+    members = plan[-1].members if plan else (source.zero,)
+    return {x: f[x] for x in members}
 
 
 def hom_enumerate(
@@ -562,15 +690,14 @@ def hom_enumerate(
 
     Candidate images of each generator are filtered by additive order; the
     product of the candidate counts is the projected size and must stay
-    within the cap before enumeration starts.
+    within the cap before enumeration starts.  The search backtracks over
+    the generators and replays the source's derivation plan at each level,
+    so a prefix is kept exactly when it extends to a map on its span.
     """
     if source.ring != target.ring:
         raise DomainError("source and target are over different rings")
     cap = caps.max_hom if cap is None else cap
     gens = generating_set(source)
-    if not gens:  # zero module: only the zero map
-        return [zero_hom(source, target)]
-
     candidates: list[list[int]] = []
     projected = 1
     for g in gens:
@@ -583,21 +710,17 @@ def hom_enumerate(
                 f"projected hom count {projected} exceeds cap {cap}"
             )
 
+    plan = derivation_plan(source, gens)
+    f = [target.zero] * source.size
     out: list[Homomorphism] = []
-    assignment: list[tuple[int, int]] = []
 
     def backtrack(i: int) -> None:
-        if i == len(gens):
-            f = _closure_extend(source, target, assignment)
-            if f is not None:
-                assert len(f) == source.size
-                out.append(Homomorphism(source, target, tuple(f[x] for x in source.elements())))
+        if i == len(plan):
+            out.append(Homomorphism(source, target, tuple(f)))
             return
         for y in candidates[i]:
-            assignment.append((gens[i], y))
-            if _closure_extend(source, target, assignment) is not None:
+            if _replay(plan[i], y, f, target):
                 backtrack(i + 1)
-            assignment.pop()
 
     backtrack(0)
     return out

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .caps import DEFAULT_CAPS, Caps
 from .corpus import Bounds, BuiltInstance, Instance, build_instance, generate_corpus
-from .errors import ConfigError, ResourceExceededError
+from .errors import ConfigError, InternalError, ResourceExceededError
 from .essential import is_essential, is_u_S_essential_fast
 from .laws import LAWS_BY_ID, VIOLATED
 from .modules import all_submodules
@@ -215,7 +215,8 @@ def shrink(
     still witnesses the claim, re-verifying after every step."""
     built = build_instance(inst, caps)
     payload = claim.fn(built, caps)
-    assert payload is not None, "shrink called on a non-witness"
+    if payload is None:
+        raise InternalError("shrink called on a non-witness")
     current, current_built, current_payload = inst, built, payload
     improved = True
     while improved:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, PreconditionViolatedError
+from .errors import DomainError, InternalError, PreconditionViolatedError
 from .modules import (
     FiniteModule,
     Homomorphism,
@@ -58,7 +58,7 @@ def s_torsion_submodule(module: FiniteModule, mset: MultiplicativeSet) -> Submod
         if any(module.act[s][x] == module.zero for s in mset.members)
     )
     if by_sigma != by_scan:
-        raise AssertionError("sigma shortcut disagrees with the definitional scan")
+        raise InternalError("sigma shortcut disagrees with the definitional scan")
     return Submodule(module, by_sigma)
 
 
@@ -106,7 +106,8 @@ def is_u_S_iso(
     epi, we = is_u_S_epi(f, mset)
     if not epi:
         return False, None
-    assert wm is not None and we is not None
+    if wm is None or we is None:
+        raise InternalError("u-S-iso verdict without both witnesses")
     return True, (wm, we)
 
 

@@ -99,6 +99,28 @@ mset S over R = closure {4}
     assert env.homs["d"].map == (0, 2, 4, 0, 2, 4)
 
 
+def test_hom_images_on_non_generators():
+    # neither 2 nor 3 generates Z/6, but together they do: f = 5x
+    env = parse_program(
+        """
+ring R = zmod 6
+module M over R = regular
+module V = dsum M M
+hom f : M -> M = images {2: 4, 3: 3}
+hom g : M -> M = images {1: 2, 2: 4, 4: 2}
+hom p : V -> M = images {7: 1, 6: 1}
+"""
+    )
+    assert env.homs["f"].map == (0, 5, 4, 3, 2, 1)
+    assert env.homs["g"].map == (0, 2, 4, 0, 2, 4)
+    # V indexes (a|b) as 6a + b: 7 = (1|1) and 6 = (1|0), so p(a|b) = a
+    assert env.homs["p"].map == tuple(x // 6 for x in range(36))
+    with pytest.raises(ConfigError, match="linear"):
+        parse_program("ring R = zmod 6\nmodule M over R = regular\nhom f : M -> M = images {1: 2, 2: 3}")
+    with pytest.raises(ConfigError, match="linear"):
+        parse_program("ring R = zmod 6\nmodule M over R = regular\nhom f : M -> M = images {0: 1}")
+
+
 def test_hom_images_must_determine_map():
     with pytest.raises(ConfigError, match="determine"):
         parse_program(

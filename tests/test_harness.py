@@ -7,10 +7,10 @@ import pytest
 
 from usmod.caps import Caps
 from usmod.corpus import Bounds, Instance, build_instance, generate_corpus
-from usmod.errors import ConfigError
+from usmod.errors import ConfigError, InternalError
 from usmod.laws import LAWS_BY_ID, REGISTRY, run_laws, replay_result, tally
 from usmod.report import render_report
-from usmod.search import replay_hit, search_counterexamples
+from usmod.search import Claim, replay_hit, search_counterexamples, shrink
 from usmod.witnesses import (
     collect_false_essential_witnesses,
     collect_refuted_reports,
@@ -155,6 +155,12 @@ def test_impossible_claim_returns_empty():
         time_budget=60,
     )
     assert hits == []
+
+
+def test_shrink_refuses_a_non_witness(small_corpus):
+    claim = Claim("never", "holds on no instance", True, lambda built, caps: None)
+    with pytest.raises(InternalError, match="non-witness"):
+        shrink(small_corpus[0], claim)
 
 
 def test_law_violation_hunts_empty():

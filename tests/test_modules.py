@@ -12,7 +12,10 @@ from usmod.modules import (
     check_module_axioms,
     compose,
     cyclic_submodule,
+    cyclic_zmod_module,
+    derivation_plan,
     direct_sum,
+    direct_sum_many,
     generating_set,
     hom_enumerate,
     identity_hom,
@@ -220,9 +223,104 @@ def test_hom_enumerate_coprime_orders(m6):
 
 
 def test_hom_enumerate_cap():
+    # the first generator alone has 36 candidate images in Z/6 (+) Z/6
     m, *_ = direct_sum(regular_module(make_zmod(6)), regular_module(make_zmod(6)))
-    with pytest.raises(ResourceExceededError):
+    with pytest.raises(ResourceExceededError, match=r"^projected hom count 36 exceeds cap 10$"):
         hom_enumerate(m, m, cap=10)
+    assert len(hom_enumerate(m, m, cap=36 * 36)) == 6**4  # End(Z/6 (+) Z/6) = M_2(Z/6)
+
+
+def _small_modules(ring):
+    """Cyclic modules, direct sums, quotients and submodules-as-modules of
+    at most 8 elements over *ring*."""
+    reg = regular_module(ring)
+    pool = [zero_module(ring), reg]
+    if ring.zmod_n is not None:
+        pool += [cyclic_zmod_module(ring, d) for d in range(2, ring.zmod_n) if ring.zmod_n % d == 0]
+    for sub in all_submodules(reg):
+        pool.append(submodule_as_module(sub)[0])
+        pool.append(quotient_module(reg, sub)[0])
+    small = [m for m in pool if m.size <= 4]
+    pool += [direct_sum(a, b)[0] for a in small for b in small if a.size * b.size <= 8]
+    distinct = {(m.label, m.add, m.act): m for m in pool if m.size <= 8}
+    return list(distinct.values())
+
+
+def _brute_force_homs(source, target):
+    """Every map source -> target that passes check_homomorphism."""
+    out = []
+    for images in itertools.product(target.elements(), repeat=source.size):
+        try:
+            check_homomorphism(make_hom(source, target, images, check=False))
+        except DomainError:
+            continue
+        out.append(images)
+    return out
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [make_zmod(2), make_zmod(4), make_zmod(6), make_zmod(8), make_product(make_zmod(2), make_zmod(2))],
+    ids=lambda r: r.label,
+)
+def test_hom_enumerate_matches_brute_force(ring):
+    rng = random.Random(f"hom-{ring.label}")
+    pool = _small_modules(ring)
+    pairs = [(s, t) for s in pool for t in pool if t.size**s.size <= 4096]
+    for source, target in rng.sample(pairs, min(25, len(pairs))):
+        homs = [h.map for h in hom_enumerate(source, target)]
+        assert len(set(homs)) == len(homs)
+        assert sorted(homs) == _brute_force_homs(source, target), (source, target)
+
+
+def test_derivation_plan_spans_the_module():
+    z4 = make_zmod(4)
+    m, *_ = direct_sum(regular_module(z4), cyclic_zmod_module(z4, 2))
+    gens = generating_set(m)
+    plan = derivation_plan(m, gens)
+    assert plan is derivation_plan(m, gens)
+    assert [level.key for level in plan] == list(gens)
+    assert plan[-1].members == tuple(m.elements())
+    for level in plan:
+        assert level.fresh
+        assert level.members == span(m, level.members)
+        reached = {m.zero}
+        while True:
+            grown = reached | {m.add[x][a] for x in reached for a in level.additive}
+            if grown == reached:
+                break
+            reached = grown
+        assert tuple(sorted(reached)) == level.members
+
+
+def test_constructor_caches_return_the_same_module():
+    # the caches compare rings by their tables: a later, equal ring of the
+    # same label gets the module built for the first one
+    regular_module.cache_clear()
+    cyclic_zmod_module.cache_clear()
+    z6 = make_zmod(6)
+    assert regular_module(z6) is regular_module(z6)
+    assert regular_module(z6).ring is z6
+    assert regular_module(make_zmod(6)) is regular_module(z6)
+    assert cyclic_zmod_module(z6, 3) is cyclic_zmod_module(z6, 3)
+    assert cyclic_zmod_module(z6, 3).ring is z6
+    assert cyclic_zmod_module(z6, 3) is not cyclic_zmod_module(z6, 2)
+    with pytest.raises(DomainError):
+        cyclic_zmod_module(z6, 4)
+
+
+def test_direct_sum_many_records_summands():
+    z6 = make_zmod(6)
+    mods = [regular_module(z6), cyclic_zmod_module(z6, 2), cyclic_zmod_module(z6, 3)]
+    total, injections, projections = direct_sum_many(mods)
+    assert total.summands == tuple(mods)
+    assert all(inj.target is total for inj in injections)
+    assert all(proj.source is total for proj in projections)
+    for k, (inj, proj) in enumerate(zip(injections, projections)):
+        check_homomorphism(inj)
+        check_homomorphism(proj)
+        assert compose(proj, inj).map == identity_hom(mods[k]).map
+    assert direct_sum_many(mods[:1])[0] is mods[0]
 
 
 def test_hom_enumeration_complete_against_brute_force():
