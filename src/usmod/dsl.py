@@ -258,6 +258,8 @@ def _module_expr(
 def _hom_from_images(
     src: FiniteModule, dst: FiniteModule, images: dict[int, int], lineno: int
 ) -> Homomorphism:
+    if src.ring != dst.ring:
+        raise ConfigError(f"line {lineno}: source and target are over different rings")
     for k, v in images.items():
         if not (0 <= k < src.size and 0 <= v < dst.size):
             raise ConfigError(f"line {lineno}: image pair {k}:{v} out of range")

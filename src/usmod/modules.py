@@ -275,26 +275,21 @@ def check_submodule(sub: Submodule) -> None:
 
 
 def span(parent: FiniteModule, seed: Iterable[int]) -> tuple[int, ...]:
-    """Submodule generated by *seed*: closure under addition and the action.
+    """Submodule generated by *seed*: the sum of the cyclic submodules Rx.
 
-    Every pair (x, y) is processed when the later of the two is admitted, so
-    the result is genuinely closed.
+    The span is grown one seed element at a time as an additive subgroup,
+    joined with each R-multiple of x in turn, so it is a submodule after
+    every seed element and a seed element already inside is skipped.
     """
+    add, act = parent.add, parent.act
     mem = {parent.zero}
-    queue = list(set(seed))
-    while queue:
-        x = queue.pop()
+    for x in set(seed):
         if x in mem:
             continue
-        mem.add(x)
-        for y in list(mem):
-            s = parent.add[x][y]
-            if s not in mem:
-                queue.append(s)
         for r in parent.ring.elements():
-            s = parent.act[r][x]
-            if s not in mem:
-                queue.append(s)
+            c = act[r][x]
+            if c not in mem:
+                mem = _add_subgroup(add, mem, c)
     return tuple(sorted(mem))
 
 

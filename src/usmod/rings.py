@@ -403,22 +403,22 @@ def spectrum(ring: FiniteRing) -> tuple[tuple[Ideal, ...], tuple[Ideal, ...]]:
 def mult_set_closure(ring: FiniteRing, generators: Iterable[int]) -> MultiplicativeSet:
     """Smallest multiplicatively closed superset of generators + {1}.
 
-    Raises if the closure swallows 0 (some generator is nilpotent-tainted).
+    Every new member is multiplied by each generator, which reaches every
+    product of generators.  Raises if the closure swallows 0 (some
+    generator is nilpotent-tainted).
     """
     gens = sorted(set(generators))
     if not gens:
         raise InvalidMultiplicativeSetError("need at least one generator")
     mem = {ring.one}
-    queue = list(gens)
+    queue = [ring.one]
     while queue:
         s = queue.pop()
-        if s in mem:
-            continue
-        mem.add(s)
-        for t in list(mem):
-            st = ring.mul[s][t]
-            if st not in mem:
-                queue.append(st)
+        for g in gens:
+            sg = ring.mul[s][g]
+            if sg not in mem:
+                mem.add(sg)
+                queue.append(sg)
     if ring.zero in mem:
         raise InvalidMultiplicativeSetError(
             f"closure of {{{','.join(ring.name(g) for g in gens)}}} contains 0"

@@ -16,12 +16,21 @@ from typing import Callable, Optional
 
 from .caps import DEFAULT_CAPS, Caps
 from .corpus import Bounds, BuiltInstance, Instance, build_instance, generate_corpus
-from .errors import ConfigError, InternalError, ResourceExceededError
+from .errors import (
+    ConfigError,
+    InternalError,
+    InvalidMultiplicativeSetError,
+    ResourceExceededError,
+)
 from .essential import is_essential, is_u_S_essential_fast
 from .laws import LAWS_BY_ID, VIOLATED
 from .modules import all_submodules
 
 CheckFn = Callable[[BuiltInstance, Caps], Optional[dict]]
+
+# What building a shrink candidate may raise: its multiplicative set's
+# closure contains 0, or it exceeds a cap.  Anything else is a fault.
+_CANDIDATE_ERRORS = (InvalidMultiplicativeSetError, ResourceExceededError)
 
 
 @dataclass(frozen=True)
@@ -200,7 +209,7 @@ def _expand_submodules(inst: Instance, caps: Caps) -> list[Instance]:
     try:
         built = build_instance(inst, caps)
         lattice = all_submodules(built.module, caps)
-    except (ResourceExceededError, ConfigError, Exception):
+    except _CANDIDATE_ERRORS:
         return []
     return [
         Instance(inst.ring, inst.mset, inst.module, sub.members, inst.seed, inst.size_profile)
@@ -230,7 +239,7 @@ def shrink(
         for cand in candidates:
             try:
                 cb = build_instance(cand, caps)
-            except Exception:
+            except _CANDIDATE_ERRORS:
                 continue
             key = _size_key(cb)
             if key < base_key:

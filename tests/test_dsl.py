@@ -143,6 +143,19 @@ hom f : M -> M = images {1: 3, 2: 2}
         )
 
 
+@pytest.mark.parametrize("src_n, dst_n", [(6, 4), (4, 6)])
+def test_hom_images_need_one_ring(src_n, dst_n):
+    program = f"""
+ring A = zmod {src_n}
+ring B = zmod {dst_n}
+module M over A = regular
+module N over B = regular
+hom f : M -> N = images {{1: 1}}
+"""
+    with pytest.raises(ConfigError, match="line 6: source and target are over different rings"):
+        parse_program(program)
+
+
 def test_parse_errors():
     with pytest.raises(ConfigError, match="line 1"):
         parse_program("frobnicate Q = zmod 6")

@@ -7,7 +7,13 @@ import pytest
 
 from usmod.caps import Caps
 from usmod.corpus import Bounds, Instance, build_instance, generate_corpus
-from usmod.errors import ConfigError, InternalError
+from usmod import search
+from usmod.errors import (
+    ConfigError,
+    InternalError,
+    InvalidMultiplicativeSetError,
+    ResourceExceededError,
+)
 from usmod.laws import LAWS_BY_ID, REGISTRY, run_laws, replay_result, tally
 from usmod.report import render_report
 from usmod.search import Claim, replay_hit, search_counterexamples, shrink
@@ -161,6 +167,37 @@ def test_shrink_refuses_a_non_witness(small_corpus):
     claim = Claim("never", "holds on no instance", True, lambda built, caps: None)
     with pytest.raises(InternalError, match="non-witness"):
         shrink(small_corpus[0], claim)
+
+
+RUNNING_EXAMPLE = Instance(("zmod", 6), ("closure", (4,)), ("regular",), (2,), 0, (8, 64))
+
+
+def _failing_candidate_builds(monkeypatch, error: Exception) -> None:
+    """Build only the running example; every shrink candidate raises *error*."""
+
+    def build(inst, caps):
+        if inst == RUNNING_EXAMPLE:
+            return build_instance(inst, caps)
+        raise error
+
+    monkeypatch.setattr(search, "build_instance", build)
+
+
+def test_shrink_lets_an_internal_error_through(monkeypatch):
+    _failing_candidate_builds(monkeypatch, InternalError("candidate build broke"))
+    claim = Claim("always", "holds on every instance", True, lambda built, caps: {})
+    with pytest.raises(InternalError, match="candidate build broke"):
+        shrink(RUNNING_EXAMPLE, claim)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [InvalidMultiplicativeSetError("closure contains 0"), ResourceExceededError("cap")],
+)
+def test_shrink_skips_candidates_that_cannot_be_built(monkeypatch, error):
+    _failing_candidate_builds(monkeypatch, error)
+    claim = Claim("always", "holds on every instance", True, lambda built, caps: {})
+    assert shrink(RUNNING_EXAMPLE, claim) == (RUNNING_EXAMPLE, {})
 
 
 def test_law_violation_hunts_empty():
