@@ -46,7 +46,6 @@ from .storsion import (
 from .essential import (
     EssentialVerdict,
     is_essential,
-    is_u_S_essential,
     is_u_S_essential_fast,
     is_u_S_essential_oracle,
     u_S_complement,

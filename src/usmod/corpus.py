@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import ConfigError, ResourceExceededError
+from .errors import ConfigError, InvalidMultiplicativeSetError, ResourceExceededError
 from .modules import (
     FiniteModule,
     Submodule,
@@ -138,6 +138,7 @@ def build_module(ring: FiniteRing, spec: Spec, caps: Caps = DEFAULT_CAPS) -> Fin
     raise ConfigError(f"unknown module spec {spec!r}")
 
 
+@lru_cache(maxsize=None)
 def build_mset(ring: FiniteRing, spec: Spec) -> MultiplicativeSet:
     kind = spec[0]
     if kind == "closure":
@@ -196,7 +197,7 @@ def _mset_specs(ring: FiniteRing, bounds: Bounds) -> list[Spec]:
     def admit(spec: Spec) -> None:
         try:
             mset = build_mset(ring, spec)
-        except Exception:
+        except InvalidMultiplicativeSetError:
             return
         if mset.members in seen or len(chosen) >= bounds.msets_per_ring:
             return

@@ -9,11 +9,13 @@ Two independent routes are implemented for the u-S notion:
 
 The element criterion is the complexity payoff: it forms Rx meet K once per
 x (|R| lookups) and tests each s in S on that meet, so it costs
-O(|M|.(|R| + |S|.|K|)) table lookups instead of a lattice scan.  The oracle
-exists to validate it, and the harness cross-asserts the two on every
-corpus instance.  Its hypothesis -- tor_S(M) is uniformly killed -- holds
-automatically for finite S via sigma, but is re-verified as a guard on
-every call.
+O(|M|.(|R| + |S|.|K|)) table lookups instead of a lattice scan.  Its
+hypothesis -- tor_S(M) is uniformly killed -- holds for finite S because
+tor_S(M) is the kernel of sigma.  Each decider runs one route; the law
+registry compares the routes on every corpus instance (``element-criterion``
+for fast, oracle and quotient routes, ``essential-element-criterion`` for
+the lattice scan of ``is_essential`` against the fast route at S={1}, and
+``torsion-submodule-uniform`` for the hypothesis).
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, InternalError, NotPrimeError, PreconditionViolatedError
+from .errors import DomainError, NotPrimeError, PreconditionViolatedError
 from .modules import (
     FiniteModule,
     Homomorphism,
@@ -50,7 +52,7 @@ class EssentialVerdict:
     verdict: bool
     counterexample_L: Optional[Submodule]
     witness_s_pair: Optional[tuple[Optional[int], Optional[int]]]
-    method: str  # lattice-oracle | element-criterion
+    method: str  # lattice-oracle | element-criterion | lattice-scan
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -85,33 +87,17 @@ def _smallest_killer(module: FiniteModule, mset: MultiplicativeSet, members) -> 
 def is_essential(k: Submodule, module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EssentialVerdict:
     """K meets every nonzero submodule nontrivially.
 
-    Decided by the element criterion (for each x != 0 some r has
-    0 != r.x in K); the lattice scan is computed too and the two are
-    cross-asserted on every call.
+    Decided by a scan of the submodule lattice; a false verdict carries the
+    first nonzero L (in lattice order) that meets K trivially.  The
+    ``essential-element-criterion`` law checks it against the element
+    criterion, i.e. the fast u-S decider at S={1}.
     """
     _require_submodule(k, module)
-    zero = module.zero
-    act = module.act
-    ring_elements = module.ring.elements()
-    nonzero_k = k.member_set() - {zero}
-
-    element_ok = True
-    for x in module.elements():
-        if x != zero and nonzero_k.isdisjoint(act[r][x] for r in ring_elements):
-            element_ok = False
-            break
-
-    counterexample = None
-    lattice_ok = True
+    nonzero_k = k.member_set() - {module.zero}
     for l in all_submodules(module, caps):
         if not l.is_zero() and nonzero_k.isdisjoint(l.members):
-            lattice_ok = False
-            counterexample = l
-            break
-
-    if element_ok != lattice_ok:
-        raise InternalError("element criterion disagrees with the lattice scan")
-    return EssentialVerdict(element_ok, counterexample, None, "element-criterion")
+            return EssentialVerdict(False, l, None, "lattice-scan")
+    return EssentialVerdict(True, None, None, "lattice-scan")
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +140,12 @@ def is_u_S_essential_fast(
     """Element criterion: for each x outside tor_S(M) and each s in S there
     is r with r.x in K and s.r.x != 0.
 
-    The criterion's hypothesis (tor_S(M) uniformly killed) is automatic for
-    finite S but verified before proceeding.  A false verdict exhibits the
+    The criterion's hypothesis (tor_S(M) uniformly killed) holds for finite
+    S, since tor_S(M) is the kernel of sigma.  A false verdict exhibits the
     cyclic counterexample Rx together with (s, None).
     """
     _require_submodule(k, module)
-    tor = s_torsion_submodule(module, mset)
-    if not kills(module, mset.sigma, tor.members):
-        raise InternalError("sigma fails to kill tor_S(M); impossible for finite S")
-    torset = tor.member_set()
+    torset = s_torsion_submodule(module, mset).member_set()
     kset = k.member_set()
     zero = module.zero
     act = module.act
@@ -180,25 +163,6 @@ def is_u_S_essential_fast(
                     False, cyclic_submodule(module, x), (s, None), "element-criterion"
                 )
     return EssentialVerdict(True, None, None, "element-criterion")
-
-
-def is_u_S_essential(
-    k: Submodule,
-    module: FiniteModule,
-    mset: MultiplicativeSet,
-    cross_check: bool = False,
-    caps: Caps = DEFAULT_CAPS,
-) -> EssentialVerdict:
-    """Front door: fast criterion; optionally cross-asserted with the oracle."""
-    fast = is_u_S_essential_fast(k, module, mset)
-    if cross_check:
-        oracle = is_u_S_essential_oracle(k, module, mset, caps)
-        if fast.verdict != oracle.verdict:
-            raise InternalError(
-                f"decider disagreement on {k!r}: fast={fast.verdict} oracle={oracle.verdict}"
-            )
-        return oracle
-    return fast
 
 
 @lru_cache(maxsize=None)

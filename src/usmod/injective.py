@@ -23,7 +23,7 @@ from .errors import (
     ResourceExceededError,
     UnsupportedRingError,
 )
-from .essential import EssentialVerdict, BiconditionalVerdict, is_essential, is_u_S_essential_fast
+from .essential import EssentialVerdict, BiconditionalVerdict, is_u_S_essential_fast
 from .modules import (
     FiniteModule,
     Homomorphism,
@@ -45,7 +45,7 @@ from .modules import (
     zero_hom,
     zero_module,
 )
-from .rings import MultiplicativeSet, all_ideals
+from .rings import MultiplicativeSet, all_ideals, mult_set_closure
 from .storsion import (
     find_u_S_isomorphism,
     is_u_S_iso,
@@ -83,7 +83,6 @@ class EnvelopeCandidate:
     essential_verdict: EssentialVerdict
     is_envelope: bool
     preenvelope_level: str  # certified | bounded
-    definitional_agreement: Optional[bool] = None  # None if End(E) scan skipped
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +292,8 @@ def injective_envelope_zmod(
         raise InternalError("envelope embedding is not injective")
     if is_injective_baer(env, caps).verdict != "injective":
         raise InternalError("constructed envelope failed the Baer scan")
-    if not _essential_image(image(i), env, caps):
+    # essential is u-S-essential at S={1}; the element criterion needs no lattice
+    if not is_u_S_essential_fast(image(i), env, mult_set_closure(ring, [ring.one])).verdict:
         raise InternalError("envelope image is not essential")
     return env, i
 
@@ -312,24 +312,6 @@ def _tuples(limits: Sequence[int]):
     for head in range(limits[0]):
         for tail in _tuples(limits[1:]):
             yield (head,) + tail
-
-
-def _essential_image(img: Submodule, env: FiniteModule, caps: Caps) -> bool:
-    try:
-        return is_essential(img, env, caps).verdict
-    except ResourceExceededError:
-        # element criterion alone (equivalent, lattice-free)
-        kset = img.member_set()
-        zero = env.zero
-        for x in env.elements():
-            if x == zero:
-                continue
-            if not any(
-                env.act[r][x] in kset and env.act[r][x] != zero
-                for r in env.ring.elements()
-            ):
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -502,55 +484,41 @@ def check_u_S_preenvelope(
 
 
 def check_u_S_envelope(
-    f: Homomorphism,
-    mset: MultiplicativeSet,
-    caps: Caps = DEFAULT_CAPS,
-    definitional_check: bool = False,
-    end_cap: int | None = None,
+    f: Homomorphism, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS
 ) -> EnvelopeCandidate:
-    """Envelope verdict via the essential-image characterization; optionally
-    cross-checked against the definitional endomorphism condition (every
-    endomorphism alpha with s.f = alpha.f is a u-S-isomorphism)."""
+    """Envelope verdict via the essential-image characterization: a
+    u-S-preenvelope is a u-S-envelope iff its image is u-S-essential.  The
+    ``envelope-essential-image`` law compares it with the definitional
+    endomorphism condition (``endomorphism_condition``)."""
     pre = check_u_S_preenvelope(f, mset, caps)
     if not pre.holds:
         raise PreconditionViolatedError(f"not a u-S-preenvelope ({pre.level})")
-    env = f.target
-    essential_verdict = is_u_S_essential_fast(image(f), env, mset)
-    verdict = essential_verdict.verdict
-
-    agreement: Optional[bool] = None
-    if definitional_check:
-        try:
-            endos = hom_enumerate(env, env, end_cap, caps)
-        except ResourceExceededError:
-            endos = None
-        if endos is not None:
-            definitional = True
-            for alpha in endos:
-                for s in mset.members:
-                    act_s = env.act[s]
-                    if all(act_s[f.map[x]] == alpha.map[f.map[x]] for x in f.source.elements()):
-                        iso, _ = is_u_S_iso(alpha, mset)
-                        if not iso:
-                            definitional = False
-                        break
-                if not definitional:
-                    break
-            agreement = definitional == verdict
-            if not agreement:
-                raise InternalError(
-                    "essential-image route disagrees with the endomorphism condition"
-                )
-
-    certificate = pre.injectivity.certificate or "bounded-pass"
+    essential_verdict = is_u_S_essential_fast(image(f), f.target, mset)
     return EnvelopeCandidate(
         map=f,
-        e_certificate=certificate,
+        e_certificate=pre.injectivity.certificate or "bounded-pass",
         essential_verdict=essential_verdict,
-        is_envelope=verdict,
+        is_envelope=essential_verdict.verdict,
         preenvelope_level=pre.level,
-        definitional_agreement=agreement,
     )
+
+
+def endomorphism_condition(
+    f: Homomorphism, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS, end_cap: int | None = None
+) -> bool:
+    """The definitional envelope condition on f: M -> E: every endomorphism
+    alpha of E with s.f = alpha.f for some s in S is a u-S-isomorphism.
+
+    Scans End(E), which raises ResourceExceededError past ``end_cap``."""
+    env = f.target
+    for alpha in hom_enumerate(env, env, end_cap, caps):
+        for s in mset.members:
+            act_s = env.act[s]
+            if all(act_s[f.map[x]] == alpha.map[f.map[x]] for x in f.source.elements()):
+                if not is_u_S_iso(alpha, mset)[0]:
+                    return False
+                break
+    return True
 
 
 def construct_u_S_envelope(

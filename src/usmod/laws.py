@@ -42,6 +42,7 @@ from .injective import (
     check_u_S_preenvelope,
     construct_u_S_envelope,
     default_catalogue,
+    endomorphism_condition,
     envelope_of_direct_sum,
     envelope_properties,
     envelope_three_way,
@@ -139,7 +140,7 @@ def law_sigma_shortcut(b: BuiltInstance, caps: Caps) -> Outcome:
         for x in module.elements()
         if any(module.act[s][x] == module.zero for s in mset.members)
     }
-    by_sigma = {x for x in module.elements() if module.act[mset.sigma][x] == module.zero}
+    by_sigma = s_torsion_submodule(module, mset).member_set()
     if by_scan != by_sigma:
         return VIOLATED, {"by_scan": sorted(by_scan), "by_sigma": sorted(by_sigma)}, ""
     for sub in all_submodules(module, caps):
@@ -412,12 +413,14 @@ def law_envelope_essential_image(b: BuiltInstance, caps: Caps) -> Outcome:
         return SKIP_INAPPLICABLE, None, "no envelope constructed"
     f, _ = out
     try:
-        cand = check_u_S_envelope(f, b.mset, caps, definitional_check=True, end_cap=2048)
+        cand = check_u_S_envelope(f, b.mset, caps)
     except ResourceExceededError:
         return SKIP_RESOURCE, None, "endomorphism enumeration over budget"
-    if cand.definitional_agreement is None:
+    try:
+        definitional = endomorphism_condition(f, b.mset, caps, end_cap=2048)
+    except ResourceExceededError:
         return SKIP_RESOURCE, None, "endomorphism enumeration skipped"
-    if not cand.definitional_agreement:
+    if definitional != cand.is_envelope:
         return VIOLATED, {"map": list(f.map)}, ""
     if not cand.is_envelope:
         return VIOLATED, {"map": list(f.map), "part": "constructed-map-not-envelope"}, ""
@@ -639,12 +642,17 @@ def law_running_example_envelope(b: BuiltInstance, caps: Caps) -> Outcome:
     if b.instance.module != ("regular",) or b.instance.submodule != (2,):
         return SKIP_INAPPLICABLE, None, "not the pinned submodule"
     _, incl = submodule_as_module(b.submodule)
-    cand = check_u_S_envelope(incl, b.mset, caps, definitional_check=True)
+    cand = check_u_S_envelope(incl, b.mset, caps)
+    definitional = endomorphism_condition(incl, b.mset, caps)
     baer = is_injective_baer(b.module, caps).verdict == "injective"
     mono = is_u_S_mono(incl, b.mset)[0]
     essential = cand.essential_verdict.verdict
-    if not (cand.is_envelope and baer and mono and essential):
-        return VIOLATED, {"envelope": cand.is_envelope, "baer": baer}, ""
+    if not (cand.is_envelope and definitional and baer and mono and essential):
+        return (
+            VIOLATED,
+            {"envelope": cand.is_envelope, "endomorphism": definitional, "baer": baer},
+            "",
+        )
     return HOLDS, None, "pinned envelope certified"
 
 

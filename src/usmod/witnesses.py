@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .corpus import Instance, build_instance
-from .errors import ResourceExceededError
+from .errors import DomainError, ResourceExceededError
 from .essential import is_essential, is_u_S_essential_fast, is_u_S_essential_oracle
 from .injective import RefutedWitness, certify_u_S_injective
 from .modules import (
@@ -116,7 +116,7 @@ def replay_essential_witness(payload: dict, caps: Caps = DEFAULT_CAPS) -> bool:
 
     try:
         check_submodule(sub)
-    except Exception:
+    except DomainError:
         return False
     meet = kset & lset
     if payload["kind"] == "essential-false":

@@ -5,7 +5,6 @@ from usmod.essential import (
     direct_sum_essential,
     essential_implies_uS_for_prime,
     is_essential,
-    is_u_S_essential,
     is_u_S_essential_fast,
     is_u_S_essential_oracle,
     is_u_p_essential,
@@ -107,12 +106,6 @@ def test_false_verdicts_replay(m6, s14):
             meet = set(k.members) & set(l.members)
             assert kills(m6, s1, meet)
             assert not any(kills(m6, s, l.members) for s in s14.members)
-
-
-def test_front_door_cross_check(m6, s14):
-    for k in all_submodules(m6):
-        v = is_u_S_essential(k, m6, s14, cross_check=True)
-        assert v.method == "lattice-oracle"
 
 
 def test_three_routes_agree_z6_family(z6, m6):

@@ -12,6 +12,7 @@ from usmod.injective import (
     construct_u_S_envelope,
     cyclic_invariants,
     default_catalogue,
+    endomorphism_condition,
     envelope_of_direct_sum,
     envelope_properties,
     envelope_three_way,
@@ -209,17 +210,17 @@ def test_preenvelope_examples(z6, m6, s14):
 def test_envelope_check_examples(z6, m6, s14):
     k = submodule(m6, [0, 2, 4])
     _, incl = submodule_as_module(k)
-    cand = check_u_S_envelope(incl, s14, definitional_check=True)
-    assert cand.is_envelope and cand.definitional_agreement
+    assert check_u_S_envelope(incl, s14).is_envelope
+    assert endomorphism_condition(incl, s14)
 
     ident = identity_hom(m6)
-    cand2 = check_u_S_envelope(ident, s14, definitional_check=True)
-    assert cand2.is_envelope
+    assert check_u_S_envelope(ident, s14).is_envelope
+    assert endomorphism_condition(ident, s14)
 
     l3 = submodule(m6, [0, 3])
     _, incl3 = submodule_as_module(l3)
-    cand3 = check_u_S_envelope(incl3, s14, definitional_check=True)
-    assert not cand3.is_envelope and cand3.definitional_agreement
+    assert not check_u_S_envelope(incl3, s14).is_envelope
+    assert not endomorphism_condition(incl3, s14)
 
 
 def test_envelope_uniqueness(z6, m6, s14):

@@ -53,8 +53,9 @@ def test_torsion_submodule_examples(z6, m6, s14):
 
 
 def test_torsion_definitional_scan_agreement():
-    # the sigma shortcut is cross-checked inside the call; exercise it over
-    # a spread of rings and sets
+    # the sigma route of s_torsion_submodule against the existential scan,
+    # over a spread of rings and sets (the sigma-shortcut law makes the same
+    # comparison on every corpus instance)
     for n in (4, 6, 8, 9, 12, 18):
         ring = make_zmod(n)
         module = regular_module(ring)
