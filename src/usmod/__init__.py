@@ -62,4 +62,4 @@ from .injective import (
 )
 from .corpus import Bounds, Instance, build_instance, generate_corpus
 from .laws import LawResult, REGISTRY, run_laws
-from .search import search_counterexample, search_counterexamples
+from .search import search_counterexamples

@@ -4,6 +4,13 @@ A module is an additive table plus a scalar-action table indexed by ring
 elements.  Submodules are canonical sorted element sets, so lattice meet and
 join are plain set operations; homomorphisms are explicit index maps.
 
+Tables are built by index arithmetic rather than through element objects.
+The direct sum M1 (+) M2 numbers the pair (x, y) as x*|M2| + y, so each of its
+rows is a scaled row of M1's table combined with a row of M2's.  The
+submodule lattice is the closure of the cyclic submodules under joining each
+submodule found with every cyclic one.  Hom(M, N) is tabulated on the tuples
+of generator images, which fix each map.
+
 Homomorphisms are enumerated from a greedily chosen generating set by
 backtracking over candidate images of each generator.  A derivation plan,
 built once per source module and cached, says how every element of each
@@ -325,21 +332,31 @@ def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:
 
 @lru_cache(maxsize=None)
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> tuple[Submodule, ...]:
-    """The full submodule lattice, as join-closure of the cyclic submodules."""
+    """The full submodule lattice, ordered by (size, members).
+
+    Every submodule is a finite join of cyclic ones, so the lattice is the
+    closure of the distinct cyclic submodules under joining each submodule
+    found with each cyclic Rg (one generator g kept per cyclic; skipped when
+    g is already inside).  More than max(caps.max_lattice, #cyclics)
+    submodules raise ResourceExceededError.
+    """
     if module.size > caps.max_module:
         raise ResourceExceededError(
             f"module has {module.size} > {caps.max_module} elements"
         )
     add = module.add
-    seeds = sorted(
-        {cyclic_submodule(module, x).members for x in module.elements()},
-        key=lambda t: (len(t), t),
-    )
-    found: set[tuple[int, ...]] = set(seeds)
-    queue = list(seeds)
+    generator_of: dict[tuple[int, ...], int] = {}
+    for x in module.elements():
+        generator_of.setdefault(cyclic_submodule(module, x).members, x)
+    cyclics = list(generator_of.items())
+    found: set[tuple[int, ...]] = set(generator_of)
+    queue = list(generator_of)
     while queue:
         xs = queue.pop()
-        for ys in list(found):
+        inside = set(xs)
+        for ys, g in cyclics:
+            if g in inside:
+                continue
             zs = tuple(sorted({add[x][y] for x in xs for y in ys}))
             if zs not in found:
                 if len(found) >= caps.max_lattice:
@@ -412,38 +429,38 @@ def direct_sum(
 ) -> tuple[FiniteModule, Homomorphism, Homomorphism, Homomorphism, Homomorphism]:
     """Componentwise module on pairs; returns (M, i1, i2, p1, p2).
 
-    M records *summands* as its provenance, (m1, m2) by default.
+    The pair (x, y) is element x*|m2| + y, so the row of (x, y) in a table of
+    M is the row of x in m1's table scaled by |m2|, with the row of y in
+    m2's table added to each entry.  M records *summands* as its
+    provenance, (m1, m2) by default.
     """
     if m1.ring != m2.ring:
         raise DomainError("summands are over different rings")
     n1, n2 = m1.size, m2.size
     if n1 * n2 > caps.max_module:
         raise ResourceExceededError(f"direct sum would have {n1 * n2} > {caps.max_module} elements")
-
-    def idx(x: int, y: int) -> int:
-        return x * n2 + y
-
-    pairs = [(x, y) for x in range(n1) for y in range(n2)]
     add = tuple(
-        tuple(idx(m1.add[x][u], m2.add[y][v]) for (u, v) in pairs) for (x, y) in pairs
+        tuple(a + c for a in scaled for c in row2)
+        for scaled in ([u * n2 for u in row1] for row1 in m1.add)
+        for row2 in m2.add
     )
     act = tuple(
-        tuple(idx(m1.act[r][x], m2.act[r][y]) for (x, y) in pairs)
-        for r in m1.ring.elements()
+        tuple(a + c for a in [u * n2 for u in row1] for c in row2)
+        for row1, row2 in zip(m1.act, m2.act)
     )
     out = FiniteModule(
         ring=m1.ring,
         add=add,
-        zero=idx(m1.zero, m2.zero),
+        zero=m1.zero * n2 + m2.zero,
         act=act,
         label=f"{m1.label}(+){m2.label}",
-        names=tuple(f"({m1.name(x)}|{m2.name(y)})" for (x, y) in pairs),
+        names=tuple(f"({a}|{b})" for a in m1.names for b in m2.names),
         summands=(m1, m2) if summands is None else summands,
     )
-    i1 = Homomorphism(m1, out, tuple(idx(x, m2.zero) for x in range(n1)))
-    i2 = Homomorphism(m2, out, tuple(idx(m1.zero, y) for y in range(n2)))
-    p1 = Homomorphism(out, m1, tuple(x for (x, y) in pairs))
-    p2 = Homomorphism(out, m2, tuple(y for (x, y) in pairs))
+    i1 = Homomorphism(m1, out, tuple(range(m2.zero, n1 * n2, n2)))
+    i2 = Homomorphism(m2, out, tuple(range(m1.zero * n2, (m1.zero + 1) * n2)))
+    p1 = Homomorphism(out, m1, tuple(x for x in range(n1) for _ in range(n2)))
+    p2 = Homomorphism(out, m2, tuple(range(n2)) * n1)
     return out, i1, i2, p1, p2
 
 
@@ -727,28 +744,29 @@ def hom_module(
     cap: int | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[FiniteModule, list[Homomorphism]]:
-    """Hom(source, target) as a module under pointwise addition and action."""
+    """Hom(source, target) as a module under pointwise addition and action.
+
+    A map is fixed by its images of the source's generating set, so the
+    tables are built on those image tuples, added and scaled in the target;
+    element i of the module is homs[i].
+    """
     homs = hom_enumerate(source, target, cap, caps)
-    index_of = {h.map: i for i, h in enumerate(homs)}
-    add_rows = []
-    for f in homs:
-        row = []
-        for g in homs:
-            row.append(index_of[add_homs(f, g).map])
-        add_rows.append(tuple(row))
-    ring = source.ring
-    act_rows = []
-    for r in ring.elements():
-        row = []
-        for f in homs:
-            scaled = tuple(target.act[r][v] for v in f.map)
-            row.append(index_of[scaled])
-        act_rows.append(tuple(row))
+    gens = generating_set(source)
+    keys = [tuple(h.map[g] for g in gens) for h in homs]
+    index_of = {key: i for i, key in enumerate(keys)}
+    tadd = target.add
+    add = tuple(
+        tuple(index_of[tuple(tadd[a][b] for a, b in zip(kf, kg))] for kg in keys)
+        for kf in keys
+    )
+    act = tuple(
+        tuple(index_of[tuple(row[a] for a in key)] for key in keys) for row in target.act
+    )
     module = FiniteModule(
-        ring=ring,
-        add=tuple(add_rows),
-        zero=index_of[zero_hom(source, target).map],
-        act=tuple(act_rows),
+        ring=source.ring,
+        add=add,
+        zero=index_of[(target.zero,) * len(gens)],
+        act=act,
         label=f"Hom({source.label},{target.label})",
         names=tuple(str(h.map) for h in homs),
     )

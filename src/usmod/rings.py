@@ -358,15 +358,6 @@ def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     return tuple(Ideal(ring, mem) for mem in ordered)
 
 
-def ideal_from(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
-    mem = {ring.zero}
-    for g in generators:
-        mem = set(_join(ring, tuple(sorted(mem)), cyclic_ideal(ring, g)))
-    ideal = Ideal(ring, tuple(sorted(mem)))
-    check_ideal(ideal)
-    return ideal
-
-
 def is_prime_ideal(ideal: Ideal) -> bool:
     ring = ideal.ring
     if not ideal.is_proper():

@@ -309,16 +309,6 @@ def search_counterexamples(
     return hits
 
 
-def search_counterexample(
-    claim_id: str,
-    bounds: Bounds = Bounds(max_ring=12),
-    seed: int = 0,
-    caps: Caps = DEFAULT_CAPS,
-) -> Optional[SearchHit]:
-    hits = search_counterexamples(claim_id, bounds, seed, limit=1, caps=caps)
-    return hits[0] if hits else None
-
-
 def replay_hit(hit_json: dict, caps: Caps = DEFAULT_CAPS) -> bool:
     """Re-verify a serialized search hit from its instance alone."""
     claim = CLAIMS[hit_json["claim_id"]]

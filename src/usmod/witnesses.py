@@ -53,8 +53,13 @@ def deserialize_module(ring, payload: dict) -> FiniteModule:
 def collect_false_essential_witnesses(
     corpus: Sequence[Instance], caps: Caps = DEFAULT_CAPS, limit: int = 0
 ) -> list[dict]:
-    """Every false verdict either decider produces on the corpus, as a
-    self-contained payload."""
+    """Every false verdict the deciders produce on the corpus, as a
+    self-contained payload.
+
+    The oracle and the fast route are both u-S-essential deciders; the fast
+    route's payload is kept only when its witness differs from the oracle's,
+    so no payload is collected twice.
+    """
     out: list[dict] = []
     for inst in corpus:
         if inst.submodule is None:
@@ -66,28 +71,23 @@ def collect_false_essential_witnesses(
         except ResourceExceededError:
             continue
         k = b.submodule
-        us = is_u_S_essential_oracle(k, b.module, b.mset, caps)
-        if not us.verdict:
-            out.append(
-                {
-                    "kind": "u-S-essential-false",
-                    "instance": inst.to_json(),
-                    "submodule": list(k.members),
-                    "counterexample_L": list(us.counterexample_L.members),
-                    "s1": us.witness_s_pair[0],
-                }
-            )
-        fast = is_u_S_essential_fast(k, b.module, b.mset)
-        if not fast.verdict:
-            out.append(
-                {
-                    "kind": "u-S-essential-false",
-                    "instance": inst.to_json(),
-                    "submodule": list(k.members),
-                    "counterexample_L": list(fast.counterexample_L.members),
-                    "s1": fast.witness_s_pair[0],
-                }
-            )
+        us_payloads: list[dict] = []
+        for verdict in (
+            is_u_S_essential_oracle(k, b.module, b.mset, caps),
+            is_u_S_essential_fast(k, b.module, b.mset),
+        ):
+            if verdict.verdict:
+                continue
+            payload = {
+                "kind": "u-S-essential-false",
+                "instance": inst.to_json(),
+                "submodule": list(k.members),
+                "counterexample_L": list(verdict.counterexample_L.members),
+                "s1": verdict.witness_s_pair[0],
+            }
+            if payload not in us_payloads:
+                us_payloads.append(payload)
+        out.extend(us_payloads)
         ess = is_essential(k, b.module, caps)
         if not ess.verdict:
             out.append(

@@ -1,5 +1,6 @@
-"""Differential tests: the generator-driven closures and the set-based
-essential deciders against the pairwise formulations they replaced.
+"""Differential tests: the generator-driven closures, the set-based
+essential deciders and the index-arithmetic table builders against the
+pairwise formulations they replaced.
 
 Each reference below is the earlier implementation, kept here verbatim in
 substance; the library versions must agree with them on seeded random
@@ -10,7 +11,8 @@ import random
 
 import pytest
 
-from usmod.errors import InvalidMultiplicativeSetError
+from usmod.caps import DEFAULT_CAPS, Caps
+from usmod.errors import InvalidMultiplicativeSetError, ResourceExceededError
 from usmod.essential import (
     is_essential,
     is_u_S_essential_fast,
@@ -18,11 +20,16 @@ from usmod.essential import (
     u_S_complement,
 )
 from usmod.modules import (
+    FiniteModule,
+    Homomorphism,
     Submodule,
+    add_homs,
     all_submodules,
     cyclic_submodule,
     cyclic_zmod_module,
     direct_sum,
+    hom_enumerate,
+    hom_module,
     image_of_submodule,
     intersect_submodules,
     quotient_module,
@@ -30,6 +37,7 @@ from usmod.modules import (
     span,
     submodule_as_module,
     sum_submodules,
+    zero_hom,
 )
 from usmod.rings import (
     MultiplicativeSet,
@@ -176,6 +184,84 @@ def tuple_complement(k, module, mset):
 
 
 # ---------------------------------------------------------------------------
+# references: the table builders that went through pairs, the found x found
+# join loop and one Homomorphism per Hom-table entry
+
+
+def pairwise_direct_sum(m1, m2, caps=DEFAULT_CAPS, summands=None):
+    n1, n2 = m1.size, m2.size
+    if n1 * n2 > caps.max_module:
+        raise ResourceExceededError(f"direct sum would have {n1 * n2} > {caps.max_module} elements")
+
+    def idx(x, y):
+        return x * n2 + y
+
+    pairs = [(x, y) for x in range(n1) for y in range(n2)]
+    add = tuple(
+        tuple(idx(m1.add[x][u], m2.add[y][v]) for (u, v) in pairs) for (x, y) in pairs
+    )
+    act = tuple(
+        tuple(idx(m1.act[r][x], m2.act[r][y]) for (x, y) in pairs)
+        for r in m1.ring.elements()
+    )
+    out = FiniteModule(
+        ring=m1.ring,
+        add=add,
+        zero=idx(m1.zero, m2.zero),
+        act=act,
+        label=f"{m1.label}(+){m2.label}",
+        names=tuple(f"({m1.name(x)}|{m2.name(y)})" for (x, y) in pairs),
+        summands=(m1, m2) if summands is None else summands,
+    )
+    i1 = Homomorphism(m1, out, tuple(idx(x, m2.zero) for x in range(n1)))
+    i2 = Homomorphism(m2, out, tuple(idx(m1.zero, y) for y in range(n2)))
+    p1 = Homomorphism(out, m1, tuple(x for (x, y) in pairs))
+    p2 = Homomorphism(out, m2, tuple(y for (x, y) in pairs))
+    return out, i1, i2, p1, p2
+
+
+def pairwise_all_submodules(module, caps=DEFAULT_CAPS):
+    """Join-closure of the cyclics, every found submodule with every other."""
+    add = module.add
+    seeds = sorted(
+        {cyclic_submodule(module, x).members for x in module.elements()},
+        key=lambda t: (len(t), t),
+    )
+    found = set(seeds)
+    queue = list(seeds)
+    while queue:
+        xs = queue.pop()
+        for ys in list(found):
+            zs = tuple(sorted({add[x][y] for x in xs for y in ys}))
+            if zs not in found:
+                if len(found) >= caps.max_lattice:
+                    raise ResourceExceededError("submodule lattice exceeds cap")
+                found.add(zs)
+                queue.append(zs)
+    ordered = sorted(found, key=lambda t: (len(t), t))
+    return tuple(Submodule(module, mem) for mem in ordered)
+
+
+def add_homs_hom_module(source, target, cap=None, caps=DEFAULT_CAPS):
+    homs = hom_enumerate(source, target, cap, caps)
+    index_of = {h.map: i for i, h in enumerate(homs)}
+    add = tuple(tuple(index_of[add_homs(f, g).map] for g in homs) for f in homs)
+    act = tuple(
+        tuple(index_of[tuple(target.act[r][v] for v in f.map)] for f in homs)
+        for r in source.ring.elements()
+    )
+    module = FiniteModule(
+        ring=source.ring,
+        add=add,
+        zero=index_of[zero_hom(source, target).map],
+        act=act,
+        label=f"Hom({source.label},{target.label})",
+        names=tuple(str(h.map) for h in homs),
+    )
+    return module, homs
+
+
+# ---------------------------------------------------------------------------
 # seeded instances
 
 
@@ -291,3 +377,127 @@ def test_essential_deciders_match_tuple_formulations(ring):
                 got = (oracle.verdict, oracle.counterexample_L, oracle.witness_s_pair)
                 assert got == tuple_oracle(k, module, mset), where
                 assert u_S_complement(k, module, mset) == tuple_complement(k, module, mset), where
+
+
+# ---------------------------------------------------------------------------
+# table builders
+
+
+def _same_module(got, want):
+    """Every field, including the ones FiniteModule equality ignores."""
+    assert got.ring == want.ring
+    assert (got.add, got.act, got.zero) == (want.add, want.act, want.zero)
+    assert (got.label, got.names) == (want.label, want.names)
+    if want.summands is None:
+        assert got.summands is None
+    else:
+        assert len(got.summands) == len(want.summands)
+        assert all(a is b for a, b in zip(got.summands, want.summands))
+
+
+def _same_hom(got, want):
+    assert (got.map, got.source, got.target) == (want.map, want.source, want.target)
+
+
+def _rotated(module, shift):
+    """An isomorphic copy with element x renumbered x + shift (mod |M|), so
+    its zero is not element 0."""
+    n = module.size
+    back = [(x - shift) % n for x in range(n)]
+    return FiniteModule(
+        ring=module.ring,
+        add=tuple(
+            tuple((module.add[back[x]][back[y]] + shift) % n for y in range(n))
+            for x in range(n)
+        ),
+        zero=(module.zero + shift) % n,
+        act=tuple(tuple((row[back[x]] + shift) % n for x in range(n)) for row in module.act),
+        label=f"{module.label}>>{shift}",
+        names=tuple(module.names[back[x]] for x in range(n)),
+    )
+
+
+def _table_pool(ring, rng, max_size):
+    pool = [m for _, m in _modules(ring, rng, max_size)]
+    return pool + [_rotated(m, rng.randrange(1, m.size)) for m in pool if m.size > 1][:4]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_direct_sum_matches_pairwise_tables(ring):
+    rng = random.Random(f"direct-sum-{ring.label}")
+    pool = _table_pool(ring, rng, 16)
+    small = Caps(max_module=24)
+    for m1 in pool:
+        for m2 in rng.sample(pool, min(4, len(pool))):
+            for summands in (None, (m2, m1, m2)):
+                try:
+                    want = pairwise_direct_sum(m1, m2, small, summands)
+                except ResourceExceededError as exc:
+                    with pytest.raises(ResourceExceededError, match=f"^{exc}$"):
+                        direct_sum(m1, m2, small, summands=summands)
+                    continue
+                got = direct_sum(m1, m2, small, summands=summands)
+                _same_module(got[0], want[0])
+                for g, w in zip(got[1:], want[1:]):
+                    _same_hom(g, w)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_all_submodules_matches_pairwise_joins(ring):
+    rng = random.Random(f"lattice-{ring.label}")
+    for label, module in _modules(ring, rng, 32):
+        got = [s.members for s in all_submodules(module)]
+        assert got == [s.members for s in pairwise_all_submodules(module)], label
+
+
+def _lattice_outcome(lattice, module, caps):
+    try:
+        return [s.members for s in lattice(module, caps)]
+    except ResourceExceededError as exc:
+        return str(exc)
+
+
+def test_all_submodules_cap_boundary():
+    """Refused iff |L| > max(cap, #cyclics): the cyclic seeds are never
+    refused, and each further submodule is checked against the cap."""
+    z2 = make_zmod(2)
+    reg = regular_module(z2)
+    v3 = direct_sum(direct_sum(reg, reg)[0], reg)[0]  # (Z/2)^3
+    c4 = cyclic_zmod_module(make_zmod(4), 4)
+    c4c4 = direct_sum(c4, c4)[0]
+    z12 = regular_module(make_zmod(12))  # every ideal is principal
+    for module, size, n_cyclic in ((v3, 16, 8), (c4c4, 15, 10), (z12, 6, 6)):
+        assert len(all_submodules(module)) == size
+        assert len({cyclic_submodule(module, x).members for x in module.elements()}) == n_cyclic
+        for cap in range(2, size + 1):
+            caps = Caps(max_lattice=cap)
+            got = _lattice_outcome(all_submodules, module, caps)
+            assert got == _lattice_outcome(pairwise_all_submodules, module, caps), cap
+            assert isinstance(got, str) == (size > max(cap, n_cyclic)), cap
+    for module, size in ((v3, 16), (c4c4, 15)):
+        with pytest.raises(ResourceExceededError, match="^submodule lattice exceeds cap$"):
+            all_submodules(module, Caps(max_lattice=size - 1))
+        assert len(all_submodules(module, Caps(max_lattice=size))) == size
+    # more cyclic submodules than the cap
+    assert len(all_submodules(z12, Caps(max_lattice=2))) == 6
+    with pytest.raises(ResourceExceededError, match="^submodule lattice exceeds cap$"):
+        all_submodules(v3, Caps(max_lattice=4))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_hom_module_matches_add_homs_tables(ring):
+    rng = random.Random(f"hom-module-{ring.label}")
+    pool = _table_pool(ring, rng, 12)
+    for source in pool:
+        for target in rng.sample(pool, min(3, len(pool))):
+            try:
+                want, want_homs = add_homs_hom_module(source, target, cap=512)
+            except ResourceExceededError as exc:
+                with pytest.raises(ResourceExceededError, match=f"^{exc}$"):
+                    hom_module(source, target, cap=512)
+                continue
+            got, got_homs = hom_module(source, target, cap=512)
+            _same_module(got, want)
+            assert [h.map for h in got_homs] == [h.map for h in want_homs]
+            for g, w in zip(got_homs, want_homs):
+                _same_hom(g, w)

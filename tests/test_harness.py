@@ -224,6 +224,14 @@ def test_false_essential_witnesses_replay(small_corpus):
         assert replay_essential_witness(json.loads(json.dumps(p)))
 
 
+def test_false_essential_witnesses_are_distinct(small_corpus):
+    """The fast route's payload is dropped when it repeats the oracle's."""
+    payloads = collect_false_essential_witnesses(small_corpus)
+    serialized = [json.dumps(p, sort_keys=True) for p in payloads]
+    assert any(p["kind"] == "u-S-essential-false" for p in payloads)
+    assert len(set(serialized)) == len(serialized)
+
+
 def test_refuted_reports_replay():
     corpus = generate_corpus(5, Bounds(max_ring=9, max_instances=150))
     payloads = collect_refuted_reports(corpus, limit=4)
