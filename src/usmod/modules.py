@@ -3,6 +3,8 @@
 A module is an additive table plus a scalar-action table indexed by ring
 elements.  Submodules are canonical sorted element sets, so lattice meet and
 join are plain set operations; homomorphisms are explicit index maps.
+The module axioms and R-linearity of a map are checked exactly but only on
+additive generators (see check_module_axioms and check_homomorphism).
 
 Tables are built by index arithmetic rather than through element objects.
 The direct sum M1 (+) M2 numbers the pair (x, y) as x*|M2| + y, so each of its
@@ -33,7 +35,15 @@ from .errors import (
     InvalidModuleError,
     ResourceExceededError,
 )
-from .rings import FiniteRing, Ideal, Table
+from .rings import (
+    FiniteRing,
+    Ideal,
+    Table,
+    _additive,
+    _additive_generators,
+    _composes,
+    _in_range,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,51 +162,87 @@ class Homomorphism:
 
 
 def check_module_axioms(module: FiniteModule) -> None:
+    """Check every module axiom over a valid ring; raise InvalidModuleError.
+
+    The tables must be m x m (add) and |R| x m (act) with every entry and
+    zero in range(m).  Then, in this order: 0 is an identity, every element
+    has an inverse, 1.x = x, addition commutes (the table equals its
+    transpose); + is associative, r(x+y) = rx+ry, (r+r')x = rx+r'x and
+    (rr')x = r(r'x).
+
+    As in check_ring_axioms (Light's test), the last four are checked only
+    for y in an additive generating set G_M of the module, and for r' in one,
+    G_R, of the ring.  The elements satisfying each law are closed under +,
+    given what was checked before it: the module's +-associativity for
+    r(x+y), and the ring's +-associativity and distributivity, checked when
+    the ring was built, for the two laws in r'.  The cost is
+    O(m^2 |G_M| + |R| m |G_M| + |R| m |G_R|) instead of
+    O(m^3 + |R| m^2 + |R|^2 m).  A table breaking several axioms is
+    reported under the first of them in the order above.
+    """
     ring = module.ring
     m, n = module.size, ring.size
-    if len(module.act) != n or any(len(row) != m for row in module.act):
-        raise InvalidModuleError("action table shape mismatch")
     add, act, zero = module.add, module.act, module.zero
-    for x in range(m):
-        if add[x][zero] != x:
-            raise InvalidModuleError("0 is not an additive identity")
-        if zero not in add[x]:
-            raise InvalidModuleError("missing additive inverse")
-        if act[ring.one][x] != x:
-            raise InvalidModuleError("1 . x != x")
-        for y in range(m):
-            if add[x][y] != add[y][x]:
-                raise InvalidModuleError("addition not commutative")
-            for z in range(m):
-                if add[add[x][y]][z] != add[x][add[y][z]]:
-                    raise InvalidModuleError("addition not associative")
-    for r in range(n):
-        for x in range(m):
-            rx = act[r][x]
-            for y in range(m):
-                if act[r][add[x][y]] != add[rx][act[r][y]]:
-                    raise InvalidModuleError("r(x+y) != rx+ry")
-            for r2 in range(n):
-                if act[ring.add[r][r2]][x] != add[rx][act[r2][x]]:
-                    raise InvalidModuleError("(r+r')x != rx+r'x")
-                if act[ring.mul[r][r2]][x] != act[r][act[r2][x]]:
-                    raise InvalidModuleError("(rr')x != r(r'x)")
+    if any(len(row) != m for row in add):
+        raise InvalidModuleError("addition table shape mismatch")
+    if len(act) != n or any(len(row) != m for row in act):
+        raise InvalidModuleError("action table shape mismatch")
+    if not (_in_range(add, m) and _in_range(act, m)):
+        raise InvalidModuleError("table entry outside the module")
+    if zero not in range(m):
+        raise InvalidModuleError("0 outside the module")
+    if any(add[x][zero] != x for x in range(m)):
+        raise InvalidModuleError("0 is not an additive identity")
+    if any(zero not in row for row in add):
+        raise InvalidModuleError("missing additive inverse")
+    if act[ring.one] != tuple(range(m)):
+        raise InvalidModuleError("1 . x != x")
+    if add != tuple(zip(*add)):
+        raise InvalidModuleError("addition not commutative")
+    gens = _additive_generators(add, zero)
+    if not _composes(add, add, gens):
+        raise InvalidModuleError("addition not associative")
+    if not _additive(act, add, gens):
+        raise InvalidModuleError("r(x+y) != rx+ry")
+    ring_gens = _additive_generators(ring.add, ring.zero)
+    for r2 in ring_gens:
+        row2 = act[r2]
+        if any(
+            act[rr2] != tuple(map(tuple.__getitem__, map(add.__getitem__, row), row2))
+            for rr2, row in zip(ring.add[r2], act)
+        ):
+            raise InvalidModuleError("(r+r')x != rx+r'x")
+    if not _composes(ring.mul, act, ring_gens):
+        raise InvalidModuleError("(rr')x != r(r'x)")
 
 
 def check_homomorphism(f: Homomorphism) -> None:
+    """Check that f is R-linear; raise DomainError if not.
+
+    The map must have one entry in range(|target|) per source element.  It
+    is then checked additive, f(x+g) = f(x)+f(g), for every x and every g in
+    an additive generating set G of the source, and linear, f(r.g) = r.f(g),
+    on G.  For valid modules this is exact: the y with f(x+y) = f(x)+f(y)
+    for all x are closed under +, so f is additive, and then the y with
+    f(ry) = r.f(y) for all r are closed under + too.  Cost O(|G| (m + |R|)).
+    """
     src, dst = f.source, f.target
     if src.ring != dst.ring:
         raise DomainError("source and target are over different rings")
     if len(f.map) != src.size:
         raise DomainError("map length mismatch")
-    for x in src.elements():
-        fx = f.map[x]
-        for y in src.elements():
-            if f.map[src.add[x][y]] != dst.add[fx][f.map[y]]:
-                raise DomainError("map is not additive")
-        for r in src.ring.elements():
-            if f.map[src.act[r][x]] != dst.act[r][fx]:
-                raise DomainError("map is not linear")
+    if not _in_range((f.map,), dst.size):
+        raise DomainError("map entry outside the target")
+    fmap, dadd = f.map, dst.add
+    gens = _additive_generators(src.add, src.zero)
+    for g in gens:
+        fg = fmap[g]
+        if any(fmap[xg] != dadd[fx][fg] for xg, fx in zip(src.add[g], fmap)):
+            raise DomainError("map is not additive")
+    for g in gens:
+        fg = fmap[g]
+        if any(fmap[src.act[r][g]] != dst.act[r][fg] for r in src.ring.elements()):
+            raise DomainError("map is not linear")
 
 
 def make_hom(
@@ -643,6 +689,13 @@ def derivation_plan(module: FiniteModule, keys: tuple[int, ...]) -> tuple[PlanLe
     return tuple(levels)
 
 
+@lru_cache(maxsize=None)
+def _source_plan(source: FiniteModule) -> tuple[tuple[int, ...], tuple[PlanLevel, ...]]:
+    """The generating set of *source* and its derivation plan, once per module."""
+    gens = generating_set(source)
+    return gens, derivation_plan(source, gens)
+
+
 def _add_subgroup(add: Table, group: set[int], c: int) -> set[int]:
     """The additive subgroup generated by the subgroup *group* and c."""
     out = set(group)
@@ -709,7 +762,7 @@ def hom_enumerate(
     if source.ring != target.ring:
         raise DomainError("source and target are over different rings")
     cap = caps.max_hom if cap is None else cap
-    gens = generating_set(source)
+    gens, plan = _source_plan(source)
     candidates: list[list[int]] = []
     projected = 1
     for g in gens:
@@ -722,7 +775,6 @@ def hom_enumerate(
                 f"projected hom count {projected} exceeds cap {cap}"
             )
 
-    plan = derivation_plan(source, gens)
     f = [target.zero] * source.size
     out: list[Homomorphism] = []
 
@@ -751,7 +803,7 @@ def hom_module(
     element i of the module is homs[i].
     """
     homs = hom_enumerate(source, target, cap, caps)
-    gens = generating_set(source)
+    gens = _source_plan(source)[0]
     keys = [tuple(h.map[g] for g in gens) for h in homs]
     index_of = {key: i for i, key in enumerate(keys)}
     tadd = target.add

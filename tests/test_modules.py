@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from usmod import modules
 from usmod.errors import DomainError, ResourceExceededError
 from usmod.caps import Caps
 from usmod.modules import (
@@ -18,6 +20,7 @@ from usmod.modules import (
     direct_sum_many,
     generating_set,
     hom_enumerate,
+    hom_module,
     identity_hom,
     image,
     image_of_submodule,
@@ -291,6 +294,24 @@ def test_derivation_plan_spans_the_module():
                 break
             reached = grown
         assert tuple(sorted(reached)) == level.members
+
+
+def test_generating_set_runs_once_per_source(monkeypatch):
+    """Hom enumeration takes the source's generating set from the cached
+    plan; an equal source under another label is a distinct cache key."""
+    z4 = make_zmod(4)
+    src = direct_sum(regular_module(z4), cyclic_zmod_module(z4, 2))[0]
+    targets = [regular_module(z4), cyclic_zmod_module(z4, 2), src]
+    want = [[h.map for h in hom_enumerate(src, t)] for t in targets]
+    calls = []
+    monkeypatch.setattr(modules, "generating_set", lambda m: calls.append(m) or generating_set(m))
+    modules._source_plan.cache_clear()
+    assert [[h.map for h in hom_enumerate(src, t)] for t in targets] == want
+    assert [h.map for h in hom_module(src, targets[0])[1]] == want[0]
+    assert calls == [src]
+    relabelled = dataclasses.replace(src, label="copy")
+    assert [h.map for h in hom_enumerate(relabelled, targets[1])] == want[1]
+    assert calls == [src, relabelled]
 
 
 def test_constructor_caches_return_the_same_module():
