@@ -1,9 +1,10 @@
 """Global size caps.
 
 Everything in this package is exact and exhaustive, so the only defence
-against runaway inputs is a caps record.  The defaults are desk-scale; the
-``USMOD_CAPS`` environment variable overrides individual fields with a
-comma-separated list such as ``ring=32,module=64,hom=5000``.
+against runaway inputs is a caps record of four fields: ring, module,
+lattice and hom.  The defaults are desk-scale; the ``USMOD_CAPS``
+environment variable overrides individual fields with a comma-separated
+list such as ``ring=32,module=64,hom=5000``.  Any other key is refused.
 """
 from __future__ import annotations
 
@@ -19,14 +20,13 @@ class Caps:
     max_module: int = 128       # elements in a constructed module
     max_lattice: int = 512      # submodules enumerated per module
     max_hom: int = 20000        # projected homomorphism-search space
-    max_iso_search: int = 40320 # bijections tried by ring-isomorphism search
 
     def check(self) -> None:
         if min(self.max_ring, self.max_module, self.max_lattice, self.max_hom) < 2:
             raise ConfigError("caps must be at least 2")
 
 
-_FIELDS = ("ring", "module", "lattice", "hom", "iso_search")
+_FIELDS = ("ring", "module", "lattice", "hom")
 
 
 def caps_from_env(base: Caps | None = None) -> Caps:

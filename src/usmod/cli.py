@@ -10,7 +10,8 @@ Subcommands:
   injective certification pipeline for declared modules at a chosen tier
 
 Size caps come from defaults overridden by the USMOD_CAPS environment
-variable (e.g. USMOD_CAPS=ring=32,module=64).
+variable, whose keys are ring, module, lattice and hom (e.g.
+USMOD_CAPS=ring=32,module=64); any other key exits 2 with config-error.
 """
 from __future__ import annotations
 

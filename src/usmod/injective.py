@@ -698,18 +698,7 @@ def envelope_three_way(
                 if not is_u_S_essential_fast(image(fm), n_mod, mset).verdict:
                     continue
                 # factoring condition: s.i = g.fm
-                found = False
-                for s in mset.members:
-                    act_s = env.act[s]
-                    want = tuple(act_s[v] for v in i.map)
-                    for g in homs_ne:
-                        if tuple(g.map[v] for v in fm.map) == want:
-                            if is_u_S_mono(g, mset)[0]:
-                                found = True
-                                break
-                    if found:
-                        break
-                if not found:
+                if not factors(i, homs_ne, fm):
                     cond3 = False
                     break
             if not cond3:

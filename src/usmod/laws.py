@@ -728,6 +728,17 @@ REGISTRY: list[Law] = [
 LAWS_BY_ID = {law.law_id: law for law in REGISTRY}
 
 
+def evaluate(law: Law, built: BuiltInstance, caps: Caps = DEFAULT_CAPS) -> Outcome:
+    """One law on one built instance.  An instance beyond the law's size
+    budget, or a ResourceExceededError, is skipped-resource, never a verdict."""
+    if built.module.size > law.max_module:
+        return SKIP_RESOURCE, None, "beyond the law's size budget"
+    try:
+        return law.fn(built, caps)
+    except ResourceExceededError as exc:
+        return SKIP_RESOURCE, None, str(exc)
+
+
 def run_laws(
     corpus: Sequence[Instance],
     law_filter: Optional[Sequence[str]] = None,
@@ -757,13 +768,7 @@ def run_laws(
                 built_cache[cache_key] = build_instance(inst, caps)
             built = built_cache[cache_key]
             start = time.perf_counter()
-            if built.module.size > law.max_module:
-                verdict, witness, detail = SKIP_RESOURCE, None, "beyond the law's size budget"
-            else:
-                try:
-                    verdict, witness, detail = law.fn(built, caps)
-                except ResourceExceededError as exc:
-                    verdict, witness, detail = SKIP_RESOURCE, None, str(exc)
+            verdict, witness, detail = evaluate(law, built, caps)
             elapsed = time.perf_counter() - start
             if law.bounded and verdict == HOLDS and "pool" not in detail:
                 detail = (detail + " (bounded)").strip()
@@ -775,14 +780,7 @@ def replay_result(payload: dict, caps: Caps = DEFAULT_CAPS) -> str:
     """Re-run a law on its serialized instance; returns the fresh verdict."""
     law = LAWS_BY_ID[payload["law_id"]]
     inst = Instance.from_json(payload["instance"])
-    built = build_instance(inst, caps)
-    if built.module.size > law.max_module:
-        return SKIP_RESOURCE
-    try:
-        verdict, _, _ = law.fn(built, caps)
-    except ResourceExceededError:
-        return SKIP_RESOURCE
-    return verdict
+    return evaluate(law, build_instance(inst, caps), caps)[0]
 
 
 def tally(results: Sequence[LawResult]) -> dict[str, dict[str, int]]:

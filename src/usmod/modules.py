@@ -10,8 +10,10 @@ Tables are built by index arithmetic rather than through element objects.
 The direct sum M1 (+) M2 numbers the pair (x, y) as x*|M2| + y, so each of its
 rows is a scaled row of M1's table combined with a row of M2's.  The
 submodule lattice is the closure of the cyclic submodules under joining each
-submodule found with every cyclic one.  Hom(M, N) is tabulated on the tuples
-of generator images, which fix each map.
+submodule found with every cyclic one.  These two builders and the coset
+projection of quotient_module are shared with rings.py, which uses them for
+products, ideals and quotient rings.  Hom(M, N) is tabulated on the tuples of
+generator images, which fix each map.
 
 Homomorphisms are enumerated from a greedily chosen generating set by
 backtracking over candidate images of each generator.  A derivation plan,
@@ -42,7 +44,10 @@ from .rings import (
     _additive,
     _additive_generators,
     _composes,
+    _cosets,
     _in_range,
+    _lattice,
+    _pair_table,
 )
 
 
@@ -245,12 +250,9 @@ def check_homomorphism(f: Homomorphism) -> None:
             raise DomainError("map is not linear")
 
 
-def make_hom(
-    source: FiniteModule, target: FiniteModule, mapping: Sequence[int], check: bool = True
-) -> Homomorphism:
+def make_hom(source: FiniteModule, target: FiniteModule, mapping: Sequence[int]) -> Homomorphism:
     f = Homomorphism(source, target, tuple(mapping))
-    if check:
-        check_homomorphism(f)
+    check_homomorphism(f)
     return f
 
 
@@ -380,37 +382,16 @@ def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> tuple[Submodule, ...]:
     """The full submodule lattice, ordered by (size, members).
 
-    Every submodule is a finite join of cyclic ones, so the lattice is the
-    closure of the distinct cyclic submodules under joining each submodule
-    found with each cyclic Rg (one generator g kept per cyclic; skipped when
-    g is already inside).  More than max(caps.max_lattice, #cyclics)
-    submodules raise ResourceExceededError.
+    Built by rings._lattice, the closure of the cyclic submodules under
+    joins.  More than max(caps.max_lattice, #cyclics) submodules raise
+    ResourceExceededError.
     """
     if module.size > caps.max_module:
         raise ResourceExceededError(
             f"module has {module.size} > {caps.max_module} elements"
         )
-    add = module.add
-    generator_of: dict[tuple[int, ...], int] = {}
-    for x in module.elements():
-        generator_of.setdefault(cyclic_submodule(module, x).members, x)
-    cyclics = list(generator_of.items())
-    found: set[tuple[int, ...]] = set(generator_of)
-    queue = list(generator_of)
-    while queue:
-        xs = queue.pop()
-        inside = set(xs)
-        for ys, g in cyclics:
-            if g in inside:
-                continue
-            zs = tuple(sorted({add[x][y] for x in xs for y in ys}))
-            if zs not in found:
-                if len(found) >= caps.max_lattice:
-                    raise ResourceExceededError("submodule lattice exceeds cap")
-                found.add(zs)
-                queue.append(zs)
-    ordered = sorted(found, key=lambda t: (len(t), t))
-    return tuple(Submodule(module, mem) for mem in ordered)
+    lattice = _lattice(module.add, module.act, caps.max_lattice)
+    return tuple(Submodule(module, mem) for mem in lattice)
 
 
 @lru_cache(maxsize=None)
@@ -419,19 +400,7 @@ def quotient_module(module: FiniteModule, sub: Submodule) -> tuple[FiniteModule,
     if sub.parent != module:
         raise DomainError("submodule of a different module")
     mem = sub.members
-    rep_of: dict[int, int] = {}
-    reps: list[int] = []
-    for x in module.elements():
-        if x in rep_of:
-            continue
-        coset = sorted(module.add[x][k] for k in mem)
-        rep = coset[0]
-        reps.append(rep)
-        for c in coset:
-            rep_of[c] = rep
-    reps.sort()
-    index_of = {rep: i for i, rep in enumerate(reps)}
-    proj = tuple(index_of[rep_of[x]] for x in module.elements())
+    reps, proj = _cosets(module.add, mem)
     add = tuple(tuple(proj[module.add[a][b]] for b in reps) for a in reps)
     act = tuple(tuple(proj[module.act[r][a]] for a in reps) for r in module.ring.elements())
     quot = FiniteModule(
@@ -485,11 +454,7 @@ def direct_sum(
     n1, n2 = m1.size, m2.size
     if n1 * n2 > caps.max_module:
         raise ResourceExceededError(f"direct sum would have {n1 * n2} > {caps.max_module} elements")
-    add = tuple(
-        tuple(a + c for a in scaled for c in row2)
-        for scaled in ([u * n2 for u in row1] for row1 in m1.add)
-        for row2 in m2.add
-    )
+    add = _pair_table(m1.add, m2.add)
     act = tuple(
         tuple(a + c for a in [u * n2 for u in row1] for c in row2)
         for row1, row2 in zip(m1.act, m2.act)

@@ -5,6 +5,12 @@ That is deliberate: at desk scale exactness and dead-simple table scans beat
 any clever representation.  Every axiom is checked exactly, the
 associative and distributive laws on an additive generating set only
 (Light's test, see check_ring_axioms), whole table rows at a time.
+
+An ideal is a submodule of R over itself, R/I a quotient module and R x R'
+a direct sum, so the table jobs both layers need are written once here and
+shared with modules.py: the lattice of subgroups closed under an action
+(_lattice), coset representatives and the projection (_cosets), and the
+componentwise table on pairs (_pair_table).
 """
 from __future__ import annotations
 
@@ -250,18 +256,68 @@ def _additive_generators(add: Table, zero: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def check_ideal(ideal: Ideal) -> None:
-    ring = ideal.ring
-    mem = set(ideal.members)
-    if ring.zero not in mem:
-        raise DomainError("ideal must contain 0")
-    for a in mem:
-        for b in mem:
-            if ring.add[a][b] not in mem:
-                raise DomainError("ideal not closed under addition")
-        for r in ring.elements():
-            if ring.mul[r][a] not in mem:
-                raise DomainError("ideal not closed under ring multiplication")
+def _lattice(add: Table, act: Table, cap: Optional[int]) -> list[tuple[int, ...]]:
+    """Every subgroup of *add* closed under the rows of *act*, as sorted member
+    tuples ordered by (size, members): the ideals when *act* is a ring's
+    product, the submodules when it is a module's action.
+
+    Each is a finite join of cyclic ones, {row[x] for row in act}, so this is
+    the closure of the distinct cyclics under joining each subgroup found
+    with each cyclic Rg (one generator g kept per cyclic; skipped when g is
+    already inside).  The join of two such subgroups is their elementwise
+    sum.  With a *cap*, more than max(cap, #cyclics) subgroups raise
+    ResourceExceededError.
+    """
+    generator_of: dict[tuple[int, ...], int] = {}
+    for x, column in enumerate(zip(*act)):
+        generator_of.setdefault(tuple(sorted(set(column))), x)
+    cyclics = list(generator_of.items())
+    found = set(generator_of)
+    queue = list(generator_of)
+    while queue:
+        xs = queue.pop()
+        inside = set(xs)
+        for ys, g in cyclics:
+            if g in inside:
+                continue
+            zs = tuple(sorted({add[x][y] for x in xs for y in ys}))
+            if zs not in found:
+                if cap is not None and len(found) >= cap:
+                    raise ResourceExceededError("submodule lattice exceeds cap")
+                found.add(zs)
+                queue.append(zs)
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def _cosets(add: Table, members: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(reps, proj) for the subgroup *members* of *add*: the sorted minimal
+    coset representatives, and each element's coset as an index into reps.
+
+    Scanning in index order, the first element of each new coset is its
+    smallest, so reps come out minimal and sorted.
+    """
+    reps: list[int] = []
+    proj = [-1] * len(add)
+    for x, row in enumerate(add):
+        if proj[x] < 0:
+            for k in members:
+                proj[row[k]] = len(reps)
+            reps.append(x)
+    return tuple(reps), tuple(proj)
+
+
+def _pair_table(t1: Table, t2: Table) -> Table:
+    """The componentwise table on pairs, the pair (x, y) numbered x*len(t2) + y.
+
+    The row of (x, y) is the row of x in t1 scaled by len(t2), with the row
+    of y in t2 added to each entry.
+    """
+    n2 = len(t2)
+    return tuple(
+        tuple(a + c for a in scaled for c in row2)
+        for scaled in ([u * n2 for u in row1] for row1 in t1)
+        for row2 in t2
+    )
 
 
 def check_mult_set(mset: MultiplicativeSet) -> None:
@@ -303,28 +359,17 @@ def make_zmod(n: int) -> FiniteRing:
 
 
 def make_product(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
-    """Componentwise ring on pairs; identity (1, 1)."""
+    """Componentwise ring on pairs, (a, b) numbered a*|r2| + b; identity (1, 1)."""
     n1, n2 = r1.size, r2.size
     if n1 * n2 > caps.max_ring:
         raise ResourceExceededError(f"product ring would have {n1 * n2} > {caps.max_ring} elements")
-
-    def idx(a: int, b: int) -> int:
-        return a * n2 + b
-
-    pairs = [(a, b) for a in range(n1) for b in range(n2)]
-    add = tuple(
-        tuple(idx(r1.add[a][c], r2.add[b][d]) for (c, d) in pairs) for (a, b) in pairs
-    )
-    mul = tuple(
-        tuple(idx(r1.mul[a][c], r2.mul[b][d]) for (c, d) in pairs) for (a, b) in pairs
-    )
     ring = FiniteRing(
-        add=add,
-        mul=mul,
-        zero=idx(r1.zero, r2.zero),
-        one=idx(r1.one, r2.one),
+        add=_pair_table(r1.add, r2.add),
+        mul=_pair_table(r1.mul, r2.mul),
+        zero=r1.zero * n2 + r2.zero,
+        one=r1.one * n2 + r2.one,
         label=f"{r1.label}x{r2.label}",
-        names=tuple(f"({r1.name(a)},{r2.name(b)})" for (a, b) in pairs),
+        names=tuple(f"({a},{b})" for a in r1.names for b in r2.names),
     )
     check_ring_axioms(ring)
     return ring
@@ -343,36 +388,27 @@ def make_trivial_extension(
     n, m = ring.size, module.size
     if n * m > caps.max_ring:
         raise ResourceExceededError(f"extension would have {n * m} > {caps.max_ring} elements")
-
-    def idx(a: int, x: int) -> int:
-        return a * m + x
-
-    pairs = [(a, x) for a in range(n) for x in range(m)]
-    add = tuple(
-        tuple(idx(ring.add[a][b], module.add[x][y]) for (b, y) in pairs) for (a, x) in pairs
-    )
-    mul = tuple(
-        tuple(
-            idx(ring.mul[a][b], module.add[module.act[a][y]][module.act[b][x]])
-            for (b, y) in pairs
-        )
-        for (a, x) in pairs
-    )
+    act, madd = module.act, module.add
+    columns = tuple(zip(*act))  # columns[x][b] = b.x
     out = FiniteRing(
-        add=add,
-        mul=mul,
-        zero=idx(ring.zero, module.zero),
-        one=idx(ring.one, module.zero),
+        add=_pair_table(ring.add, madd),
+        mul=tuple(
+            tuple(ab * m + madd[ay][bx] for ab, bx in zip(ring.mul[a], columns[x]) for ay in act[a])
+            for a in range(n)
+            for x in range(m)
+        ),
+        zero=ring.zero * m + module.zero,
+        one=ring.one * m + module.zero,
         label=f"{ring.label}*{module.label}",
-        names=tuple(f"({ring.name(a)},{module.name(x)})" for (a, x) in pairs),
+        names=tuple(f"({a},{x})" for a in ring.names for x in module.names),
     )
     check_ring_axioms(out)
-    for a in range(n):  # canonical embedding must be a ring monomorphism
-        for b in range(n):
-            if out.add[idx(a, module.zero)][idx(b, module.zero)] != idx(ring.add[a][b], module.zero):
-                raise InvalidRingError("embedding not additive")
-            if out.mul[idx(a, module.zero)][idx(b, module.zero)] != idx(ring.mul[a][b], module.zero):
-                raise InvalidRingError("embedding not multiplicative")
+    embed = range(module.zero, n * m, m)  # a -> (a, 0)
+    for a, e in enumerate(embed):  # the embedding must be a ring monomorphism
+        if out.add[e][module.zero::m] != tuple(embed[s] for s in ring.add[a]):
+            raise InvalidRingError("embedding not additive")
+        if out.mul[e][module.zero::m] != tuple(embed[s] for s in ring.mul[a]):
+            raise InvalidRingError("embedding not multiplicative")
     return out
 
 
@@ -383,19 +419,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, tuple[int
     if not ideal.is_proper():
         raise ImproperIdealError("cannot quotient by the whole ring")
     mem = ideal.members
-    rep_of: dict[int, int] = {}
-    reps: list[int] = []
-    for a in ring.elements():
-        if a in rep_of:
-            continue
-        coset = sorted(ring.add[a][k] for k in mem)
-        rep = coset[0]
-        reps.append(rep)
-        for c in coset:
-            rep_of[c] = rep
-    reps.sort()
-    index_of = {rep: i for i, rep in enumerate(reps)}
-    surj = tuple(index_of[rep_of[a]] for a in ring.elements())
+    reps, surj = _cosets(ring.add, mem)
     add = tuple(tuple(surj[ring.add[a][b]] for b in reps) for a in reps)
     mul = tuple(tuple(surj[ring.mul[a][b]] for b in reps) for a in reps)
     out = FiniteRing(
@@ -414,30 +438,10 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, tuple[int
 # ideals and spectra
 
 
-def cyclic_ideal(ring: FiniteRing, a: int) -> tuple[int, ...]:
-    return tuple(sorted({ring.mul[r][a] for r in ring.elements()}))
-
-
-def _join(ring: FiniteRing, xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
-    # the elementwise sum of two ideals/submodules is already closed
-    return tuple(sorted({ring.add[x][y] for x in xs for y in ys}))
-
-
 @lru_cache(maxsize=None)
 def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
-    """Every ideal, via join-closure of the cyclic ideals (r), canonically sorted."""
-    seeds = sorted({cyclic_ideal(ring, a) for a in ring.elements()}, key=lambda t: (len(t), t))
-    found = set(seeds)
-    queue = list(seeds)
-    while queue:
-        xs = queue.pop()
-        for ys in list(found):
-            zs = _join(ring, xs, ys)
-            if zs not in found:
-                found.add(zs)
-                queue.append(zs)
-    ordered = sorted(found, key=lambda t: (len(t), t))
-    return tuple(Ideal(ring, mem) for mem in ordered)
+    """Every ideal, canonically sorted: the submodules of R over itself."""
+    return tuple(Ideal(ring, mem) for mem in _lattice(ring.add, ring.mul, None))
 
 
 def is_prime_ideal(ideal: Ideal) -> bool:
@@ -556,68 +560,3 @@ def is_u_S_noetherian(
             per_ideal = trial
             return True, s, per_ideal
     return False, ring.zero, per_ideal  # unreachable for valid inputs
-
-
-# ---------------------------------------------------------------------------
-# isomorphism search (tests and CRT sanity checks only)
-
-
-def find_ring_isomorphism(
-    r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS
-) -> Optional[tuple[int, ...]]:
-    """Exhaustive unit-preserving bijection search with early pruning.
-
-    Returns the image table (index map) or None.  Guarded by caps because the
-    search is factorial; it only runs on example-sized rings.
-    """
-    if r1.size != r2.size:
-        return None
-    n = r1.size
-    budget = caps.max_iso_search
-
-    others1 = [a for a in range(n) if a not in (r1.zero, r1.one)]
-    others2 = [b for b in range(n) if b not in (r2.zero, r2.one)]
-    phi: dict[int, int] = {r1.zero: r2.zero, r1.one: r2.one}
-    used = {r2.zero, r2.one}
-    tried = 0
-
-    def consistent(a: int, b: int) -> bool:
-        # check structure against everything already assigned
-        for x, y in phi.items():
-            if r1.add[a][x] in phi and phi[r1.add[a][x]] != r2.add[b][y]:
-                return False
-            if r1.mul[a][x] in phi and phi[r1.mul[a][x]] != r2.mul[b][y]:
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        nonlocal tried
-        if i == len(others1):
-            # full verification pass
-            for a in range(n):
-                for c in range(n):
-                    if phi[r1.add[a][c]] != r2.add[phi[a]][phi[c]]:
-                        return False
-                    if phi[r1.mul[a][c]] != r2.mul[phi[a]][phi[c]]:
-                        return False
-            return True
-        a = others1[i]
-        for b in others2:
-            if b in used:
-                continue
-            tried += 1
-            if tried > budget:
-                raise ResourceExceededError("ring isomorphism search budget exhausted")
-            if not consistent(a, b):
-                continue
-            phi[a] = b
-            used.add(b)
-            if backtrack(i + 1):
-                return True
-            del phi[a]
-            used.discard(b)
-        return False
-
-    if backtrack(0):
-        return tuple(phi[a] for a in range(n))
-    return None

@@ -23,7 +23,7 @@ from .errors import (
     ResourceExceededError,
 )
 from .essential import is_essential, is_u_S_essential_fast
-from .laws import LAWS_BY_ID, VIOLATED
+from .laws import LAWS_BY_ID, VIOLATED, evaluate
 from .modules import all_submodules
 
 CheckFn = Callable[[BuiltInstance, Caps], Optional[dict]]
@@ -80,12 +80,7 @@ def _law_violation_check(law_id: str) -> CheckFn:
     def check(b: BuiltInstance, caps: Caps) -> Optional[dict]:
         if law.scope == "instance" and b.submodule is None:
             return None
-        if b.module.size > law.max_module:
-            return None
-        try:
-            verdict, witness, _ = law.fn(b, caps)
-        except ResourceExceededError:
-            return None
+        verdict, witness, _ = evaluate(law, b, caps)
         if verdict == VIOLATED:
             return {"law_id": law_id, "law_witness": witness}
         return None

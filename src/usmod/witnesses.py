@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .corpus import Instance, build_instance
-from .errors import DomainError, ResourceExceededError
+from .errors import DomainError, InvalidModuleError, ResourceExceededError
 from .essential import is_essential, is_u_S_essential_fast, is_u_S_essential_oracle
 from .injective import RefutedWitness, certify_u_S_injective
 from .modules import (
@@ -33,14 +33,32 @@ def serialize_module(module: FiniteModule) -> dict:
     }
 
 
+def _ints(value, depth: int, where: str, error: type[Exception]):
+    """*value* as tuples of ints nested *depth* deep (depth 0: one int).
+
+    Anything else is refused with *error*, floats and bools included: JSON
+    gives them, and they compare equal to indices (3.0 == 3, True == 1).
+    Payload values pass through here before any object is built from them,
+    so the range checks of the built objects only ever see ints.
+    """
+    if depth == 0:
+        if type(value) is not int:
+            raise error(f"non-integer value {value!r} in {where}")
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{where} is not a list")
+    return tuple(_ints(v, depth - 1, where, error) for v in value)
+
+
 def deserialize_module(ring, payload: dict) -> FiniteModule:
+    add = _ints(payload["add"], 2, "add", InvalidModuleError)
     module = FiniteModule(
         ring=ring,
-        add=tuple(tuple(row) for row in payload["add"]),
-        zero=payload["zero"],
-        act=tuple(tuple(row) for row in payload["act"]),
+        add=add,
+        zero=_ints(payload["zero"], 0, "zero", InvalidModuleError),
+        act=_ints(payload["act"], 2, "act", InvalidModuleError),
         label=payload["label"],
-        names=tuple(str(i) for i in range(len(payload["add"]))),
+        names=tuple(str(i) for i in range(len(add))),
     )
     check_module_axioms(module)
     return module
@@ -184,15 +202,19 @@ def replay_refuted_payload(payload: dict, caps: Caps = DEFAULT_CAPS) -> bool:
     """Re-verify a refutation from the payload alone: for every member s of
     the set, the recorded h: A -> E admits no g: B -> E with s.h = g.f
     (exhaustive g-scan on freshly rebuilt modules)."""
+    fmap = _ints(payload["f"]["map"], 1, "map", DomainError)
+    failures = {
+        _ints(s, 0, "failures", DomainError): _ints(hmap, 1, "failures", DomainError)
+        for s, hmap in payload["failures"]
+    }
     inst = Instance.from_json(payload["instance"])
     b = build_instance(inst, caps)
     module = b.module
     mset = b.mset
     source = deserialize_module(b.ring, payload["f"]["source"])
     target = deserialize_module(b.ring, payload["f"]["target"])
-    f = Homomorphism(source, target, tuple(payload["f"]["map"]))
+    f = Homomorphism(source, target, fmap)
     check_homomorphism(f)
-    failures = {s: tuple(hmap) for s, hmap in payload["failures"]}
     if set(failures) != set(mset.members):
         return False
     try:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 Criteria and tolerances are pinned here; nothing is deferred to later
 calibration.
 """
+import hashlib
 import json
 import time
 
@@ -42,6 +43,9 @@ from usmod.witnesses import (
 
 ACCEPTANCE_SEED = 42
 ACCEPTANCE_BOUNDS = Bounds(max_ring=36, max_module=64, max_instances=600)
+# sha256 of every (law_id, instance key, verdict, detail, witness) of the
+# acceptance law run, wall time left out: the behaviour any refactor keeps.
+ACCEPTANCE_LAW_DIGEST = "ceede4b14524e623be0c79c9da8204c76e4e82260c4accb2633a45013a973a27"
 
 _corpus_cache = {}
 
@@ -141,7 +145,8 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_law_suite_green():
-    """Every registered law: 0 violated across the corpus, < 5 min."""
+    """Every registered law: 0 violated across the corpus, the pinned digest
+    of every result, < 5 min."""
     start = time.perf_counter()
     corpus = acceptance_corpus()
     results = run_laws(corpus)
@@ -155,12 +160,23 @@ def test_criterion_4_law_suite_green():
         for r in results
         if r.law_id in bounded_ids and r.verdict == "holds"
     )
-    ok = not violated and all_ran and pools_reported and elapsed < 300.0
+    rows = [[r.law_id, r.instance.key(), r.verdict, r.detail, r.witness] for r in results]
+    digest = hashlib.sha256(
+        json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+    ok = (
+        not violated
+        and all_ran
+        and pools_reported
+        and digest == ACCEPTANCE_LAW_DIGEST
+        and elapsed < 300.0
+    )
     report(
         "criterion 4 (law suite)",
         ok,
         f"{len(results)} results, violated={sum(violated.values())}, "
-        f"laws={len(tallies)}, pools_reported={pools_reported}, {elapsed:.1f}s",
+        f"laws={len(tallies)}, pools_reported={pools_reported}, "
+        f"digest={digest[:8]}, {elapsed:.1f}s",
     )
 
 

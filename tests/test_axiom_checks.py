@@ -565,3 +565,48 @@ def test_refuted_payload_with_out_of_range_map_is_refused():
     }
     with pytest.raises(DomainError, match="map entry outside the target"):
         replay_refuted_payload(json.loads(json.dumps(payload)))
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"add": _with_entry(Z6.add, 1, 2, 3.0)},
+        {"act": _with_entry(Z6.mul, 1, 1, 1.0)},
+        {"zero": 0.0},
+        {"zero": False},
+    ],
+    ids=["add-float", "act-float", "zero-float", "zero-bool"],
+)
+def test_deserialize_module_refuses_non_integers(changes):
+    """3.0 == 3 and False == 0 pass a range check; they are refused first."""
+    with pytest.raises(InvalidModuleError, match="non-integer value"):
+        deserialize_module(Z6, _payload(regular_module(Z6), **changes))
+
+
+def _refuted_payload(fmap, failures):
+    inst = generate_corpus(5, Bounds(max_ring=6, max_instances=5))[0]
+    module = serialize_module(build_instance(inst).module)
+    return {
+        "kind": "u-S-injectivity-refuted",
+        "instance": inst.to_json(),
+        "f": {"source": module, "target": module, "map": fmap},
+        "failures": failures,
+    }
+
+
+@pytest.mark.parametrize(
+    "fmap,failures",
+    [
+        ([0, 1.0, 2, 3, 4, 5], []),
+        ([0, 1, 2, 3, 4, True], []),
+        (list(range(6)), [[1.0, list(range(6))], [4, list(range(6))]]),
+        (list(range(6)), [[1, [0, 1, 2, 3.0, 4, 5]], [4, list(range(6))]]),
+    ],
+    ids=["map-float", "map-bool", "failures-scalar", "failures-map"],
+)
+def test_refuted_payload_refuses_non_integers(fmap, failures):
+    """The instance is Z/6 over itself with S = {1, 4}, so every payload
+    here would reach the tables with a non-integer index."""
+    payload = json.loads(json.dumps(_refuted_payload(fmap, failures)))
+    with pytest.raises(DomainError, match="non-integer value"):
+        replay_refuted_payload(payload)

@@ -1,5 +1,6 @@
 """Differential tests: the generator-driven closures, the set-based
-essential deciders and the index-arithmetic table builders against the
+essential deciders, the index-arithmetic table builders and the lattice,
+coset and pair-table helpers that rings and modules share against the
 pairwise formulations they replaced.
 
 Each reference below is the earlier implementation, kept here verbatim in
@@ -12,6 +13,7 @@ import random
 import pytest
 
 from usmod.caps import DEFAULT_CAPS, Caps
+from usmod.corpus import Bounds, _ring_specs, build_module, build_ring
 from usmod.errors import InvalidMultiplicativeSetError, ResourceExceededError
 from usmod.essential import (
     is_essential,
@@ -40,12 +42,17 @@ from usmod.modules import (
     zero_hom,
 )
 from usmod.rings import (
+    FiniteRing,
+    Ideal,
     MultiplicativeSet,
+    all_ideals,
     check_mult_set,
+    check_ring_axioms,
     make_product,
     make_trivial_extension,
     make_zmod,
     mult_set_closure,
+    quotient_ring,
     unit_mult_set,
 )
 from usmod.storsion import kills, s_torsion_submodule
@@ -259,6 +266,128 @@ def add_homs_hom_module(source, target, cap=None, caps=DEFAULT_CAPS):
         names=tuple(str(h.map) for h in homs),
     )
     return module, homs
+
+
+# ---------------------------------------------------------------------------
+# references: the ring-side copies of the lattice, coset and pair-table code
+
+
+def found_joins_all_ideals(ring):
+    """Join-closure of the cyclic ideals, every found ideal with every other."""
+    seeds = sorted(
+        {tuple(sorted({ring.mul[r][a] for r in ring.elements()})) for a in ring.elements()},
+        key=lambda t: (len(t), t),
+    )
+    found = set(seeds)
+    queue = list(seeds)
+    while queue:
+        xs = queue.pop()
+        for ys in list(found):
+            zs = tuple(sorted({ring.add[x][y] for x in xs for y in ys}))
+            if zs not in found:
+                found.add(zs)
+                queue.append(zs)
+    ordered = sorted(found, key=lambda t: (len(t), t))
+    return tuple(Ideal(ring, mem) for mem in ordered)
+
+
+def idx_make_product(r1, r2, caps=DEFAULT_CAPS):
+    n1, n2 = r1.size, r2.size
+    if n1 * n2 > caps.max_ring:
+        raise ResourceExceededError(f"product ring would have {n1 * n2} > {caps.max_ring} elements")
+
+    def idx(a, b):
+        return a * n2 + b
+
+    pairs = [(a, b) for a in range(n1) for b in range(n2)]
+    add = tuple(
+        tuple(idx(r1.add[a][c], r2.add[b][d]) for (c, d) in pairs) for (a, b) in pairs
+    )
+    mul = tuple(
+        tuple(idx(r1.mul[a][c], r2.mul[b][d]) for (c, d) in pairs) for (a, b) in pairs
+    )
+    ring = FiniteRing(
+        add=add,
+        mul=mul,
+        zero=idx(r1.zero, r2.zero),
+        one=idx(r1.one, r2.one),
+        label=f"{r1.label}x{r2.label}",
+        names=tuple(f"({r1.name(a)},{r2.name(b)})" for (a, b) in pairs),
+    )
+    check_ring_axioms(ring)
+    return ring
+
+
+def idx_trivial_extension(ring, module):
+    n, m = ring.size, module.size
+
+    def idx(a, x):
+        return a * m + x
+
+    pairs = [(a, x) for a in range(n) for x in range(m)]
+    add = tuple(
+        tuple(idx(ring.add[a][b], module.add[x][y]) for (b, y) in pairs) for (a, x) in pairs
+    )
+    mul = tuple(
+        tuple(
+            idx(ring.mul[a][b], module.add[module.act[a][y]][module.act[b][x]])
+            for (b, y) in pairs
+        )
+        for (a, x) in pairs
+    )
+    return FiniteRing(
+        add=add,
+        mul=mul,
+        zero=idx(ring.zero, module.zero),
+        one=idx(ring.one, module.zero),
+        label=f"{ring.label}*{module.label}",
+        names=tuple(f"({ring.name(a)},{module.name(x)})" for (a, x) in pairs),
+    )
+
+
+def coset_loop(add, mem):
+    """Minimal coset representatives, sorted, and the projection onto them."""
+    rep_of = {}
+    reps = []
+    for a in range(len(add)):
+        if a in rep_of:
+            continue
+        coset = sorted(add[a][k] for k in mem)
+        rep = coset[0]
+        reps.append(rep)
+        for c in coset:
+            rep_of[c] = rep
+    reps.sort()
+    index_of = {rep: i for i, rep in enumerate(reps)}
+    return reps, tuple(index_of[rep_of[a]] for a in range(len(add)))
+
+
+def coset_loop_quotient_ring(ring, ideal):
+    mem = ideal.members
+    reps, surj = coset_loop(ring.add, mem)
+    out = FiniteRing(
+        add=tuple(tuple(surj[ring.add[a][b]] for b in reps) for a in reps),
+        mul=tuple(tuple(surj[ring.mul[a][b]] for b in reps) for a in reps),
+        zero=surj[ring.zero],
+        one=surj[ring.one],
+        label=f"{ring.label}/{{{','.join(ring.name(a) for a in mem)}}}",
+        names=tuple(f"[{ring.name(rep)}]" for rep in reps),
+    )
+    return out, surj
+
+
+def coset_loop_quotient_module(module, sub):
+    mem = sub.members
+    reps, proj = coset_loop(module.add, mem)
+    quot = FiniteModule(
+        ring=module.ring,
+        add=tuple(tuple(proj[module.add[a][b]] for b in reps) for a in reps),
+        zero=proj[module.zero],
+        act=tuple(tuple(proj[module.act[r][a]] for a in reps) for r in module.ring.elements()),
+        label=f"{module.label}/{{{','.join(module.name(x) for x in mem)}}}",
+        names=tuple(f"[{module.name(rep)}]" for rep in reps),
+    )
+    return quot, Homomorphism(module, quot, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +630,78 @@ def test_hom_module_matches_add_homs_tables(ring):
             assert [h.map for h in got_homs] == [h.map for h in want_homs]
             for g, w in zip(got_homs, want_homs):
                 _same_hom(g, w)
+
+
+# ---------------------------------------------------------------------------
+# helpers shared by rings and modules
+
+
+CORPUS_RING_SPECS = _ring_specs(Bounds(max_ring=64, composite_cap=64))
+
+
+def _same_ring(got, want):
+    """Every field, including the label and names equality ignores."""
+    assert (got.add, got.mul, got.zero, got.one) == (want.add, want.mul, want.zero, want.one)
+    assert (got.label, got.names, got.zmod_n) == (want.label, want.names, want.zmod_n)
+
+
+def _ring_cases():
+    return [build_ring(spec) for spec in CORPUS_RING_SPECS] + RINGS
+
+
+def test_corpus_ring_specs_cover_every_kind():
+    assert len(CORPUS_RING_SPECS) == 147
+    assert {spec[0] for spec in CORPUS_RING_SPECS} == {"zmod", "product", "trivext"}
+
+
+@pytest.mark.parametrize("ring", _ring_cases(), ids=lambda r: r.label)
+def test_ideals_and_quotient_rings_match_old_loops(ring):
+    ideals = all_ideals(ring)
+    assert [i.members for i in ideals] == [i.members for i in found_joins_all_ideals(ring)]
+    for ideal in ideals[:-1]:  # the last is the whole ring
+        got, got_surj = quotient_ring(ring, ideal)
+        want, want_surj = coset_loop_quotient_ring(ring, ideal)
+        _same_ring(got, want)
+        assert got_surj == want_surj
+
+
+def test_products_match_idx_pairs_tables():
+    pairs = [(build_ring(s[1]), build_ring(s[2])) for s in CORPUS_RING_SPECS if s[0] == "product"]
+    z2, z3, z4 = make_zmod(2), make_zmod(3), make_zmod(4)
+    pairs += [(z2, z2), (z2, z3), (z2, z4), (z4, z3), (z3, z2)]
+    for r1, r2 in pairs:
+        _same_ring(make_product(r1, r2), idx_make_product(r1, r2))
+    small = Caps(max_ring=8)
+    with pytest.raises(ResourceExceededError, match="^product ring would have 9 > 8 elements$"):
+        make_product(z3, z3, small)
+    with pytest.raises(ResourceExceededError, match="^product ring would have 9 > 8 elements$"):
+        idx_make_product(z3, z3, small)
+
+
+def test_trivial_extensions_match_idx_pairs_tables():
+    cases = []
+    for spec in CORPUS_RING_SPECS:
+        if spec[0] == "trivext":
+            ring = build_ring(spec[1])
+            cases.append((ring, build_module(ring, spec[2])))
+    for n in (2, 3, 4, 6, 8):
+        ring = make_zmod(n)
+        cases += [(ring, cyclic_zmod_module(ring, d)) for d in range(2, n + 1) if n % d == 0]
+    rng = random.Random("trivial-extension")
+    for ring in RINGS[:6]:
+        cases += [(ring, _rotated(m, 1)) for _, m in _modules(ring, rng, 8) if m.size > 1]
+    for ring, module in cases:
+        if ring.size * module.size <= DEFAULT_CAPS.max_ring:
+            _same_ring(make_trivial_extension(ring, module), idx_trivial_extension(ring, module))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_quotient_module_matches_old_coset_loop(ring):
+    rng = random.Random(f"quotient-{ring.label}")
+    for module in _table_pool(ring, rng, 32):
+        for sub in all_submodules(module):
+            # uncached: equal modules with other element names share the cache
+            got, got_eta = quotient_module.__wrapped__(module, sub)
+            want, want_eta = coset_loop_quotient_module(module, sub)
+            _same_module(got, want)
+            _same_hom(got_eta, want_eta)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,14 +8,14 @@ import pytest
 
 from usmod.caps import Caps
 from usmod.corpus import Bounds, Instance, build_instance, generate_corpus
-from usmod import search
+from usmod import laws, search
 from usmod.errors import (
     ConfigError,
     InternalError,
     InvalidMultiplicativeSetError,
     ResourceExceededError,
 )
-from usmod.laws import LAWS_BY_ID, REGISTRY, run_laws, replay_result, tally
+from usmod.laws import LAWS_BY_ID, REGISTRY, evaluate, run_laws, replay_result, tally
 from usmod.report import render_report
 from usmod.search import Claim, replay_hit, search_counterexamples, shrink
 from usmod.witnesses import (
@@ -129,6 +130,30 @@ def test_results_replay(small_results):
     sample = [r for r in small_results if r.verdict == "holds"][:25]
     for r in sample:
         assert replay_result(r.to_json()) == "holds"
+
+
+def test_evaluate_skips_over_budget_with_the_reason(monkeypatch):
+    """run_laws, replay_result and the violation hunts share one evaluation:
+    an instance beyond the size budget, or a cap hit inside the law, is a
+    skip carrying the reason, never a verdict."""
+    law = LAWS_BY_ID["element-criterion"]
+    built = build_instance(RUNNING_EXAMPLE)
+    assert evaluate(law, built)[0] == "holds"
+    small = dataclasses.replace(law, max_module=built.module.size - 1)
+    assert evaluate(small, built) == ("skipped-resource", None, "beyond the law's size budget")
+
+    def over_cap(built, caps):
+        raise ResourceExceededError("hom search over cap")
+
+    capped = dataclasses.replace(law, fn=over_cap)
+    assert evaluate(capped, built) == ("skipped-resource", None, "hom search over cap")
+    monkeypatch.setitem(laws.LAWS_BY_ID, law.law_id, capped)
+    (result,) = run_laws([RUNNING_EXAMPLE], [law.law_id])
+    assert (result.verdict, result.witness, result.detail) == (
+        "skipped-resource", None, "hom search over cap"
+    )
+    assert replay_result(result.to_json()) == "skipped-resource"
+    assert search._law_violation_check(law.law_id)(built, Caps()) is None
 
 
 def test_search_finds_running_example_fast():
@@ -345,3 +370,14 @@ def test_cli_caps_env(tmp_path):
     )
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "config-error" in proc.stderr
+
+    # The keys are ring, module, lattice and hom; any other, such as
+    # ``iso_search``, is refused the same way.
+    proc = subprocess.run(
+        [sys.executable, "-m", "usmod.cli", "check", str(program)],
+        capture_output=True,
+        text=True,
+        env=_cli_env("iso_search=100"),
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "config-error" in proc.stderr and "iso_search" in proc.stderr

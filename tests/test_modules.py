@@ -8,6 +8,7 @@ from usmod import modules
 from usmod.errors import DomainError, ResourceExceededError
 from usmod.caps import Caps
 from usmod.modules import (
+    Homomorphism,
     all_submodules,
     annihilator,
     check_homomorphism,
@@ -27,7 +28,6 @@ from usmod.modules import (
     intersect_submodules,
     is_prime_module,
     kernel,
-    make_hom,
     preimage,
     quotient_module,
     regular_module,
@@ -254,7 +254,7 @@ def _brute_force_homs(source, target):
     out = []
     for images in itertools.product(target.elements(), repeat=source.size):
         try:
-            check_homomorphism(make_hom(source, target, images, check=False))
+            check_homomorphism(Homomorphism(source, target, images))
         except DomainError:
             continue
         out.append(images)
@@ -354,7 +354,7 @@ def test_hom_enumeration_complete_against_brute_force():
     brute = 0
     for images in itertools.product(range(4), repeat=4):
         try:
-            check_homomorphism(make_hom(m, m, images, check=False) or make_hom(m, m, images))
+            check_homomorphism(Homomorphism(m, m, images))
             brute += 1
         except DomainError:
             continue

@@ -15,7 +15,6 @@ from usmod.rings import (
     check_mult_set,
     check_ring_axioms,
     complement_of_prime,
-    find_ring_isomorphism,
     is_prime_ideal,
     is_regular_set,
     is_u_S_noetherian,
@@ -52,13 +51,22 @@ def test_zmod_axioms(n):
 
 
 def test_product_crt_isomorphism():
-    # Z/2 x Z/3 is isomorphic to Z/6, witnessed by exhaustive search
+    # Z/6 -> Z/2 x Z/3, x -> (x mod 2, x mod 3), is a ring isomorphism
     prod = make_product(make_zmod(2), make_zmod(3))
+    r6 = make_zmod(6)
     assert prod.size == 6
-    assert find_ring_isomorphism(prod, make_zmod(6)) is not None
-    # non-coprime pair: Z/2 x Z/2 is NOT Z/4
+    crt = [(x % 2) * 3 + x % 3 for x in range(6)]
+    assert sorted(crt) == list(range(6))
+    assert crt[r6.one] == prod.one
+    for x in range(6):
+        for y in range(6):
+            assert crt[r6.add[x][y]] == prod.add[crt[x]][crt[y]]
+            assert crt[r6.mul[x][y]] == prod.mul[crt[x]][crt[y]]
+    # non-coprime pair: Z/2 x Z/2 has exponent 2, Z/4 does not, so they differ
     klein = make_product(make_zmod(2), make_zmod(2))
-    assert find_ring_isomorphism(klein, make_zmod(4)) is None
+    z4 = make_zmod(4)
+    assert all(klein.add[x][x] == klein.zero for x in range(4))
+    assert z4.add[1][1] != z4.zero
 
 
 def test_product_idempotent_pair():
@@ -99,8 +107,9 @@ def test_quotient_ring_examples():
     q2, surj = quotient_ring(r6, Ideal(r6, (0, 3)))
     assert q2.size == 3
     assert surj[3] == surj[0]
-    q3, _ = quotient_ring(r6, Ideal(r6, (0,)))
-    assert find_ring_isomorphism(q3, r6) is not None
+    q3, surj = quotient_ring(r6, Ideal(r6, (0,)))
+    assert surj == tuple(range(6))
+    assert (q3.add, q3.mul, q3.zero, q3.one) == (r6.add, r6.mul, r6.zero, r6.one)
     with pytest.raises(ImproperIdealError):
         quotient_ring(r6, Ideal(r6, tuple(range(6))))
 
