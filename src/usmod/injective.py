@@ -360,9 +360,14 @@ def default_catalogue(
     arguments actually instantiate (ideal inclusions and natural maps)."""
     ring = module.ring
     pool: list[FiniteModule] = []
+    seen: set[tuple] = set()
 
     def admit(m: FiniteModule) -> None:
-        if m.size <= 36 and not any(m == q for q in pool):
+        # one member per table triple: a copy under other names or another
+        # label adds the same maps again
+        key = (m.add, m.zero, m.act)
+        if m.size <= 36 and key not in seen:
+            seen.add(key)
             pool.append(m)
 
     admit(regular_module(ring))

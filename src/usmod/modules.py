@@ -5,6 +5,9 @@ elements.  Submodules are canonical sorted element sets, so lattice meet and
 join are plain set operations; homomorphisms are explicit index maps.
 The module axioms and R-linearity of a map are checked exactly but only on
 additive generators (see check_module_axioms and check_homomorphism).
+Like rings, modules compare by value, over every field (ring, tables, label,
+element names and direct-sum summands), so a cached quotient, submodule or
+direct sum always carries the names of the module it was asked for.
 
 Tables are built by index arithmetic rather than through element objects.
 The direct sum M1 (+) M2 numbers the pair (x, y) as x*|M2| + y, so each of its
@@ -51,7 +54,7 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteModule:
     ring: FiniteRing
     add: Table
@@ -59,8 +62,7 @@ class FiniteModule:
     act: Table  # act[r][x] = r . x, shape |R| x |M|
     label: str
     names: tuple[str, ...]
-    # provenance for direct sums (used by certification closure rules);
-    # deliberately excluded from equality.
+    # provenance for direct sums (used by certification closure rules)
     summands: Optional[tuple["FiniteModule", ...]] = None
 
     @property
@@ -100,18 +102,6 @@ class FiniteModule:
             o = self.additive_order(x)
             out = out * o // _gcd(out, o)
         return out
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, FiniteModule):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.add == other.add
-            and self.zero == other.zero
-            and self.act == other.act
-        )
 
     def __hash__(self) -> int:
         return hash((len(self.add), self.zero, self.label, hash(self.ring)))
@@ -435,6 +425,7 @@ def submodule_as_module(sub: Submodule) -> tuple[FiniteModule, Homomorphism]:
     return module, incl
 
 
+@lru_cache(maxsize=None)
 def direct_sum(
     m1: FiniteModule,
     m2: FiniteModule,

@@ -6,6 +6,11 @@ any clever representation.  Every axiom is checked exactly, the
 associative and distributive laws on an additive generating set only
 (Light's test, see check_ring_axioms), whole table rows at a time.
 
+A ring is a plain frozen dataclass value: two rings are equal when every
+field is, labels and element names included, and the hash reads only the
+size, zero, one and label.  Every cache keyed on a ring or on a module over
+it therefore hands back results built for a ring that prints the same.
+
 An ideal is a submodule of R over itself, R/I a quotient module and R x R'
 a direct sum, so the table jobs both layers need are written once here and
 shared with modules.py: the lattice of subgroups closed under an action
@@ -35,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - only for annotations
 Table = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteRing:
     """A finite commutative unital ring given by explicit operation tables."""
 
@@ -76,18 +81,6 @@ class FiniteRing:
         for a in elems:
             acc = self.mul[acc][a]
         return acc
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, FiniteRing):
-            return NotImplemented
-        return (
-            self.add == other.add
-            and self.mul == other.mul
-            and self.zero == other.zero
-            and self.one == other.one
-        )
 
     def __hash__(self) -> int:
         # cheap but eq-consistent; tables are too big to hash on every lookup

@@ -104,8 +104,6 @@ def claim_registry() -> dict[str, Claim]:
             _check_essential_not_us,
         ),
     }
-    # accepted spelling variant
-    claims["essential-not-us-essential"] = claims["essential-not-u-S-essential"]
     for law_id in LAWS_BY_ID:
         cid = f"paper-law-{law_id}"
         claims[cid] = Claim(
@@ -145,16 +143,10 @@ def _variants(inst: Instance, b: BuiltInstance, caps: Caps) -> list[Instance]:
     # smaller multiplicative set: closures of single members
     if b.mset.size > 1:
         for g in b.mset.members:
-            if g == b.ring.one:
-                out.append(
-                    Instance(inst.ring, ("closure", (b.ring.one,)), inst.module,
-                             inst.submodule, inst.seed, inst.size_profile)
-                )
-            else:
-                out.append(
-                    Instance(inst.ring, ("closure", (g,)), inst.module,
-                             inst.submodule, inst.seed, inst.size_profile)
-                )
+            out.append(
+                Instance(inst.ring, ("closure", (g,)), inst.module,
+                         inst.submodule, inst.seed, inst.size_profile)
+            )
 
     # smaller ambient module: proper submodules containing K, re-indexed
     if b.submodule is not None:

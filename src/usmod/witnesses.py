@@ -13,14 +13,13 @@ from .caps import DEFAULT_CAPS, Caps
 from .corpus import Instance, build_instance
 from .errors import DomainError, InvalidModuleError, ResourceExceededError
 from .essential import is_essential, is_u_S_essential_fast, is_u_S_essential_oracle
-from .injective import RefutedWitness, certify_u_S_injective
+from .injective import RefutedWitness, certify_u_S_injective, replay_refuted
 from .modules import (
     FiniteModule,
     Homomorphism,
     Submodule,
     check_homomorphism,
     check_module_axioms,
-    hom_enumerate,
 )
 
 
@@ -207,25 +206,15 @@ def replay_refuted_payload(payload: dict, caps: Caps = DEFAULT_CAPS) -> bool:
         _ints(s, 0, "failures", DomainError): _ints(hmap, 1, "failures", DomainError)
         for s, hmap in payload["failures"]
     }
-    inst = Instance.from_json(payload["instance"])
-    b = build_instance(inst, caps)
-    module = b.module
-    mset = b.mset
+    b = build_instance(Instance.from_json(payload["instance"]), caps)
     source = deserialize_module(b.ring, payload["f"]["source"])
     target = deserialize_module(b.ring, payload["f"]["target"])
     f = Homomorphism(source, target, fmap)
     check_homomorphism(f)
-    if set(failures) != set(mset.members):
-        return False
+    hs = tuple((s, Homomorphism(source, b.module, hmap)) for s, hmap in failures.items())
+    for _, h in hs:
+        check_homomorphism(h)
     try:
-        target_homs = hom_enumerate(target, module, caps=caps)
+        return replay_refuted(b.module, b.mset, RefutedWitness(f, hs), caps)
     except ResourceExceededError:
         return False
-    composed = {tuple(g.map[y] for y in f.map) for g in target_homs}
-    for s, hmap in failures.items():
-        h = Homomorphism(source, module, hmap)
-        check_homomorphism(h)
-        sh = tuple(module.act[s][v] for v in hmap)
-        if sh in composed:
-            return False
-    return True

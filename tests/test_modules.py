@@ -7,8 +7,10 @@ import pytest
 from usmod import modules
 from usmod.errors import DomainError, ResourceExceededError
 from usmod.caps import Caps
+from usmod.corpus import Bounds, build_instance, generate_corpus
 from usmod.modules import (
     Homomorphism,
+    Submodule,
     all_submodules,
     annihilator,
     check_homomorphism,
@@ -315,8 +317,8 @@ def test_generating_set_runs_once_per_source(monkeypatch):
 
 
 def test_constructor_caches_return_the_same_module():
-    # the caches compare rings by their tables: a later, equal ring of the
-    # same label gets the module built for the first one
+    # rings compare by value: a later ring built the same way is equal to
+    # the first, so it gets the module built for the first one
     regular_module.cache_clear()
     cyclic_zmod_module.cache_clear()
     z6 = make_zmod(6)
@@ -454,3 +456,51 @@ def test_module_axioms_of_constructions(z6, m6):
     d, *_ = direct_sum(m6, m6)
     check_module_axioms(d)
     check_module_axioms(zero_module(z6))
+
+
+def _relabelled(x):
+    return [
+        x,
+        dataclasses.replace(x, label=x.label + "'"),
+        dataclasses.replace(x, names=tuple(n + "'" for n in x.names)),
+    ]
+
+
+def test_equal_rings_and_modules_hash_equal():
+    """a == b implies hash(a) == hash(b), over corpus rings and modules and
+    copies under another label or other element names."""
+    built = [build_instance(inst) for inst in generate_corpus(42, Bounds(max_instances=40))]
+    rings = list({id(b.ring): b.ring for b in built}.values())
+    modules_ = [b.module for b in built]
+    for ring in rings:
+        modules_.append(regular_module(ring))
+        if ring.zmod_n is not None:
+            modules_ += [cyclic_zmod_module(ring, d) for d in range(2, ring.zmod_n + 1)
+                         if ring.zmod_n % d == 0]
+    for pool in (rings, modules_):
+        pool = [y for x in pool for y in _relabelled(x)]
+        for a, b in itertools.product(pool, repeat=2):
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    z6 = make_zmod(6)
+    assert regular_module(z6) != cyclic_zmod_module(z6, 6)
+    assert len({regular_module(z6), cyclic_zmod_module(z6, 6)}) == 2
+
+
+def test_cached_constructions_keep_the_module_names():
+    """Modules with equal tables and label but other element names each get
+    a quotient and a submodule named after their own elements."""
+    z4 = make_zmod(4)
+    tables = direct_sum(regular_module(z4), cyclic_zmod_module(z4, 2))[0]
+    for letters in ("abcdefgh", "ABCDEFGH"):
+        m = dataclasses.replace(tables, label="M", names=tuple(letters), summands=None)
+        sub = Submodule(m, (0, 4))
+        quot, eta = quotient_module(m, sub)
+        assert quot.label == f"M/{{{letters[0]},{letters[4]}}}"
+        for x in m.elements():
+            rep = min(y for y in m.elements() if eta(y) == eta(x))
+            assert quot.names[eta(x)] == f"[{letters[rep]}]"
+        assert eta.source is m
+        part, incl = submodule_as_module(sub)
+        assert part.names == (letters[0], letters[4])
+        assert incl.target is m
