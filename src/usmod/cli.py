@@ -24,7 +24,7 @@ from . import __version__
 from .caps import caps_from_env
 from .corpus import Bounds, generate_corpus
 from .dsl import evaluate_assertions, parse_program
-from .errors import UsmodError
+from .errors import ConfigError, UsmodError
 from .injective import (
     bounded_u_S_injective_test,
     certify_u_S_injective,
@@ -173,11 +173,11 @@ def _cmd_search(args, caps) -> int:
 def _pick(env, table_name: str, requested: Optional[str], file: str):
     table = getattr(env, table_name)
     if not table:
-        raise UsmodError(f"{file} declares no {table_name}")
+        raise ConfigError(f"{file} declares no {table_name}")
     if requested is None:
         return next(iter(table.items()))
     if requested not in table:
-        raise UsmodError(f"{file} does not declare {table_name[:-1]} {requested!r}")
+        raise ConfigError(f"{file} does not declare {table_name[:-1]} {requested!r}")
     return requested, table[requested]
 
 
@@ -215,11 +215,7 @@ def _cmd_injective(args, caps) -> int:
     with open(args.file, encoding="utf-8") as fh:
         env = parse_program(fh.read(), caps)
     mset_name, mset = _pick(env, "msets", args.mset, args.file)
-    modules = (
-        {args.module: env.lookup("modules", args.module, 0)}
-        if args.module
-        else env.modules
-    )
+    modules = dict([_pick(env, "modules", args.module, args.file)]) if args.module else env.modules
     worst = 0
     for name, module in modules.items():
         if args.tier == "certify":

@@ -42,6 +42,11 @@ import random
 
 Spec = tuple  # nested tuples of strings and ints
 
+# per-ring and per-module sampling widths of the generated corpus
+MSETS_PER_RING = 6
+MODULES_PER_RING = 6
+SUBMODULES_PER_MODULE = 6
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -49,9 +54,6 @@ class Bounds:
     max_module: int = 64
     composite_cap: int = 16  # elements in product/extension rings
     max_instances: int = 0   # 0 = no limit
-    msets_per_ring: int = 6
-    modules_per_ring: int = 6
-    submodules_per_module: int = 6
 
     def check(self, caps: Caps) -> None:
         if self.max_ring > caps.max_ring or self.max_module > caps.max_module:
@@ -190,7 +192,7 @@ def _ring_specs(bounds: Bounds) -> list[Spec]:
     return specs
 
 
-def _mset_specs(ring: FiniteRing, bounds: Bounds) -> list[Spec]:
+def _mset_specs(ring: FiniteRing) -> list[Spec]:
     chosen: list[Spec] = []
     seen: set[tuple[int, ...]] = set()
 
@@ -199,7 +201,7 @@ def _mset_specs(ring: FiniteRing, bounds: Bounds) -> list[Spec]:
             mset = build_mset(ring, spec)
         except InvalidMultiplicativeSetError:
             return
-        if mset.members in seen or len(chosen) >= bounds.msets_per_ring:
+        if mset.members in seen or len(chosen) >= MSETS_PER_RING:
             return
         seen.add(mset.members)
         chosen.append(spec)
@@ -220,7 +222,7 @@ def _module_specs(ring: FiniteRing, bounds: Bounds, rng: random.Random, caps: Ca
     seen: set[tuple] = set()
 
     def admit(spec: Spec) -> bool:
-        if len(chosen) >= bounds.modules_per_ring:
+        if len(chosen) >= MODULES_PER_RING:
             return False
         try:
             module = build_module(ring, spec, caps)
@@ -250,18 +252,18 @@ def _module_specs(ring: FiniteRing, bounds: Bounds, rng: random.Random, caps: Ca
     return chosen
 
 
-def _submodule_gens(module: FiniteModule, bounds: Bounds, rng: random.Random, caps: Caps) -> list[Optional[tuple[int, ...]]]:
+def _submodule_gens(module: FiniteModule, rng: random.Random, caps: Caps) -> list[Optional[tuple[int, ...]]]:
     try:
         lattice = all_submodules(module, caps)
     except ResourceExceededError:
         return [None]
-    if len(lattice) <= bounds.submodules_per_module:
+    if len(lattice) <= SUBMODULES_PER_MODULE:
         picks = list(lattice)
     else:
         picks = [lattice[0], lattice[-1]]
         middle = list(lattice[1:-1])
         rng.shuffle(middle)
-        picks.extend(middle[: bounds.submodules_per_module - 2])
+        picks.extend(middle[: SUBMODULES_PER_MODULE - 2])
     return [sub.members for sub in picks]
 
 
@@ -297,11 +299,11 @@ def generate_corpus(
             continue
         if ring.size > bounds.max_ring:
             continue
-        mset_specs = _mset_specs(ring, bounds)
+        mset_specs = _mset_specs(ring)
         module_specs = _module_specs(ring, bounds, rng, caps)
         for module_spec in module_specs:
             module = build_module(ring, module_spec, caps)
-            gens_list = _submodule_gens(module, bounds, rng, caps)
+            gens_list = _submodule_gens(module, rng, caps)
             for mset_spec in mset_specs:
                 for gens in gens_list:
                     emit(ring_spec, mset_spec, module_spec, gens)

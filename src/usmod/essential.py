@@ -15,7 +15,9 @@ tor_S(M) is the kernel of sigma.  Each decider runs one route; the law
 registry compares the routes on every corpus instance (``element-criterion``
 for fast, oracle and quotient routes, ``essential-element-criterion`` for
 the lattice scan of ``is_essential`` against the fast route at S={1}, and
-``torsion-submodule-uniform`` for the hypothesis).
+``torsion-submodule-uniform`` for the hypothesis).  The paper's statements
+about these notions (transport, direct sums, chains and meets, localized
+upgrades) are written once, in their laws.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, NotPrimeError, PreconditionViolatedError
+from .errors import DomainError, PreconditionViolatedError
 from .modules import (
     FiniteModule,
     Homomorphism,
@@ -32,18 +34,13 @@ from .modules import (
     all_submodules,
     compose,
     cyclic_submodule,
-    direct_sum,
     image,
     image_of_submodule,
-    intersect_submodules,
-    is_prime_module,
-    preimage,
     quotient_module,
     submodule_as_module,
     sum_submodules,
-    zero_divisors_on,
 )
-from .rings import Ideal, MultiplicativeSet, complement_of_prime, is_prime_ideal, spectrum
+from .rings import Ideal, MultiplicativeSet, complement_of_prime
 from .storsion import is_u_S_mono, kills, s_torsion_submodule
 
 
@@ -56,16 +53,6 @@ class EssentialVerdict:
 
     def __bool__(self) -> bool:
         return self.verdict
-
-
-@dataclass(frozen=True)
-class BiconditionalVerdict:
-    left: bool
-    right: bool
-
-    @property
-    def equivalent(self) -> bool:
-        return self.left == self.right
 
 
 def _require_submodule(k: Submodule, module: FiniteModule) -> None:
@@ -225,60 +212,6 @@ def u_S_complement(
 
 
 # ---------------------------------------------------------------------------
-# transport along maps
-
-
-def transport_preimage(
-    q: Submodule, f: Homomorphism, mset: MultiplicativeSet
-) -> tuple[Submodule, EssentialVerdict]:
-    """Pull a u-S-essential submodule of the target back along f and certify
-    the preimage u-S-essential in the source."""
-    if q.parent != f.target:
-        raise DomainError("submodule not in the target of the map")
-    pre = preimage(f, q)
-    return pre, is_u_S_essential_fast(pre, f.source, mset)
-
-
-def transport_image(
-    k: Submodule, f: Homomorphism, mset: MultiplicativeSet
-) -> tuple[Submodule, EssentialVerdict]:
-    """Push a u-S-essential submodule forward along a u-S-monomorphism and
-    certify f(K) u-S-essential in f(M)."""
-    if k.parent != f.source:
-        raise DomainError("submodule not in the source of the map")
-    mono, _ = is_u_S_mono(f, mset)
-    if not mono:
-        raise PreconditionViolatedError("transport_image needs a u-S-monomorphism")
-    img_mod, incl = submodule_as_module(image(f))
-    incl_index = {m: i for i, m in enumerate(incl.map)}
-    fk_members = tuple(sorted({incl_index[f.map[x]] for x in k.members}))
-    fk = Submodule(img_mod, fk_members)
-    return fk, is_u_S_essential_fast(fk, img_mod, mset)
-
-
-def direct_sum_essential(
-    k1: Submodule,
-    k2: Submodule,
-    mset: MultiplicativeSet,
-    caps: Caps = DEFAULT_CAPS,
-) -> BiconditionalVerdict:
-    """K1+K2 u-S-essential in M1+M2 iff both components are; both sides are
-    evaluated independently (oracle on the sum, deciders on components)."""
-    m1, m2 = k1.parent, k2.parent
-    total, i1, i2, _, _ = direct_sum(m1, m2, caps)
-    members = sorted(
-        total.add[i1.map[x]][i2.map[y]] for x in k1.members for y in k2.members
-    )
-    ksum = Submodule(total, tuple(members))
-    left = is_u_S_essential_oracle(ksum, total, mset, caps).verdict
-    right = (
-        is_u_S_essential_fast(k1, m1, mset).verdict
-        and is_u_S_essential_fast(k2, m2, mset).verdict
-    )
-    return BiconditionalVerdict(left, right)
-
-
-# ---------------------------------------------------------------------------
 # u-S-essential monomorphisms
 
 
@@ -295,108 +228,6 @@ def is_u_S_essential_mono(f: Homomorphism, mset: MultiplicativeSet) -> bool:
 
 
 def is_u_p_essential(k: Submodule, module: FiniteModule, p: Ideal) -> bool:
-    """u-S-essential for S the complement of the prime ideal p."""
-    if not is_prime_ideal(p):
-        raise NotPrimeError("complement decider needs a prime ideal")
-    mset = complement_of_prime(module.ring, p)
-    return is_u_S_essential_fast(k, module, mset).verdict
-
-
-@dataclass(frozen=True)
-class MaxEssentialReport:
-    u_m_essential_for_all_max: bool
-    essential: bool
-    implication_holds: bool
-    prime_equivalence: Optional[bool]  # three-way equivalence; None if not prime
-
-
-def max_essential_upgrade(
-    k: Submodule, module: FiniteModule, caps: Caps = DEFAULT_CAPS
-) -> MaxEssentialReport:
-    """u-m-essential at every maximal ideal forces essential; for prime
-    modules the three conditions (essential, u-p-essential at every prime,
-    u-m-essential at every maximal) are all equivalent."""
-    ring = module.ring
-    primes, maximals = spectrum(ring)
-    all_max = all(is_u_p_essential(k, module, m) for m in maximals)
-    ess = is_essential(k, module, caps).verdict
-    implication = (not all_max) or ess
-    prime_equiv: Optional[bool] = None
-    if module.size > 1 and is_prime_module(module):
-        all_primes = all(is_u_p_essential(k, module, p) for p in primes)
-        prime_equiv = (ess == all_primes == all_max)
-    return MaxEssentialReport(all_max, ess, implication, prime_equiv)
-
-
-def essential_implies_uS_for_prime(
-    module: FiniteModule, k: Submodule, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS
-) -> EssentialVerdict:
-    """For a prime module, an essential submodule is u-S-essential."""
-    if module.size == 1 or not is_prime_module(module):
-        raise PreconditionViolatedError("module is not prime")
-    if not is_essential(k, module, caps).verdict:
-        raise PreconditionViolatedError("submodule is not essential")
-    return is_u_S_essential_fast(k, module, mset)
-
-
-# ---------------------------------------------------------------------------
-# transitivity / meet laws
-
-
-def transitivity_and_meet(
-    k: Submodule,
-    n: Submodule,
-    h: Submodule,
-    mset: MultiplicativeSet,
-    caps: Caps = DEFAULT_CAPS,
-) -> tuple[BiconditionalVerdict, BiconditionalVerdict]:
-    """For K <= N <= M and H <= M:
-
-    (1) K u-S-essential in M  iff  K u-S-essential in N and N in M;
-    (2) H meet K u-S-essential in M  iff  both H and K are.
-    Both sides of each biconditional are evaluated independently.
-    """
-    module = n.parent
-    if k.parent != module or h.parent != module:
-        raise DomainError("submodules live in different modules")
-    if not set(k.members) <= set(n.members):
-        raise DomainError("K must be contained in N")
-
-    n_mod, incl = submodule_as_module(n)
-    incl_index = {m: i for i, m in enumerate(incl.map)}
-    k_in_n = Submodule(n_mod, tuple(sorted(incl_index[x] for x in k.members)))
-
-    chain_left = is_u_S_essential_fast(k, module, mset).verdict
-    chain_right = (
-        is_u_S_essential_fast(k_in_n, n_mod, mset).verdict
-        and is_u_S_essential_fast(n, module, mset).verdict
-    )
-
-    meet = intersect_submodules(h, k)
-    meet_left = is_u_S_essential_fast(meet, module, mset).verdict
-    meet_right = (
-        is_u_S_essential_fast(h, module, mset).verdict
-        and is_u_S_essential_fast(k, module, mset).verdict
-    )
-    return (
-        BiconditionalVerdict(chain_left, chain_right),
-        BiconditionalVerdict(meet_left, meet_right),
-    )
-
-
-# ---------------------------------------------------------------------------
-# degenerations
-
-
-def regular_set_degeneration(
-    k: Submodule, module: FiniteModule, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS
-) -> Optional[BiconditionalVerdict]:
-    """When S avoids the zero divisors on M, u-S-essential iff essential.
-    Returns None when the hypothesis does not apply."""
-    zdiv = set(zero_divisors_on(module.ring, module))
-    if any(s in zdiv for s in mset.members):
-        return None
-    return BiconditionalVerdict(
-        is_u_S_essential_fast(k, module, mset).verdict,
-        is_essential(k, module, caps).verdict,
-    )
+    """u-S-essential for S the complement of the prime ideal p; raises
+    NotPrimeError, through ``complement_of_prime``, for any other p."""
+    return is_u_S_essential_fast(k, module, complement_of_prime(module.ring, p)).verdict

@@ -8,11 +8,17 @@ killed, or a finite sum of certified modules), "bounded-pass" (survived a
 catalogue of extension problems, which proves nothing), and "refuted"
 (a witness extension problem failed; always sound).  bounded-pass is never
 upgraded to certified.
+
+The paper's statements about envelopes (uniqueness, summands of
+preenvelopes, the three characterizations, direct sums) are written once,
+in their laws; this module keeps the deciders and the construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import prod
 from typing import Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -23,14 +29,12 @@ from .errors import (
     ResourceExceededError,
     UnsupportedRingError,
 )
-from .essential import EssentialVerdict, BiconditionalVerdict, is_u_S_essential_fast
+from .essential import EssentialVerdict, is_u_S_essential_fast
 from .modules import (
     FiniteModule,
     Homomorphism,
     Submodule,
-    add_homs,
     all_submodules,
-    compose,
     cyclic_zmod_module,
     direct_sum,
     direct_sum_many,
@@ -47,7 +51,6 @@ from .modules import (
 )
 from .rings import MultiplicativeSet, all_ideals, mult_set_closure
 from .storsion import (
-    find_u_S_isomorphism,
     is_u_S_iso,
     is_u_S_mono,
     kills,
@@ -251,10 +254,10 @@ def injective_envelope_zmod(
     for p, k in sorted(factorization.items()):
         comp = p_component_members(module, p, k)
         basis = abelian_p_basis(module, comp)
-        if len(comp) != _product(order for _, order in basis):
+        if len(comp) != prod(order for _, order in basis):
             raise InternalError("p-basis does not span the component")
         coords: dict[int, tuple[int, ...]] = {}
-        for tup in _tuples([order for _, order in basis]):
+        for tup in product(*(range(order) for _, order in basis)):
             elem = module.zero
             for (g, _), t in zip(basis, tup):
                 elem = module.add[elem][module.int_mul(t, g)]
@@ -268,7 +271,7 @@ def injective_envelope_zmod(
         env = zero_module(ring)
         return env, zero_hom(module, env)
 
-    total_size = _product(m.size for m in hull_mods)
+    total_size = prod(m.size for m in hull_mods)
     if total_size > caps.max_module:
         raise ResourceExceededError(f"envelope would have {total_size} elements")
     env, injections, _ = direct_sum_many(hull_mods, caps)
@@ -296,22 +299,6 @@ def injective_envelope_zmod(
     if not is_u_S_essential_fast(image(i), env, mult_set_closure(ring, [ring.one])).verdict:
         raise InternalError("envelope image is not essential")
     return env, i
-
-
-def _product(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
-def _tuples(limits: Sequence[int]):
-    if not limits:
-        yield ()
-        return
-    for head in range(limits[0]):
-        for tail in _tuples(limits[1:]):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -566,312 +553,3 @@ def construct_u_S_envelope(
         except ResourceExceededError:
             continue
     return None
-
-
-def envelope_uniqueness(
-    f: Homomorphism,
-    f2: Homomorphism,
-    mset: MultiplicativeSet,
-    caps: Caps = DEFAULT_CAPS,
-) -> Homomorphism:
-    """Two envelopes of the same module must be u-S-isomorphic; returns the
-    witness map.  Raises if either input fails verification or if the
-    isomorphism enumeration cannot complete."""
-    if f.source != f2.source:
-        raise DomainError("envelopes of different modules")
-    for cand in (f, f2):
-        if not check_u_S_envelope(cand, mset, caps).is_envelope:
-            raise PreconditionViolatedError("input is not a verified envelope")
-    iso = find_u_S_isomorphism(f.target, f2.target, mset, caps=caps)
-    if iso is None:
-        raise InternalError("verified envelopes admit no u-S-isomorphism")
-    return iso
-
-
-def preenvelope_summand(
-    f: Homomorphism,
-    g: Homomorphism,
-    mset: MultiplicativeSet,
-    caps: Caps = DEFAULT_CAPS,
-) -> Optional[tuple[Submodule, Homomorphism]]:
-    """Decompose a preenvelope target as (envelope target) + B up to
-    u-S-isomorphism; searches B over the submodules of the preenvelope
-    target.  None only when every candidate enumeration completed and
-    failed."""
-    if f.source != g.source:
-        raise DomainError("maps have different sources")
-    if not check_u_S_envelope(f, mset, caps).is_envelope:
-        raise PreconditionViolatedError("first map is not a verified envelope")
-    if not check_u_S_preenvelope(g, mset, caps).holds:
-        raise PreconditionViolatedError("second map is not a u-S-preenvelope")
-    a = f.target
-    a2 = g.target
-    # size-matching candidates first: a genuine internal decomposition beats
-    # a degenerate one reached through a non-bijective u-S-isomorphism
-    candidates = sorted(
-        all_submodules(a2, caps),
-        key=lambda sub: (a.size * sub.size != a2.size, sub.size, sub.members),
-    )
-    for b_sub in candidates:
-        b_mod, _ = submodule_as_module(b_sub)
-        if a.size * b_mod.size > caps.max_module:
-            continue
-        total, *_ = direct_sum(a, b_mod, caps)
-        iso = find_u_S_isomorphism(a2, total, mset, caps=caps)
-        if iso is not None:
-            return b_sub, iso
-    return None
-
-
-@dataclass(frozen=True)
-class ThreeWayReport:
-    envelope: bool            # essential-image characterization
-    injective_factoring: bool # factors through every certified competitor
-    essential_factoring: bool # absorbs every u-S-essential extension
-    pool_size: int
-
-    @property
-    def equivalent(self) -> bool:
-        return self.envelope == self.injective_factoring == self.essential_factoring
-
-
-def envelope_three_way(
-    i: Homomorphism,
-    mset: MultiplicativeSet,
-    pool: Sequence[FiniteModule],
-    caps: Caps = DEFAULT_CAPS,
-) -> ThreeWayReport:
-    """Evaluate the three envelope characterizations over a bounded pool of
-    ambient modules: (1) envelope per the essential-image test; (2) target
-    certified u-S-injective and every u-S-mono into a certified pool module
-    factors through i up to a uniform s; (3) i is a u-S-essential mono and
-    every u-S-essential mono out of the source factors into the target up to
-    a uniform s."""
-    module = i.source
-    env = i.target
-    cond1 = False
-    try:
-        cond1 = check_u_S_envelope(i, mset, caps).is_envelope
-    except PreconditionViolatedError:
-        cond1 = False
-
-    def factors(left: Homomorphism, right_homs: list[Homomorphism], via: Homomorphism) -> bool:
-        # is there g among right_homs and s in S with s.left = g.via, g a u-S-mono
-        target = left.target
-        for s in mset.members:
-            act_s = target.act[s]
-            want = tuple(act_s[v] for v in left.map)
-            for g in right_homs:
-                if tuple(g.map[v] for v in via.map) == want:
-                    if is_u_S_mono(g, mset)[0]:
-                        return True
-        return False
-
-    mono_i, _ = is_u_S_mono(i, mset)
-    env_certified = certify_u_S_injective(env, mset, caps, fallback=False).certified
-
-    cond2 = env_certified and mono_i
-    if cond2:
-        for q in pool:
-            if not certify_u_S_injective(q, mset, caps, fallback=False).certified:
-                continue
-            try:
-                homs_mq = hom_enumerate(module, q, caps=caps)
-                homs_eq = hom_enumerate(env, q, caps=caps)
-            except ResourceExceededError:
-                continue
-            for fm in homs_mq:
-                if not is_u_S_mono(fm, mset)[0]:
-                    continue
-                if not factors(fm, homs_eq, i):
-                    cond2 = False
-                    break
-            if not cond2:
-                break
-
-    cond3 = mono_i and is_u_S_essential_fast(image(i), env, mset).verdict
-    if cond3:
-        for n_mod in pool:
-            try:
-                homs_mn = hom_enumerate(module, n_mod, caps=caps)
-                homs_ne = hom_enumerate(n_mod, env, caps=caps)
-            except ResourceExceededError:
-                continue
-            for fm in homs_mn:
-                if not is_u_S_mono(fm, mset)[0]:
-                    continue
-                if not is_u_S_essential_fast(image(fm), n_mod, mset).verdict:
-                    continue
-                # factoring condition: s.i = g.fm
-                if not factors(i, homs_ne, fm):
-                    cond3 = False
-                    break
-            if not cond3:
-                break
-
-    return ThreeWayReport(cond1, cond2, cond3, len(pool))
-
-
-@dataclass(frozen=True)
-class EnvelopePropertiesReport:
-    certification: InjectivityReport
-    isomorphic_to_envelope: bool
-    essential_submodule_envelopes_isomorphic: Optional[bool]
-    injective_overmodule_decomposes: Optional[bool]
-
-    @property
-    def self_injective_consistent(self) -> bool:
-        """The biconditional "u-S-injective iff u-S-isomorphic to the
-        envelope", read through the three-tier certification: a certificate
-        demands the isomorphism, a refutation forbids it, and a bounded
-        verdict decides nothing either way."""
-        if self.certification.certified:
-            return self.isomorphic_to_envelope
-        if self.certification.verdict == "refuted":
-            return not self.isomorphic_to_envelope
-        return True
-
-    @property
-    def self_injective_iff_iso(self) -> BiconditionalVerdict:
-        return BiconditionalVerdict(self.certification.certified, self.isomorphic_to_envelope)
-
-
-def envelope_properties(
-    module: FiniteModule, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS
-) -> EnvelopePropertiesReport:
-    """(1) the module is u-S-injective iff u-S-isomorphic to its envelope;
-    (2) envelopes of u-S-essential submodules are u-S-isomorphic to the
-    module's; (3) a certified overmodule splits as envelope + complement up
-    to u-S-isomorphism."""
-    constructed = construct_u_S_envelope(module, mset, caps)
-    if constructed is None:
-        raise ResourceExceededError("no envelope constructed for the module")
-    env_map, _ = constructed
-    env = env_map.target
-
-    certification = certify_u_S_injective(module, mset, caps)
-    iso = find_u_S_isomorphism(module, env, mset, caps=caps)
-
-    sub_envelopes_match: Optional[bool] = None
-    for sub in all_submodules(module, caps):
-        if sub.is_whole() or sub.is_zero():
-            continue
-        if not is_u_S_essential_fast(sub, module, mset).verdict:
-            continue
-        sub_mod, _ = submodule_as_module(sub)
-        sub_env = construct_u_S_envelope(sub_mod, mset, caps)
-        if sub_env is None:
-            continue
-        found = find_u_S_isomorphism(sub_env[0].target, env, mset, caps=caps) is not None
-        sub_envelopes_match = (
-            found if sub_envelopes_match is None else (sub_envelopes_match and found)
-        )
-
-    overmodule_splits: Optional[bool] = None
-    overmodules: list[tuple[FiniteModule, Homomorphism]] = [(env, env_map)]
-    for q, embedding in overmodules:
-        if not certify_u_S_injective(q, mset, caps, fallback=False).certified:
-            continue
-        decomposed = False
-        for e_sub in all_submodules(q, caps):
-            e_mod, _ = submodule_as_module(e_sub)
-            if env.size * e_mod.size > caps.max_module:
-                continue
-            total, *_ = direct_sum(env, e_mod, caps)
-            if find_u_S_isomorphism(q, total, mset, caps=caps) is not None:
-                decomposed = True
-                break
-        overmodule_splits = (
-            decomposed if overmodule_splits is None else (overmodule_splits and decomposed)
-        )
-    return EnvelopePropertiesReport(
-        certification, iso is not None, sub_envelopes_match, overmodule_splits
-    )
-
-
-@dataclass(frozen=True)
-class DirectSumEnvelopeReport:
-    sum_map_is_envelope: bool
-    components: int
-    matches_direct_construction: Optional[bool]
-    noetherian_witness: Optional[int] = None  # only for the prime/regular variant
-
-
-def envelope_of_direct_sum(
-    envelopes: Sequence[Homomorphism],
-    mset: MultiplicativeSet,
-    caps: Caps = DEFAULT_CAPS,
-    require_prime_regular: bool = False,
-) -> DirectSumEnvelopeReport:
-    """The direct sum of verified envelopes is an envelope of the direct sum.
-
-    With require_prime_regular, additionally demands prime components, a
-    regular multiplicative set and the uniform-Noetherian witness, matching
-    the classical-envelope variant (finite index set)."""
-    from .modules import is_prime_module
-    from .rings import is_regular_set, is_u_S_noetherian
-
-    if not envelopes:
-        raise DomainError("need at least one component")
-    for f in envelopes:
-        if not check_u_S_envelope(f, mset, caps).is_envelope:
-            raise PreconditionViolatedError("component is not a verified envelope")
-
-    noeth_witness: Optional[int] = None
-    if require_prime_regular:
-        for f in envelopes:
-            if f.source.size == 1 or not is_prime_module(f.source):
-                raise PreconditionViolatedError("component module is not prime")
-        if not is_regular_set(mset.ring, mset):
-            raise PreconditionViolatedError("multiplicative set is not regular")
-        ok, noeth_witness, _ = is_u_S_noetherian(mset.ring, mset)
-        if not ok:
-            raise PreconditionViolatedError("ring is not uniformly Noetherian for S")
-
-    sources = [f.source for f in envelopes]
-    targets = [f.target for f in envelopes]
-    msum, _, src_proj = direct_sum_many(sources, caps)
-    esum, dst_inj, _ = direct_sum_many(targets, caps)
-
-    total = zero_hom(msum, esum)
-    for f, proj, inj in zip(envelopes, src_proj, dst_inj):
-        total = add_homs(total, compose(inj, compose(f, proj)))
-
-    cand = check_u_S_envelope(total, mset, caps)
-    matches: Optional[bool] = None
-    direct = construct_u_S_envelope(msum, mset, caps)
-    if direct is not None:
-        try:
-            matches = (
-                find_u_S_isomorphism(
-                    direct[0].target, esum, mset, cap=min(512, caps.max_hom), caps=caps
-                )
-                is not None
-            )
-        except ResourceExceededError:
-            matches = None
-    return DirectSumEnvelopeReport(cand.is_envelope, len(envelopes), matches, noeth_witness)
-
-
-def twisted_essential_transfer(
-    f: Homomorphism,
-    g: Homomorphism,
-    phi: Homomorphism,
-    mset: MultiplicativeSet,
-) -> BiconditionalVerdict:
-    """Essentiality transfers across a u-S-isomorphism of targets: with
-    phi.f = g (verified pointwise) and phi a u-S-isomorphism, f is a
-    u-S-essential mono iff g is.  Both sides evaluated independently."""
-    if f.source != g.source or phi.source != f.target or phi.target != g.target:
-        raise DomainError("triangle endpoints do not match")
-    if tuple(phi.map[v] for v in f.map) != g.map:
-        raise PreconditionViolatedError("phi . f != g")
-    iso, _ = is_u_S_iso(phi, mset)
-    if not iso:
-        raise PreconditionViolatedError("phi is not a u-S-isomorphism")
-    for h in (f, g):
-        if not is_u_S_mono(h, mset)[0]:
-            raise PreconditionViolatedError("legs must be u-S-monomorphisms")
-    left = is_u_S_essential_fast(image(f), f.target, mset).verdict
-    right = is_u_S_essential_fast(image(g), g.target, mset).verdict
-    return BiconditionalVerdict(left, right)

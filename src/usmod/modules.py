@@ -72,12 +72,6 @@ class FiniteModule:
     def elements(self) -> range:
         return range(self.size)
 
-    def neg(self, x: int) -> int:
-        for y, s in enumerate(self.add[x]):
-            if s == self.zero:
-                return y
-        raise InvalidModuleError(f"{self.label}: element {x} has no additive inverse")
-
     def name(self, x: int) -> str:
         return self.names[x]
 
@@ -96,24 +90,11 @@ class FiniteModule:
             order += 1
         return order
 
-    def exponent(self) -> int:
-        out = 1
-        for x in self.elements():
-            o = self.additive_order(x)
-            out = out * o // _gcd(out, o)
-        return out
-
     def __hash__(self) -> int:
         return hash((len(self.add), self.zero, self.label, hash(self.ring)))
 
     def __repr__(self) -> str:
         return f"FiniteModule({self.label}, m={self.size} over {self.ring.label})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

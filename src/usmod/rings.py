@@ -59,22 +59,12 @@ class FiniteRing:
     def elements(self) -> range:
         return range(self.size)
 
-    def neg(self, a: int) -> int:
-        row = self.add[a]
-        for b, s in enumerate(row):
-            if s == self.zero:
-                return b
-        raise InvalidRingError(f"{self.label}: element {a} has no additive inverse")
-
     def name(self, a: int) -> str:
         return self.names[a]
 
     def units(self) -> list[int]:
         one = self.one
         return [a for a in self.elements() if one in self.mul[a]]
-
-    def is_unit(self, a: int) -> bool:
-        return self.one in self.mul[a]
 
     def product(self, elems: Iterable[int]) -> int:
         acc = self.one
@@ -101,9 +91,6 @@ class Ideal:
 
     def is_proper(self) -> bool:
         return len(self.members) < self.ring.size
-
-    def contains(self, a: int) -> bool:
-        return a in set(self.members)
 
     def __repr__(self) -> str:
         elems = ",".join(self.ring.name(a) for a in self.members)
@@ -480,6 +467,11 @@ def mult_set_closure(ring: FiniteRing, generators: Iterable[int]) -> Multiplicat
     gens = sorted(set(generators))
     if not gens:
         raise InvalidMultiplicativeSetError("need at least one generator")
+    outside = [g for g in gens if not 0 <= g < ring.size]
+    if outside:
+        raise InvalidMultiplicativeSetError(
+            f"generator {outside[0]} is not an element of {ring.label}"
+        )
     mem = {ring.one}
     queue = [ring.one]
     while queue:
@@ -502,6 +494,10 @@ def mult_set_closure(ring: FiniteRing, generators: Iterable[int]) -> Multiplicat
 def complement_of_prime(ring: FiniteRing, p: Ideal) -> MultiplicativeSet:
     if p.ring != ring:
         raise DomainError("ideal belongs to a different ring")
+    if tuple(sorted(set(p.members))) not in {i.members for i in all_ideals(ring)}:
+        raise NotPrimeError(
+            f"{{{','.join(map(str, p.members))}}} is not an ideal of {ring.label}"
+        )
     if not is_prime_ideal(p):
         raise NotPrimeError("complement is multiplicative only for prime ideals")
     members = tuple(sorted(set(ring.elements()) - set(p.members)))

@@ -1,7 +1,7 @@
 import pytest
 
 from usmod.dsl import evaluate_assertions, parse_program
-from usmod.errors import ConfigError
+from usmod.errors import ConfigError, InvalidMultiplicativeSetError, NotPrimeError
 
 RUNNING_EXAMPLE = """
 # running example over Z/6
@@ -163,6 +163,14 @@ def test_parse_errors():
         parse_program("mset S over R = closure {1}")
     with pytest.raises(ConfigError, match="bad set literal"):
         parse_program("ring R = zmod 6\nmodule M over R = regular\nsub K of M = gens {x}")
+    # generators outside Z/6 (-1 is not read as 5) and a complement of a non-ideal
+    for rhs, error in (
+        ("closure {7}", InvalidMultiplicativeSetError),
+        ("closure {-1}", InvalidMultiplicativeSetError),
+        ("complement_prime {0, 2, 3, 4}", NotPrimeError),
+    ):
+        with pytest.raises(error):
+            parse_program(f"ring R = zmod 6\nmset S over R = {rhs}")
 
 
 def test_assert_failure_reported_not_raised():

@@ -1,27 +1,26 @@
+import dataclasses
+
 import pytest
 
-from usmod.errors import DomainError, NotPrimeError, PreconditionViolatedError
+from usmod import laws
+from usmod.caps import DEFAULT_CAPS
+from usmod.corpus import Instance, build_instance
+from usmod.errors import DomainError, NotPrimeError
 from usmod.essential import (
-    direct_sum_essential,
-    essential_implies_uS_for_prime,
     is_essential,
     is_u_S_essential_fast,
     is_u_S_essential_oracle,
     is_u_p_essential,
-    max_essential_upgrade,
     quotient_characterization,
-    regular_set_degeneration,
-    transitivity_and_meet,
-    transport_image,
-    transport_preimage,
     u_S_complement,
 )
 from usmod.modules import (
     all_submodules,
     cyclic_submodule,
-    direct_sum,
     identity_hom,
     kernel,
+    preimage,
+    quotient_module,
     regular_module,
     scalar_hom,
     submodule,
@@ -30,7 +29,7 @@ from usmod.modules import (
     zero_submodule,
 )
 from usmod.rings import Ideal, make_zmod, mult_set_closure, unit_mult_set
-from usmod.storsion import is_u_S_torsion, kills
+from usmod.storsion import is_u_S_mono, is_u_S_torsion, kills
 
 
 @pytest.fixture(scope="module")
@@ -146,42 +145,52 @@ def test_complement_laws_across_sets(z6, m6):
             assert checks == (True, True)
 
 
+def _law(law_id, gens=(2,), mset=("closure", (4,)), module=("regular",), ring=("zmod", 6)):
+    """The outcome of one registered law on one instance, Z/6 with S={1,4}
+    and K=2Z/6 unless told otherwise."""
+    built = build_instance(Instance(ring, mset, module, gens, 0, (36, 64)))
+    return laws.LAWS_BY_ID[law_id].fn(built, DEFAULT_CAPS)
+
+
 def test_transport_preimage_examples(m6, s14, k24):
-    from usmod.modules import quotient_module
-
     _, eta = quotient_module(m6, submodule(m6, [0, 3]))
-    pre, verdict = transport_preimage(whole_submodule(eta.target), eta, s14)
-    assert pre.members == tuple(range(6)) and verdict.verdict
+    pre = preimage(eta, whole_submodule(eta.target))
+    assert pre.members == tuple(range(6)) and is_u_S_essential_fast(pre, m6, s14).verdict
 
-    pre2, verdict2 = transport_preimage(k24, identity_hom(m6), s14)
-    assert pre2.members == (0, 2, 4) and verdict2.verdict
+    pre2 = preimage(identity_hom(m6), k24)
+    assert pre2.members == (0, 2, 4) and is_u_S_essential_fast(pre2, m6, s14).verdict
 
-    pre3, verdict3 = transport_preimage(k24, scalar_hom(m6, 2), s14)
-    assert pre3.members == tuple(range(6)) and verdict3.verdict
+    pre3 = preimage(scalar_hom(m6, 2), k24)
+    assert pre3.members == tuple(range(6)) and is_u_S_essential_fast(pre3, m6, s14).verdict
+
+    # the law pulls both u-S-essential submodules back along all 6 endomorphisms
+    assert _law("transport") == (laws.HOLDS, None, "6 maps x 2 essential submodules")
+    assert _law("transport", mset=("units",)) == (laws.HOLDS, None, "6 maps x 1 essential submodules")
 
 
-def test_transport_image_examples(m6, s14, k24):
+def test_transport_image_examples(monkeypatch, m6, s14):
     f4 = scalar_hom(m6, 4)
-    assert kernel(f4).members == (0, 3)
-    fk, verdict = transport_image(k24, f4, s14)
-    assert verdict.verdict
+    assert kernel(f4).members == (0, 3) and is_u_S_mono(f4, s14)[0]  # u-S-monic, not monic
+    assert _law("transport", ring=("zmod", 4), mset=("closure", (3,)))[0] == laws.HOLDS
 
-    fk2, verdict2 = transport_image(k24, identity_hom(m6), s14)
-    assert verdict2.verdict
+    # images are decided inside f(M), a module other than M: flipping only
+    # those verdicts breaks only the image side
+    real = laws.is_u_S_essential_fast
 
-    with pytest.raises(PreconditionViolatedError):
-        transport_image(k24, scalar_hom(m6, 3), s14)  # kernel {0,2,4} not killed
+    def flipped_inside_images(k, module, mset):
+        v = real(k, module, mset)
+        return v if module == m6 else dataclasses.replace(v, verdict=not v.verdict)
+
+    monkeypatch.setattr(laws, "is_u_S_essential_fast", flipped_inside_images)
+    verdict, witness, _ = _law("transport")
+    assert verdict == laws.VIOLATED and witness["part"] == "image"
 
 
-def test_direct_sum_essential_examples(m6, s14, k24):
-    both = direct_sum_essential(k24, k24, s14)
-    assert both.left and both.right and both.equivalent
-
-    whole = direct_sum_essential(whole_submodule(m6), whole_submodule(m6), s14)
-    assert whole.left and whole.right
-
-    mixed = direct_sum_essential(submodule(m6, [0, 3]), k24, s14)
-    assert not mixed.left and not mixed.right and mixed.equivalent
+def test_direct_sum_essential_examples():
+    # K1 + K1 and K1 + (a middle submodule) for every K1 of Z/6, S={1,4}:
+    # both u-S-essential ({0,2,4}, Z/6), neither, or one of each
+    for gens in ((0,), (1,), (2,), (3,)):
+        assert _law("direct-sum-pair", gens) == (laws.HOLDS, None, "")
 
 
 def test_u_p_essential_examples(m6, k24):
@@ -192,83 +201,60 @@ def test_u_p_essential_examples(m6, k24):
         is_u_p_essential(k24, m6, Ideal(z6, (0,)))
 
 
-def test_max_essential_upgrade(m6, k24):
-    report = max_essential_upgrade(k24, m6)
-    assert not report.u_m_essential_for_all_max  # fails at the prime {0,2,4}
-    assert report.implication_holds
-    # whole module: u-m-essential everywhere and essential
-    report_whole = max_essential_upgrade(whole_submodule(m6), m6)
-    assert report_whole.u_m_essential_for_all_max and report_whole.essential
+def test_max_essential_upgrade(k24):
+    z6 = k24.parent.ring
+    # 2Z/6 fails at the maximal ideal {0,2,4}, so the law holds vacuously
+    assert not is_u_p_essential(k24, k24.parent, Ideal(z6, (0, 2, 4)))
+    assert _law("max-ideal-upgrade") == (laws.HOLDS, None, "vacuous")
+    # the whole module is u-m-essential everywhere, and essential
+    assert _law("max-ideal-upgrade", (1,)) == (laws.HOLDS, None, "hypothesis held")
 
 
-def test_max_essential_upgrade_prime_module(m6, k24):
-    kmod, _ = submodule_as_module(k24)
-    for sub in all_submodules(kmod):
-        report = max_essential_upgrade(sub, kmod)
-        assert report.implication_holds
-        assert report.prime_equivalence is True
+def test_max_essential_upgrade_prime_module():
+    prime = ("asmod", ("regular",), (0, 2, 4))  # Z/3 inside Z/6
+    for gens in ((0,), (1,)):
+        assert _law("max-ideal-upgrade", gens, module=prime)[0] == laws.HOLDS
+        assert _law("prime-spectrum-equivalence", gens, module=prime) == (laws.HOLDS, None, "")
+    assert _law("prime-spectrum-equivalence") == (
+        laws.SKIP_INAPPLICABLE, None, "module is not prime"
+    )
 
 
-def test_essential_implies_uS_for_prime(m6, s14, k24):
-    kmod, _ = submodule_as_module(k24)
-    assert essential_implies_uS_for_prime(kmod, whole_submodule(kmod), s14).verdict
+def test_essential_implies_uS_for_prime():
+    holds = (laws.HOLDS, None, "")
+    assert _law("prime-upgrade", (1,), module=("asmod", ("regular",), (0, 2, 4))) == holds
+    assert _law("prime-upgrade", (1,), ("closure", (2,)), ring=("zmod", 3)) == holds
 
-    z3 = make_zmod(3)
-    m3 = regular_module(z3)
-    s3 = mult_set_closure(z3, [2])
-    assert essential_implies_uS_for_prime(m3, whole_submodule(m3), s3).verdict
-
-    v, *_ = direct_sum(regular_module(make_zmod(2)), regular_module(make_zmod(2)))
-    s2 = mult_set_closure(v.ring, [1])
-    assert essential_implies_uS_for_prime(v, whole_submodule(v), s2).verdict
+    v = ("dsum", ("regular",), ("regular",))  # (Z/2)^2 over Z/2
+    assert _law("prime-upgrade", (1, 2), ("closure", (1,)), v, ("zmod", 2)) == holds
     # proper essential submodules are absent in the prime module V
-    diag = submodule(v, [0, 3])
-    with pytest.raises(PreconditionViolatedError):
-        essential_implies_uS_for_prime(v, diag, s2)
-
-    with pytest.raises(PreconditionViolatedError):
-        essential_implies_uS_for_prime(m6, whole_submodule(m6), s14)  # not prime
-
-
-def test_transitivity_and_meet_examples(m6, s14, k24):
-    chain, meet = transitivity_and_meet(k24, whole_submodule(m6), k24, s14)
-    assert chain.left and chain.right and meet.left and meet.right
-
-    chain2, meet2 = transitivity_and_meet(
-        whole_submodule(m6), whole_submodule(m6), whole_submodule(m6), s14
+    assert _law("prime-upgrade", (3,), ("closure", (1,)), v, ("zmod", 2)) == (
+        laws.SKIP_INAPPLICABLE, None, "submodule is not essential"
     )
-    assert chain2.equivalent and meet2.equivalent
-
-    # H = {0,2,4}, K = {0,3}: meet is 0, both sides false
-    _, meet3 = transitivity_and_meet(
-        submodule(m6, [0, 3]), whole_submodule(m6), k24, s14
-    )
-    assert not meet3.left and not meet3.right and meet3.equivalent
-
-    with pytest.raises(DomainError):
-        transitivity_and_meet(whole_submodule(m6), submodule(m6, [0, 3]), k24, s14)
+    assert _law("prime-upgrade", (1,)) == (laws.SKIP_INAPPLICABLE, None, "module is not prime")
 
 
-def test_transitivity_exhaustive_z6(z6, m6, s14):
-    subs = all_submodules(m6)
-    for n in subs:
-        nset = set(n.members)
-        for k in subs:
-            if not set(k.members) <= nset:
-                continue
-            for h in subs:
-                chain, meet = transitivity_and_meet(k, n, h, s14)
-                assert chain.equivalent
-                assert meet.equivalent
+def test_transitivity_and_meet_examples():
+    # every (N, H) with K <= N: 6 submodules H of Z/6 for each N above K
+    for gens, overs in (((0,), 4), ((1,), 1), ((2,), 2), ((3,), 2)):
+        assert _law("transitivity-meet", gens) == (laws.HOLDS, None, f"{overs * 4} (N,H) pairs")
+
+
+def test_transitivity_exhaustive_z6():
+    for gens in ([4], [2], [5], [1]):
+        for k in ((0,), (1,), (2,), (3,)):
+            assert _law("transitivity-meet", k, ("closure", tuple(gens)))[0] == laws.HOLDS
 
 
 def test_unit_set_degeneration(z6, m6, k24):
     units = unit_mult_set(z6)
-    verdict = regular_set_degeneration(k24, m6, units)
-    assert verdict is not None and verdict.equivalent and not verdict.left
+    assert not is_u_S_essential_fast(k24, m6, units).verdict
+    assert not is_essential(k24, m6).verdict
+    assert _law("regular-set-degeneration", mset=("units",)) == (laws.HOLDS, None, "")
 
-    s14 = mult_set_closure(z6, [4])
-    assert regular_set_degeneration(k24, m6, s14) is None  # 4 is a zero divisor
+    assert _law("regular-set-degeneration") == (  # 4 is a zero divisor
+        laws.SKIP_INAPPLICABLE, None, "set meets the zero divisors on the module"
+    )
 
 
 def test_s1_degeneration_matches_essential(z6, m6):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from usmod.caps import Caps
+from usmod.cli import main
 from usmod.corpus import Bounds, Instance, build_instance, generate_corpus
 from usmod import laws, search
 from usmod.errors import (
@@ -381,3 +382,13 @@ def test_cli_caps_env(tmp_path):
     )
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "config-error" in proc.stderr and "iso_search" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["envelope", "injective"])
+def test_cli_unknown_module_is_a_config_error(tmp_path, capsys, command):
+    program = tmp_path / "ex.usm"
+    program.write_text("ring R = zmod 6\nmset S over R = closure {4}\nmodule M over R = regular\n")
+    assert main([command, str(program), "--module", "NOPE"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config-error]: ") and "module 'NOPE'" in err
+    assert "line 0" not in err

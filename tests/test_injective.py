@@ -1,7 +1,10 @@
 import pytest
 
-from usmod.errors import PreconditionViolatedError, UnsupportedRingError
-from usmod.essential import is_essential
+from usmod import laws
+from usmod.caps import DEFAULT_CAPS
+from usmod.corpus import Instance, build_instance
+from usmod.errors import UnsupportedRingError
+from usmod.essential import is_essential, is_u_S_essential_fast
 from usmod.injective import (
     abelian_p_basis,
     bounded_u_S_injective_test,
@@ -13,19 +16,14 @@ from usmod.injective import (
     cyclic_invariants,
     default_catalogue,
     endomorphism_condition,
-    envelope_of_direct_sum,
-    envelope_properties,
-    envelope_three_way,
-    envelope_uniqueness,
     injective_envelope_zmod,
     is_injective_baer,
     p_component_members,
-    preenvelope_summand,
     prime_power_factorization,
     replay_refuted,
-    twisted_essential_transfer,
 )
 from usmod.modules import (
+    compose,
     cyclic_zmod_module,
     direct_sum,
     direct_sum_many,
@@ -40,6 +38,7 @@ from usmod.modules import (
     zero_module,
 )
 from usmod.rings import make_product, make_zmod, mult_set_closure
+from usmod.storsion import find_u_S_isomorphism
 
 
 @pytest.fixture(scope="module")
@@ -223,61 +222,42 @@ def test_envelope_check_examples(z6, m6, s14):
     assert not endomorphism_condition(incl3, s14)
 
 
-def test_envelope_uniqueness(z6, m6, s14):
-    k, incl = submodule_as_module(submodule(m6, [0, 2, 4]))
-    iso = envelope_uniqueness(identity_hom(k), incl, s14)
-    assert iso.map == (0, 2, 4)  # the inclusion itself
-
-    iso2 = envelope_uniqueness(incl, incl, s14)
-    assert iso2 is not None
-
-    with pytest.raises(PreconditionViolatedError):
-        _, incl3 = submodule_as_module(submodule(m6, [0, 3]))
-        envelope_uniqueness(incl3, incl3, s14)
+def _law(law_id, module=("regular",), mset=("closure", (4,))):
+    """The outcome of one registered module law on a module over Z/6."""
+    built = build_instance(Instance(("zmod", 6), mset, module, None, 0, (36, 64)))
+    return laws.LAWS_BY_ID[law_id].fn(built, DEFAULT_CAPS)
 
 
-def test_preenvelope_summand(z6, m6, s14):
-    k, incl = submodule_as_module(submodule(m6, [0, 2, 4]))
-    out = preenvelope_summand(identity_hom(k), incl, s14)
-    assert out is not None
-    b, iso = out
-    assert b.members == (0, 3)
-
-    out2 = preenvelope_summand(identity_hom(k), identity_hom(k), s14)
-    assert out2 is not None and out2[0].is_zero()
-
-    l3, _ = submodule_as_module(submodule(m6, [0, 3]))
-    d, *_ = direct_sum(k, l3)
-    g = direct_sum(k, l3)[1]  # injection of k into k + torsion
-    out3 = preenvelope_summand(identity_hom(k), g, s14)
-    assert out3 is not None
+K3 = ("asmod", ("regular",), (0, 2, 4))  # Z/3 inside Z/6: injective, killed by nothing in S
+L2 = ("asmod", ("regular",), (0, 3))  # Z/2 inside Z/6: killed by 4
 
 
-def test_three_way_characterization(z6, m6, s14):
-    k, incl = submodule_as_module(submodule(m6, [0, 2, 4]))
-    l3, _ = submodule_as_module(submodule(m6, [0, 3]))
-    pool = [m6, k, l3]
-    report = envelope_three_way(incl, s14, pool)
-    assert report.equivalent and report.envelope
-
-    report2 = envelope_three_way(identity_hom(m6), s14, pool)
-    assert report2.equivalent and report2.envelope
-
-    _, incl3 = submodule_as_module(submodule(m6, [0, 3]))
-    report3 = envelope_three_way(incl3, s14, pool)
-    assert report3.equivalent and not report3.envelope
-
-
-def test_envelope_properties(z6, m6, s14):
+def test_envelope_uniqueness(m6, s14):
+    # identity and inclusion envelopes of {0,2,4}: the inclusion is the iso
     k, _ = submodule_as_module(submodule(m6, [0, 2, 4]))
-    report = envelope_properties(k, s14)
-    assert report.self_injective_iff_iso.equivalent
-    assert report.injective_overmodule_decomposes in (True, None)
+    assert find_u_S_isomorphism(k, m6, s14).map == (0, 2, 4)
+    # the constructed and the classical envelope are u-S-isomorphic
+    for module in (("regular",), K3, L2):
+        assert _law("envelope-uniqueness", module) == (laws.HOLDS, None, "")
 
-    report2 = envelope_properties(m6, s14)
-    assert report2.self_injective_iff_iso.equivalent
-    # {0,2,4} is u-S-essential in Z/6: envelope of the submodule matches
-    assert report2.essential_submodule_envelopes_isomorphic
+
+def test_preenvelope_summand():
+    # E + tor_S(E) splits off B; for Z/6 and Z/2 the torsion part {0,3}
+    assert _law("preenvelope-summand") == (laws.HOLDS, None, "B of size 2")
+    assert _law("preenvelope-summand", K3) == (laws.HOLDS, None, "B of size 1")
+    assert _law("preenvelope-summand", L2) == (laws.HOLDS, None, "B of size 2")
+
+
+def test_three_way_characterization():
+    # pool: the module, its envelope and, when proper, the torsion part
+    assert _law("envelope-three-way") == (laws.HOLDS, None, "pool of 3")
+    assert _law("envelope-three-way", K3) == (laws.HOLDS, None, "pool of 2")
+    assert _law("envelope-three-way", L2) == (laws.HOLDS, None, "pool of 2")
+
+
+def test_envelope_properties():
+    for module in (("regular",), K3, L2):
+        assert _law("envelope-properties", module) == (laws.HOLDS, None, "")
 
 
 def test_envelope_construct_tiers(z6, m6, s14):
@@ -294,41 +274,33 @@ def test_envelope_construct_tiers(z6, m6, s14):
     assert out2 is not None and out2[0].target.size == 4
 
 
-def test_envelope_of_direct_sum(z6, m6, s14):
-    k, _ = submodule_as_module(submodule(m6, [0, 2, 4]))
-    report = envelope_of_direct_sum([identity_hom(k), identity_hom(k)], s14)
-    assert report.sum_map_is_envelope
-    assert report.matches_direct_construction
+def test_envelope_of_direct_sum():
+    for module in (("regular",), K3):
+        assert _law("envelope-direct-sum", module) == (laws.HOLDS, None, "")
 
-    single = envelope_of_direct_sum([identity_hom(k)], s14)
-    assert single.sum_map_is_envelope
-
-    s1 = mult_set_closure(z6, [1])
-    env_k, i_k = injective_envelope_zmod(k)
-    variant = envelope_of_direct_sum([i_k, i_k], s1, require_prime_regular=True)
-    assert variant.sum_map_is_envelope and variant.noetherian_witness == 1
-
-    with pytest.raises(PreconditionViolatedError):
-        envelope_of_direct_sum([identity_hom(m6)], s14, require_prime_regular=True)
+    witness_one = (laws.HOLDS, None, "noetherian witness 1")
+    assert _law("prime-classical-envelope-sum", K3, ("units",)) == witness_one
+    assert _law("prime-classical-envelope-sum", K3, ("closure", (1,))) == witness_one
+    assert _law("prime-classical-envelope-sum", K3) == (
+        laws.SKIP_INAPPLICABLE, None, "multiplicative set is not regular"
+    )
+    assert _law("prime-classical-envelope-sum", mset=("units",)) == (
+        laws.SKIP_INAPPLICABLE, None, "module is not prime"
+    )
 
 
-def test_twisted_essential_transfer(z6, m6, s14):
-    k, incl = submodule_as_module(submodule(m6, [0, 2, 4]))
-    both = twisted_essential_transfer(identity_hom(k), incl, incl, s14)
-    assert both.left and both.right and both.equivalent
-
-    ident = identity_hom(m6)
-    taut = twisted_essential_transfer(ident, ident, ident, s14)
-    assert taut.equivalent
-
-    # non-essential legs on both sides of a u-S-isomorphism
-    l3, incl3 = submodule_as_module(submodule(m6, [0, 3]))
+def test_twisted_essential_transfer(m6, s14):
+    # scalar 4 is a u-S-isomorphism of Z/6: the u-S-essential {0,2,4} stays
+    # u-S-essential after the twist, the non-essential {0,3} stays not
     phi4 = scalar_hom(m6, 4)
-    g = tuple(phi4.map[v] for v in incl3.map)
-    from usmod.modules import Homomorphism
-
-    both2 = twisted_essential_transfer(incl3, Homomorphism(l3, m6, g), phi4, s14)
-    assert not both2.left and not both2.right and both2.equivalent
-
-    with pytest.raises(PreconditionViolatedError):
-        twisted_essential_transfer(incl, zero_hom(k, m6), identity_hom(m6), s14)
+    for members, essential in (([0, 2, 4], True), ([0, 3], False)):
+        _, incl = submodule_as_module(submodule(m6, members))
+        twisted = compose(phi4, incl)
+        assert is_u_S_essential_fast(image(incl), m6, s14).verdict == essential
+        assert is_u_S_essential_fast(image(twisted), m6, s14).verdict == essential
+    # both scalar twists by S = {1,4} pass for every submodule of Z/6
+    for gens in ((0,), (1,), (2,), (3,)):
+        built = build_instance(Instance(("zmod", 6), ("closure", (4,)), ("regular",), gens, 0, (36, 64)))
+        assert laws.law_twisted_transfer(built, DEFAULT_CAPS) == (
+            laws.HOLDS, None, "2 scalar twists"
+        )

@@ -2,8 +2,16 @@
 
 Breaking the library route, as the law module sees it, must turn the
 covering law from holds to violated on the pinned Z/6, S={1,4} instance.
+
+Each statement written directly in its law gets the same treatment: on an
+instance where the law holds, breaking one side of the statement makes it
+report violated.  docs/laws.md names the tests that pin each law, and every
+name it gives must resolve to a defined test function.
 """
+import ast
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +21,19 @@ from usmod.corpus import Instance, build_instance
 from usmod.modules import Submodule
 
 PINNED = Instance(("zmod", 6), ("closure", (4,)), ("regular",), (2,), 0, (36, 64))
+TESTS = Path(__file__).resolve().parent
+LAWS_DOC = TESTS.parent / "docs" / "laws.md"
+
+
+def _instance(mset, module=("regular",), gens=(2,)):
+    return Instance(("zmod", 6), mset, module, gens, 0, (36, 64))
+
+
+# Z/3 as the ideal {0,2,4} of Z/6: a prime module
+PRIME = _instance(("closure", (4,)), ("asmod", ("regular",), (0, 2, 4)), (1,))
+UNITS = _instance(("units",))
+WHOLE = _instance(("closure", (4,)), gens=(1,))
+PRIME_UNITS = _instance(("units",), ("asmod", ("regular",), (0, 2, 4)), None)
 
 
 def _zero_torsion(real):
@@ -31,6 +52,34 @@ def _negated(real):
     return lambda *args, **kwargs: not real(*args, **kwargs)
 
 
+def _to_zero(real):
+    def wrong(*args, **kwargs):
+        parent = real(*args, **kwargs).parent
+        return Submodule(parent, (parent.zero,))
+
+    return wrong
+
+
+def _none(real):
+    return lambda *args, **kwargs: None
+
+
+def _never(real):
+    return lambda *args, **kwargs: False
+
+
+def _not_envelope(real):
+    return lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), is_envelope=False)
+
+
+def _holds_then_breaks(monkeypatch, law_id, instance, route, breaker):
+    law = laws.LAWS_BY_ID[law_id]
+    built = build_instance(instance)
+    assert law.fn(built, DEFAULT_CAPS)[0] == laws.HOLDS
+    monkeypatch.setattr(laws, route, breaker(getattr(laws, route)))
+    assert law.fn(built, DEFAULT_CAPS)[0] == laws.VIOLATED
+
+
 @pytest.mark.parametrize(
     "route, law_id, breaker",
     [
@@ -41,8 +90,59 @@ def _negated(real):
     ],
 )
 def test_breaking_the_route_violates_its_law(monkeypatch, route, law_id, breaker):
-    law = laws.LAWS_BY_ID[law_id]
-    built = build_instance(PINNED)
-    assert law.fn(built, DEFAULT_CAPS)[0] == laws.HOLDS
-    monkeypatch.setattr(laws, route, breaker(getattr(laws, route)))
-    assert law.fn(built, DEFAULT_CAPS)[0] == laws.VIOLATED
+    _holds_then_breaks(monkeypatch, law_id, PINNED, route, breaker)
+
+
+FOLDED = [
+    ("regular-set-degeneration", UNITS, "is_essential", _flipped_verdict),
+    ("max-ideal-upgrade", WHOLE, "is_essential", _flipped_verdict),
+    ("prime-upgrade", PRIME, "is_u_S_essential_fast", _flipped_verdict),
+    ("prime-spectrum-equivalence", PRIME, "is_u_p_essential", _negated),
+    ("transitivity-meet", PINNED, "intersect_submodules", _to_zero),
+    ("transport", PINNED, "preimage", _to_zero),
+    ("direct-sum-pair", PINNED, "is_u_S_essential_oracle", _flipped_verdict),
+    ("twisted-transfer", PINNED, "image", _to_zero),
+    ("envelope-uniqueness", PINNED, "find_u_S_isomorphism", _none),
+    ("preenvelope-summand", PINNED, "find_u_S_isomorphism", _none),
+    ("envelope-three-way", PINNED, "_factors", _never),
+    ("envelope-properties", PINNED, "find_u_S_isomorphism", _none),
+    ("envelope-direct-sum", PINNED, "check_u_S_envelope", _not_envelope),
+    ("prime-classical-envelope-sum", PRIME_UNITS, "check_u_S_envelope", _not_envelope),
+]
+
+
+@pytest.mark.parametrize(
+    "law_id, instance, route, breaker", [pytest.param(*row, id=row[0]) for row in FOLDED]
+)
+def test_breaking_one_side_violates_the_law(monkeypatch, law_id, instance, route, breaker):
+    _holds_then_breaks(monkeypatch, law_id, instance, route, breaker)
+
+
+def _test_functions(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+    }
+
+
+def test_docs_laws_test_references_resolve():
+    """`test_x.py::test_y` names a test of that file; a bare `test_y`
+    belongs to the file named last before it in the same table cell."""
+    unresolved = []
+    for line in LAWS_DOC.read_text().splitlines():
+        for cell in line.split("|"):
+            current = None
+            for ref in re.findall(r"`(test_[^`]*)`", cell):
+                file_name, _, test_name = ref.partition("::")
+                if file_name.endswith(".py"):
+                    current = TESTS / file_name
+                    if not current.is_file():
+                        unresolved.append(ref)
+                        continue
+                else:
+                    test_name = ref
+                if test_name and (current is None or test_name not in _test_functions(current)):
+                    unresolved.append(ref)
+    assert unresolved == []

@@ -162,6 +162,9 @@ def test_mult_set_closure_examples():
     assert s2.sigma == 2  # 1*2*4 = 8 = 2 mod 6
     with pytest.raises(InvalidMultiplicativeSetError):
         mult_set_closure(make_zmod(4), [2])
+    for gens in ([7], [-1], [4, 6]):  # -1 is not read as 5
+        with pytest.raises(InvalidMultiplicativeSetError, match="not an element"):
+            mult_set_closure(r6, gens)
 
 
 def test_mult_set_closure_idempotent():
@@ -193,6 +196,10 @@ def test_complement_of_prime():
     assert s3.members == (1, 2, 3, 4)
     with pytest.raises(NotPrimeError):
         complement_of_prime(r6, Ideal(r6, (0,)))  # 2*3=0 outside {0}
+    # {0,2,3,4} passes the prime test on products but is not an ideal
+    for members in ((0, 2, 3, 4), (0, 7)):
+        with pytest.raises(NotPrimeError, match="not an ideal"):
+            complement_of_prime(r6, Ideal(r6, members))
 
 
 def test_is_regular_set():
