@@ -7,14 +7,17 @@ Two independent routes are implemented for the u-S notion:
 * a fast element criterion: for every x outside tor_S(M) and every s in S
   there is r with r.x in K and s.r.x nonzero.
 
-The element criterion is the complexity payoff: it forms Rx meet K once per
-x (|R| lookups) and tests each s in S on that meet, so it costs
-O(|M|.(|R| + |S|.|K|)) table lookups instead of a lattice scan.  Its
-hypothesis -- tor_S(M) is uniformly killed -- holds for finite S because
-tor_S(M) is the kernel of sigma.  Each decider runs one route; the law
-registry compares the routes on every corpus instance (``element-criterion``
-for fast, oracle and quotient routes, ``essential-element-criterion`` for
-the lattice scan of ``is_essential`` against the fast route at S={1}, and
+The element criterion is the complexity payoff.  Some s in S kills Rx meet K
+iff sigma does, so it marks the members of K outside tor_S(M) once (|K|
+lookups) and then asks, for each x outside tor_S(M), whether the column Rx of
+the action table meets them (|R| lookups).  That is O(|M|.|R| + |K|) table
+lookups instead of a lattice scan; only a false verdict pays |S|.|K| more to
+name the first member of S that kills Rx meet K.  Its hypothesis --
+tor_S(M) is uniformly killed -- holds for finite S because tor_S(M) is the
+kernel of sigma.  Each decider runs one route; the law registry compares
+the routes on every corpus instance (``element-criterion`` for fast, oracle
+and quotient routes, ``essential-element-criterion`` for the lattice scan
+of ``is_essential`` against the fast route at S={1}, and
 ``torsion-submodule-uniform`` for the hypothesis).  The paper's statements
 about these notions (transport, direct sums, chains and meets, localized
 upgrades) are written once, in their laws.
@@ -41,7 +44,7 @@ from .modules import (
     sum_submodules,
 )
 from .rings import Ideal, MultiplicativeSet, complement_of_prime
-from .storsion import is_u_S_mono, kills, s_torsion_submodule
+from .storsion import is_u_S_mono, kills, smallest_killer
 
 
 @dataclass(frozen=True)
@@ -58,13 +61,6 @@ class EssentialVerdict:
 def _require_submodule(k: Submodule, module: FiniteModule) -> None:
     if k.parent != module:
         raise DomainError("submodule belongs to a different module")
-
-
-def _smallest_killer(module: FiniteModule, mset: MultiplicativeSet, members) -> Optional[int]:
-    for s in mset.members:
-        if kills(module, s, members):
-            return s
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +104,10 @@ def is_u_S_essential_oracle(
     best_pair: Optional[tuple[Optional[int], Optional[int]]] = None
     best_size = -1
     for l in all_submodules(module, caps):
-        s1 = _smallest_killer(module, mset, kset.intersection(l.members))
+        s1 = smallest_killer(module, mset, kset.intersection(l.members))
         if s1 is None:
             continue
-        s2 = _smallest_killer(module, mset, l.members)
+        s2 = smallest_killer(module, mset, l.members)
         if s2 is None:
             return EssentialVerdict(False, l, (s1, None), "lattice-oracle")
         if l.size > best_size:
@@ -127,28 +123,26 @@ def is_u_S_essential_fast(
     """Element criterion: for each x outside tor_S(M) and each s in S there
     is r with r.x in K and s.r.x != 0.
 
-    The criterion's hypothesis (tor_S(M) uniformly killed) holds for finite
-    S, since tor_S(M) is the kernel of sigma.  A false verdict exhibits the
-    cyclic counterexample Rx together with (s, None).
+    Some s in S kills Rx meet K iff sigma does, so the criterion reads: for
+    each x with sigma.x != 0, Rx meets K outside tor_S(M).  One pass over
+    the columns Rx of the action table decides it.  The criterion's
+    hypothesis (tor_S(M) uniformly killed) holds for finite S, since
+    tor_S(M) is the kernel of sigma.  A false verdict exhibits the cyclic
+    counterexample Rx together with (s, None), s the first member of S that
+    kills Rx meet K.
     """
     _require_submodule(k, module)
-    torset = s_torsion_submodule(module, mset).member_set()
-    kset = k.member_set()
+    if module.ring != mset.ring:
+        raise DomainError("multiplicative set is over a different ring")
     zero = module.zero
-    act = module.act
-    ring_elements = module.ring.elements()
-    for x in module.elements():
-        if x in torset:
+    act_sigma = module.act[mset.sigma]
+    alive = {y for y in k.members if act_sigma[y] != zero}  # K minus tor_S(M)
+    for x, column in enumerate(zip(*module.act)):  # column x is Rx
+        if act_sigma[x] == zero or not alive.isdisjoint(column):
             continue
-        meet = kset.intersection(act[r][x] for r in ring_elements)  # Rx meet K
-        for s in mset.members:
-            act_s = act[s]
-            if all(act_s[y] == zero for y in meet):
-                # r.x in K forces s.r.x = 0, so s kills Rx meet K while Rx
-                # is not uniformly killed (x survives every member of S)
-                return EssentialVerdict(
-                    False, cyclic_submodule(module, x), (s, None), "element-criterion"
-                )
+        # sigma kills Rx meet K while Rx is not uniformly killed (sigma.x != 0)
+        s = smallest_killer(module, mset, k.member_set().intersection(column))
+        return EssentialVerdict(False, cyclic_submodule(module, x), (s, None), "element-criterion")
     return EssentialVerdict(True, None, None, "element-criterion")
 
 

@@ -327,14 +327,6 @@ def cyclic_submodule(module: FiniteModule, x: int) -> Submodule:
     return Submodule(module, tuple(sorted(mem)))
 
 
-def zero_submodule(module: FiniteModule) -> Submodule:
-    return Submodule(module, (module.zero,))
-
-
-def whole_submodule(module: FiniteModule) -> Submodule:
-    return Submodule(module, tuple(module.elements()))
-
-
 def sum_submodules(a: Submodule, b: Submodule) -> Submodule:
     if a.parent != b.parent:
         raise DomainError("submodules have different parents")

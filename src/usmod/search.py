@@ -6,7 +6,11 @@ archived as an artifact) and violation hunts for every registered law
 (expected to come back empty).  Shrinking never leaves the ring family:
 a Z/n witness shrinks through the divisors of n, then through smaller
 multiplicative sets, ambient modules and submodules, re-verifying the
-claim after every step.
+claim after every step.  The hits of one search call often shrink through
+the same candidates, so the call keeps a memo of each candidate's size and
+claim result that all its shrinks share; it lives no longer than the call,
+and ``replay_hit`` never shares it, since it rebuilds a hit from the
+serialized instance alone.
 """
 from __future__ import annotations
 
@@ -204,41 +208,68 @@ def _expand_submodules(inst: Instance, caps: Caps) -> list[Instance]:
     ]
 
 
+# A shrink memo lives for one search call and is shared by every hit it
+# shrinks.  It maps each candidate to its (size key, JSON key, claim result),
+# or to None when building the candidate raised one of _CANDIDATE_ERRORS.
+# The claim result is _UNCHECKED until the claim is first evaluated there.
+# It holds no built instance: a candidate is rebuilt to evaluate the claim.
+_UNCHECKED = object()
+_Memo = dict[Instance, Optional[tuple]]
+
+
+def _memo_entry(memo: _Memo, cand: Instance, caps: Caps) -> Optional[tuple]:
+    if cand not in memo:
+        try:
+            cb = build_instance(cand, caps)
+        except _CANDIDATE_ERRORS:
+            memo[cand] = None
+        else:
+            memo[cand] = (_size_key(cb), cand.key(), _UNCHECKED)
+    return memo[cand]
+
+
+def _claim_result(memo: _Memo, cand: Instance, claim: Claim, caps: Caps) -> Optional[dict]:
+    size_key, json_key, found = memo[cand]
+    if found is _UNCHECKED:
+        found = claim.fn(build_instance(cand, caps), caps)
+        memo[cand] = (size_key, json_key, found)
+    return found
+
+
+def _shrink(
+    inst: Instance, payload: dict, claim: Claim, caps: Caps, memo: _Memo
+) -> tuple[Instance, dict]:
+    """Greedy shrink of a witness *inst* whose claim payload is *payload*."""
+    current, current_payload = inst, payload
+    while True:
+        current_built = build_instance(current, caps)
+        base_key = _size_key(current_built)
+        scored = []
+        for variant in _variants(current, current_built, caps):
+            for cand in _expand_submodules(variant, caps):
+                entry = _memo_entry(memo, cand, caps)
+                if entry is not None and entry[0] < base_key:
+                    scored.append((entry[0], entry[1], cand))
+        # deterministic order: smallest candidate first
+        scored.sort(key=lambda t: t[:2])
+        for _, _, cand in scored:
+            found = _claim_result(memo, cand, claim, caps)
+            if found is not None:
+                current, current_payload = cand, found
+                break
+        else:
+            return current, current_payload
+
+
 def shrink(
     inst: Instance, claim: Claim, caps: Caps = DEFAULT_CAPS
 ) -> tuple[Instance, dict]:
     """Greedy shrink: keep applying the first strictly smaller variant that
     still witnesses the claim, re-verifying after every step."""
-    built = build_instance(inst, caps)
-    payload = claim.fn(built, caps)
+    payload = claim.fn(build_instance(inst, caps), caps)
     if payload is None:
         raise InternalError("shrink called on a non-witness")
-    current, current_built, current_payload = inst, built, payload
-    improved = True
-    while improved:
-        improved = False
-        base_key = _size_key(current_built)
-        candidates: list[Instance] = []
-        for cand in _variants(current, current_built, caps):
-            candidates.extend(_expand_submodules(cand, caps))
-        # deterministic order: smallest candidate first
-        scored = []
-        for cand in candidates:
-            try:
-                cb = build_instance(cand, caps)
-            except _CANDIDATE_ERRORS:
-                continue
-            key = _size_key(cb)
-            if key < base_key:
-                scored.append((key, cand.key(), cand, cb))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        for _, _, cand, cb in scored:
-            found = claim.fn(cb, caps)
-            if found is not None:
-                current, current_built, current_payload = cand, cb, found
-                improved = True
-                break
-    return current, current_payload
+    return _shrink(inst, payload, claim, caps, {})
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +305,7 @@ def search_counterexamples(
     claim = CLAIMS[claim_id]
     hits: list[SearchHit] = []
     seen: set[str] = set()
+    memo: _Memo = {}
     started = time.monotonic()
     for inst in generate_corpus(seed, bounds, caps):
         if time.monotonic() - started > time_budget:
@@ -287,7 +319,7 @@ def search_counterexamples(
         payload = claim.fn(built, caps)
         if payload is None:
             continue
-        small, small_payload = shrink(inst, claim, caps)
+        small, small_payload = _shrink(inst, payload, claim, caps, memo)
         key = small.key()
         if key in seen:
             continue

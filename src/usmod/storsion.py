@@ -9,7 +9,7 @@ existential scan on every corpus instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import DomainError, InternalError, PreconditionViolatedError
@@ -43,6 +43,13 @@ def kills(module: FiniteModule, s: int, members: Iterable[int]) -> bool:
     return all(act_s[x] == zero for x in members)
 
 
+def smallest_killer(
+    module: FiniteModule, mset: MultiplicativeSet, members: Collection[int]
+) -> Optional[int]:
+    """The first member of S, in S's order, that kills *members*, or None."""
+    return next((s for s in mset.members if kills(module, s, members)), None)
+
+
 def s_torsion_submodule(module: FiniteModule, mset: MultiplicativeSet) -> Submodule:
     """tor_S(M): elements killed by some member of S, computed as the
     kernel of sigma (the ``sigma-shortcut`` law checks it against the
@@ -67,10 +74,7 @@ def is_u_S_torsion(
         raise DomainError("multiplicative set is over a different ring")
     if not kills(module, mset.sigma, members):
         return False, None
-    for s in mset.members:
-        if kills(module, s, members):
-            return True, USWitness(s, "kills-kernel")
-    return True, USWitness(mset.sigma, "kills-kernel")  # unreachable
+    return True, USWitness(smallest_killer(module, mset, members), "kills-kernel")
 
 
 def cokernel(f: Homomorphism) -> tuple[FiniteModule, Homomorphism]:

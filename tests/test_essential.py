@@ -15,6 +15,7 @@ from usmod.essential import (
     u_S_complement,
 )
 from usmod.modules import (
+    Submodule,
     all_submodules,
     cyclic_submodule,
     identity_hom,
@@ -25,8 +26,6 @@ from usmod.modules import (
     scalar_hom,
     submodule,
     submodule_as_module,
-    whole_submodule,
-    zero_submodule,
 )
 from usmod.rings import Ideal, make_zmod, mult_set_closure, unit_mult_set
 from usmod.storsion import is_u_S_mono, is_u_S_torsion, kills
@@ -62,7 +61,7 @@ def test_running_example_both_verdicts(m6, s14, k24):
 
 
 def test_essential_examples(m6, k24):
-    assert is_essential(whole_submodule(m6), m6).verdict
+    assert is_essential(Submodule(m6, tuple(m6.elements())), m6).verdict
     m4 = regular_module(make_zmod(4))
     assert is_essential(submodule(m4, [0, 2]), m4).verdict
     with pytest.raises(DomainError):
@@ -70,7 +69,7 @@ def test_essential_examples(m6, k24):
 
 
 def test_oracle_examples(m6, s14, k24):
-    bad = is_u_S_essential_oracle(zero_submodule(m6), m6, s14)
+    bad = is_u_S_essential_oracle(Submodule(m6, (m6.zero,)), m6, s14)
     assert not bad.verdict
     assert bad.counterexample_L.members == (0, 2, 4)  # first unkilled L with zero meet
     s1, _ = bad.witness_s_pair
@@ -84,7 +83,7 @@ def test_oracle_examples(m6, s14, k24):
 
 def test_fast_examples(m6, s14, k24):
     assert is_u_S_essential_fast(k24, m6, s14).verdict
-    assert is_u_S_essential_fast(whole_submodule(m6), m6, s14).verdict
+    assert is_u_S_essential_fast(Submodule(m6, tuple(m6.elements())), m6, s14).verdict
     bad = is_u_S_essential_fast(submodule(m6, [0, 3]), m6, s14)
     assert not bad.verdict
     # counterexample is a cyclic submodule whose meet with K is killed
@@ -119,7 +118,7 @@ def test_three_routes_agree_z6_family(z6, m6):
 
 def test_quotient_characterization_examples(m6, s14, k24):
     assert quotient_characterization(k24, m6, s14)
-    assert quotient_characterization(whole_submodule(m6), m6, s14)
+    assert quotient_characterization(Submodule(m6, tuple(m6.elements())), m6, s14)
     assert not quotient_characterization(submodule(m6, [0, 3]), m6, s14)
 
 
@@ -128,11 +127,11 @@ def test_complement_examples(m6, s14, k24):
     assert kp.members == (0, 3)
     assert checks == (True, True)
 
-    kp2, checks2 = u_S_complement(whole_submodule(m6), m6, s14)
+    kp2, checks2 = u_S_complement(Submodule(m6, tuple(m6.elements())), m6, s14)
     assert kp2.members == (0, 3)  # the maximal uniformly-killed submodule
     assert checks2 == (True, True)
 
-    kp3, checks3 = u_S_complement(zero_submodule(m6), m6, s14)
+    kp3, checks3 = u_S_complement(Submodule(m6, (m6.zero,)), m6, s14)
     assert kp3.members == tuple(range(6))
     assert checks3 == (True, True)
 
@@ -154,7 +153,7 @@ def _law(law_id, gens=(2,), mset=("closure", (4,)), module=("regular",), ring=("
 
 def test_transport_preimage_examples(m6, s14, k24):
     _, eta = quotient_module(m6, submodule(m6, [0, 3]))
-    pre = preimage(eta, whole_submodule(eta.target))
+    pre = preimage(eta, Submodule(eta.target, tuple(eta.target.elements())))
     assert pre.members == tuple(range(6)) and is_u_S_essential_fast(pre, m6, s14).verdict
 
     pre2 = preimage(identity_hom(m6), k24)

@@ -14,7 +14,7 @@ import pytest
 
 from usmod.caps import DEFAULT_CAPS, Caps
 from usmod.corpus import Bounds, _ring_specs, build_module, build_ring
-from usmod.errors import InvalidMultiplicativeSetError, ResourceExceededError
+from usmod.errors import DomainError, InvalidMultiplicativeSetError, ResourceExceededError
 from usmod.essential import (
     is_essential,
     is_u_S_essential_fast,
@@ -489,7 +489,8 @@ def _msets(ring, rng):
 def test_essential_deciders_match_tuple_formulations(ring):
     rng = random.Random(f"essential-{ring.label}")
     msets = list(_msets(ring, rng))
-    for label, module in _modules(ring, rng, 24):
+    for module in _table_pool(ring, rng, 24):  # rotated copies: zero is not element 0
+        label = module.label
         lattice = all_submodules(module)
         subs = lattice if len(lattice) <= 8 else rng.sample(lattice, 8)
         for k in subs:
@@ -506,6 +507,15 @@ def test_essential_deciders_match_tuple_formulations(ring):
                 got = (oracle.verdict, oracle.counterexample_L, oracle.witness_s_pair)
                 assert got == tuple_oracle(k, module, mset), where
                 assert u_S_complement(k, module, mset) == tuple_complement(k, module, mset), where
+
+
+@pytest.mark.parametrize("other", [make_zmod(5), make_zmod(12)], ids=lambda r: r.label)
+def test_fast_decider_refuses_a_set_over_another_ring(other):
+    module = regular_module(make_zmod(6))
+    k = Submodule(module, tuple(module.elements()))
+    mset = mult_set_closure(other, [other.size - 1])
+    with pytest.raises(DomainError, match="different ring"):
+        is_u_S_essential_fast(k, module, mset)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from usmod.caps import Caps
+from usmod.caps import DEFAULT_CAPS, Caps
 from usmod.cli import main
 from usmod.corpus import Bounds, Instance, build_instance, generate_corpus
 from usmod import laws, search
@@ -18,7 +18,7 @@ from usmod.errors import (
 )
 from usmod.laws import LAWS_BY_ID, REGISTRY, evaluate, run_laws, replay_result, tally
 from usmod.report import render_report
-from usmod.search import Claim, replay_hit, search_counterexamples, shrink
+from usmod.search import Claim, SearchHit, replay_hit, search_counterexamples, shrink
 from usmod.witnesses import (
     collect_false_essential_witnesses,
     collect_refuted_reports,
@@ -224,6 +224,65 @@ def test_shrink_skips_candidates_that_cannot_be_built(monkeypatch, error):
     _failing_candidate_builds(monkeypatch, error)
     claim = Claim("always", "holds on every instance", True, lambda built, caps: {})
     assert shrink(RUNNING_EXAMPLE, claim) == (RUNNING_EXAMPLE, {})
+
+
+def _search_without_memo(claim_id, bounds, seed):
+    """The search driver with every hit shrunk by a fresh ``shrink``."""
+    claim = search.CLAIMS[claim_id]
+    hits, seen = [], set()
+    for inst in generate_corpus(seed, bounds):
+        try:
+            built = build_instance(inst)
+        except ResourceExceededError:
+            continue
+        if claim.fn(built, DEFAULT_CAPS) is None:
+            continue
+        small, payload = shrink(inst, claim)
+        if small.key() not in seen:
+            seen.add(small.key())
+            hits.append(SearchHit(claim_id, small, payload))
+    return hits
+
+
+@pytest.mark.parametrize(
+    "claim_id", ["u-S-essential-not-essential", "essential-not-u-S-essential"]
+)
+def test_search_memo_matches_fresh_shrinks(claim_id):
+    bounds = Bounds(max_ring=12)
+    got = search_counterexamples(claim_id, bounds, seed=0, limit=10**6, time_budget=1e6)
+    want = _search_without_memo(claim_id, bounds, 0)
+    assert [h.to_json() for h in got] == [h.to_json() for h in want]
+
+
+def _search_running_example(monkeypatch, error: Exception):
+    """Search a corpus of the running example alone for a claim that holds
+    on every instance; building any other instance with a submodule (every
+    candidate the search scores) raises *error*."""
+
+    def build(inst, caps):
+        if inst == RUNNING_EXAMPLE or inst.submodule is None:
+            return build_instance(inst, caps)
+        raise error
+
+    monkeypatch.setattr(search, "build_instance", build)
+    monkeypatch.setattr(search, "generate_corpus", lambda seed, bounds, caps: [RUNNING_EXAMPLE])
+    claim = Claim("always", "holds on every instance", True, lambda built, caps: {})
+    monkeypatch.setitem(search.CLAIMS, claim.claim_id, claim)
+    return search_counterexamples(claim.claim_id)
+
+
+def test_search_lets_an_internal_error_through(monkeypatch):
+    with pytest.raises(InternalError, match="candidate build broke"):
+        _search_running_example(monkeypatch, InternalError("candidate build broke"))
+
+
+@pytest.mark.parametrize(
+    "error",
+    [InvalidMultiplicativeSetError("closure contains 0"), ResourceExceededError("cap")],
+)
+def test_search_skips_candidates_that_cannot_be_built(monkeypatch, error):
+    hits = _search_running_example(monkeypatch, error)
+    assert hits == [SearchHit("always", RUNNING_EXAMPLE, {})]
 
 
 def test_law_violation_hunts_empty():
