@@ -28,7 +28,6 @@ from .errors import ConfigError, UsmodError
 from .injective import (
     bounded_u_S_injective_test,
     certify_u_S_injective,
-    check_u_S_preenvelope,
     construct_u_S_envelope,
     default_catalogue,
 )
@@ -191,8 +190,6 @@ def _cmd_envelope(args, caps) -> int:
         print(json.dumps({"module": mod_name, "mset": mset_name, "verdict": "unknown"}))
         return 1
     f, cand = out
-    injectivity = check_u_S_preenvelope(f, mset, caps).injectivity
-    catalogue_size = injectivity.catalogue_size
     certificate = {
         "module": mod_name,
         "mset": mset_name,
@@ -205,7 +202,6 @@ def _cmd_envelope(args, caps) -> int:
         "witnesses": {
             "essential_pair": cand.essential_verdict.witness_s_pair,
         },
-        "catalogue_size": catalogue_size,
     }
     print(json.dumps(certificate, indent=2))
     return 0 if cand.is_envelope else 1

@@ -86,20 +86,57 @@ class Instance:
 
     @staticmethod
     def from_json(payload: dict) -> "Instance":
+        """The instance a ``to_json`` payload describes.  A payload of any
+        other shape is refused with ConfigError; element indices and ring
+        sizes are checked when the instance is built."""
+        if not isinstance(payload, dict) or not _INSTANCE_FIELDS <= payload.keys():
+            raise ConfigError(f"an instance payload needs the fields {sorted(_INSTANCE_FIELDS)}")
+        sub = payload["submodule"]
         return Instance(
             ring=_tuplize(payload["ring"]),
             mset=_tuplize(payload["mset"]),
             module=_tuplize(payload["module"]),
-            submodule=None if payload["submodule"] is None else tuple(payload["submodule"]),
-            seed=payload["seed"],
-            size_profile=tuple(payload["size_profile"]),
+            submodule=None if sub is None else _ints(sub, 1, "submodule", ConfigError),
+            seed=_ints(payload["seed"], 0, "seed", ConfigError),
+            size_profile=_ints(payload["size_profile"], 1, "size_profile", ConfigError),
         )
 
 
+_INSTANCE_FIELDS = {"ring", "mset", "module", "submodule", "seed", "size_profile"}
+
+
 def _tuplize(x):
-    if isinstance(x, list):
+    if isinstance(x, (list, tuple)):
         return tuple(_tuplize(y) for y in x)
+    if type(x) not in (int, str):
+        raise ConfigError(f"spec entry {x!r} is not a list, string or integer")
     return x
+
+
+def _ints(value, depth: int, where: str, error: type[Exception]):
+    """*value* as tuples of ints nested *depth* deep (depth 0: one int).
+
+    Anything else is refused with *error*, floats and bools included: JSON
+    gives them, and they compare equal to indices (3.0 == 3, True == 1).
+    Payload values pass through here before any object is built from them,
+    so the range checks of the built objects only ever see ints.
+    """
+    if depth == 0:
+        if type(value) is not int:
+            raise error(f"non-integer value {value!r} in {where}")
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{where} is not a list")
+    return tuple(_ints(v, depth - 1, where, error) for v in value)
+
+
+def _submodule(module: FiniteModule, gens, where: str) -> Submodule:
+    """The submodule spanned by *gens*, refused with ConfigError unless they
+    are elements of *module*."""
+    gens = _ints(gens, 1, where, ConfigError)
+    if not all(0 <= g < module.size for g in gens):
+        raise ConfigError(f"{where} names an element outside {module.label}")
+    return Submodule(module, span(module, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -108,47 +145,45 @@ def _tuplize(x):
 
 @lru_cache(maxsize=None)
 def build_ring(spec: Spec, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
-    kind = spec[0]
-    if kind == "zmod":
-        return make_zmod(spec[1])
-    if kind == "product":
-        return make_product(build_ring(spec[1], caps), build_ring(spec[2], caps), caps)
-    if kind == "trivext":
-        ring = build_ring(spec[1], caps)
-        module = build_module(ring, spec[2], caps)
-        return make_trivial_extension(ring, module, caps)
+    match spec:
+        case ("zmod", n):
+            return make_zmod(_ints(n, 0, "zmod spec", ConfigError), caps)
+        case ("product", left, right):
+            return make_product(build_ring(left, caps), build_ring(right, caps), caps)
+        case ("trivext", base_spec, module_spec):
+            ring = build_ring(base_spec, caps)
+            return make_trivial_extension(ring, build_module(ring, module_spec, caps), caps)
     raise ConfigError(f"unknown ring spec {spec!r}")
 
 
 @lru_cache(maxsize=None)
 def build_module(ring: FiniteRing, spec: Spec, caps: Caps = DEFAULT_CAPS) -> FiniteModule:
-    kind = spec[0]
-    if kind == "regular":
-        return regular_module(ring)
-    if kind == "dsum":
-        return direct_sum(
-            build_module(ring, spec[1], caps), build_module(ring, spec[2], caps), caps
-        )[0]
-    if kind == "quot":
-        base = build_module(ring, spec[1], caps)
-        sub = Submodule(base, span(base, spec[2]))
-        return quotient_module(base, sub)[0]
-    if kind == "asmod":
-        base = build_module(ring, spec[1], caps)
-        sub = Submodule(base, span(base, spec[2]))
-        return submodule_as_module(sub)[0]
+    match spec:
+        case ("regular",):
+            return regular_module(ring)
+        case ("dsum", left, right):
+            return direct_sum(
+                build_module(ring, left, caps), build_module(ring, right, caps), caps
+            )[0]
+        case ("quot", base_spec, gens):
+            base = build_module(ring, base_spec, caps)
+            return quotient_module(base, _submodule(base, gens, "quot generators"))[0]
+        case ("asmod", base_spec, gens):
+            base = build_module(ring, base_spec, caps)
+            return submodule_as_module(_submodule(base, gens, "asmod generators"))[0]
     raise ConfigError(f"unknown module spec {spec!r}")
 
 
 @lru_cache(maxsize=None)
 def build_mset(ring: FiniteRing, spec: Spec) -> MultiplicativeSet:
-    kind = spec[0]
-    if kind == "closure":
-        return mult_set_closure(ring, spec[1])
-    if kind == "units":
-        return unit_mult_set(ring)
-    if kind == "complement_prime":
-        return complement_of_prime(ring, Ideal(ring, tuple(spec[1])))
+    match spec:
+        case ("closure", gens):
+            return mult_set_closure(ring, _ints(gens, 1, "closure generators", ConfigError))
+        case ("units",):
+            return unit_mult_set(ring)
+        case ("complement_prime", members):
+            ideal = Ideal(ring, _ints(members, 1, "prime ideal", ConfigError))
+            return complement_of_prime(ring, ideal)
     raise ConfigError(f"unknown mset spec {spec!r}")
 
 
@@ -165,9 +200,7 @@ def build_instance(inst: Instance, caps: Caps = DEFAULT_CAPS) -> BuiltInstance:
     ring = build_ring(inst.ring, caps)
     mset = build_mset(ring, inst.mset)
     module = build_module(ring, inst.module, caps)
-    sub = None
-    if inst.submodule is not None:
-        sub = Submodule(module, span(module, inst.submodule))
+    sub = None if inst.submodule is None else _submodule(module, inst.submodule, "submodule")
     return BuiltInstance(inst, ring, mset, module, sub)
 
 
@@ -278,13 +311,12 @@ def generate_corpus(
     rng = random.Random(seed)
     profile = (bounds.max_ring, bounds.max_module)
     out: list[Instance] = []
-    seen: set[str] = set()
+    seen: set[Instance] = set()
 
     def emit(ring_spec: Spec, mset_spec: Spec, module_spec: Spec, gens) -> None:
         inst = Instance(ring_spec, mset_spec, module_spec, gens, seed, profile)
-        key = inst.key()
-        if key not in seen:
-            seen.add(key)
+        if inst not in seen:
+            seen.add(inst)
             out.append(inst)
 
     # pinned anchors: the running example and its whole lattice

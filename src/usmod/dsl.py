@@ -206,7 +206,7 @@ def _parse_statement(env: Environment, line: str, lineno: int, caps: Caps) -> No
 def _ring_expr(env: Environment, rhs: str, lineno: int, caps: Caps) -> FiniteRing:
     m = re.match(r"zmod\s+(\d+)$", rhs)
     if m:
-        return make_zmod(int(m.group(1)))
+        return make_zmod(int(m.group(1)), caps)
     m = re.match(rf"product\s+({_IDENT})\s+({_IDENT})$", rhs)
     if m:
         r1 = env.lookup("rings", m.group(1), lineno)

@@ -1,6 +1,11 @@
-"""Injectivity and uniform S-relative injectivity: Baer test, classical
-injective envelopes over Z/n, certification tiers, and verification of
-u-S-injective u-S-(pre)envelopes.
+"""Injectivity and uniform S-relative injectivity: Baer test, certification
+tiers, and verification of u-S-injective u-S-(pre)envelopes.
+
+Over Z/n everything classical reads off the p-socles M[p] = {x : p.x = 0}
+(Matlis): M is injective iff each p-component has |M[p]|^k elements, p^k
+exactly dividing n, and the injective envelope is the sum of dim M[p]
+copies of Z/p^k, one character M -> Z/p^k per copy.  The structural test
+stays independent of the Baer scan, which tests compare it against.
 
 u-S-injectivity has no exact finite decision procedure here, so verdicts are
 three-tiered: "certified" (injective by exhaustive Baer scan, uniformly
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import prod
 from typing import Optional, Sequence
 
@@ -116,7 +120,7 @@ def is_injective_baer(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> Inject
 
 
 # ---------------------------------------------------------------------------
-# abelian-group structure over Z/n
+# p-socles over Z/n: the structural test and the classical hull
 
 
 def prime_power_factorization(n: int) -> dict[int, int]:
@@ -133,139 +137,48 @@ def prime_power_factorization(n: int) -> dict[int, int]:
 
 
 def p_component_members(module: FiniteModule, p: int, k: int) -> tuple[int, ...]:
-    """Elements of p-power order: those killed by p^k additions."""
+    """Elements killed by p^k additions; at k = 1 the p-socle M[p]."""
     q = p**k
     return tuple(x for x in module.elements() if module.int_mul(q, x) == module.zero)
 
 
-def abelian_p_basis(module: FiniteModule, members: Sequence[int]) -> list[tuple[int, int]]:
-    """Internal direct-sum basis of a finite abelian p-group given as a
-    subset of the module: returns (generator, order) pairs, orders
-    non-increasing.
-
-    Splitting is by explicit retraction onto a maximal-order cyclic: the
-    partial identity on <a> is extended one element at a time (into a cyclic
-    group of exponent order this always succeeds), and the kernel of the
-    retraction is the complement to recurse on.
-    """
-    basis: list[tuple[int, int]] = []
-    current = sorted(members)
-    while len(current) > 1:
-        orders = {x: module.additive_order(x) for x in current}
-        e = max(orders.values())
-        a = min(x for x in current if orders[x] == e)
-        cyc = [module.int_mul(t, a) for t in range(e)]
-        h: dict[int, int] = {c: c for c in cyc}
-        rest = [x for x in current if x not in h]
-        while rest:
-            x = rest[0]
-            acc, ep = x, 1
-            while acc not in h:
-                acc = module.add[acc][x]
-                ep += 1
-            z = h[acc]
-            y = next(yy for yy in cyc if module.int_mul(ep, yy) == z)
-            snapshot = list(h.items())
-            for t in range(1, ep):
-                tx = module.int_mul(t, x)
-                ty = module.int_mul(t, y)
-                for v, hv in snapshot:
-                    h[module.add[v][tx]] = module.add[hv][ty]
-            rest = [u for u in current if u not in h]
-        basis.append((a, e))
-        current = sorted(x for x in current if h[x] == module.zero)
-    return basis
-
-
-def cyclic_invariants(module: FiniteModule) -> dict[int, list[int]]:
-    """Per-prime multiset of cyclic orders, from the subgroup-size ranks of
-    p^i M -- an invariant-theoretic route fully independent of the basis
-    algorithm and of the Baer scan."""
-    n = module.ring.zmod_n
-    if n is None:
-        raise UnsupportedRingError("cyclic invariants need a Z/n base ring")
-    out: dict[int, list[int]] = {}
-    for p, k in prime_power_factorization(n).items():
-        comp = set(p_component_members(module, p, k))
-        sizes = []
-        layer = comp
-        while True:
-            sizes.append(len(layer))
-            layer = {module.int_mul(p, x) for x in layer}
-            if len(layer) == sizes[-1]:
-                sizes.append(len(layer))
-                break
-        ranks = []
-        for i in range(len(sizes) - 1):
-            quot = sizes[i] // sizes[i + 1]
-            d = 0
-            while quot > 1:
-                quot //= p
-                d += 1
-            ranks.append(d)
-        factors = []
-        for i in range(len(ranks)):
-            upper = ranks[i + 1] if i + 1 < len(ranks) else 0
-            factors.extend([i + 1] * (ranks[i] - upper))
-        out[p] = sorted(factors, reverse=True)
-    return out
-
-
 def classify_injective_zmod(module: FiniteModule) -> bool:
-    """Structure-theorem classification: injective over Z/n iff every cyclic
-    invariant of each p-component has the full exponent of n's p-part."""
+    """Structure-theorem classification, independent of the Baer scan and of
+    the hull: injective over Z/n iff, for each p^k exactly dividing n, the
+    p-component is free over Z/p^k, that is, has |M[p]|^k elements."""
     n = module.ring.zmod_n
     if n is None:
         raise UnsupportedRingError("classification needs a Z/n base ring")
-    invariants = cyclic_invariants(module)
-    for p, k in prime_power_factorization(n).items():
-        if any(e != k for e in invariants.get(p, [])):
-            return False
-    return True
-
-
-def _crt_coefficients(n: int) -> dict[int, int]:
-    """c_p = 1 mod p^k and 0 mod the rest, for each prime power of n."""
-    out = {}
-    for p, k in prime_power_factorization(n).items():
-        q = p**k
-        m = n // q
-        out[p] = (m * pow(m, -1, q)) % n
-    return out
+    return all(
+        len(p_component_members(module, p, k)) == len(p_component_members(module, p, 1)) ** k
+        for p, k in prime_power_factorization(n).items()
+    )
 
 
 def injective_envelope_zmod(
     module: FiniteModule, caps: Caps = DEFAULT_CAPS
 ) -> tuple[FiniteModule, Homomorphism]:
-    """Classical injective envelope over Z/n by p-primary decomposition:
-    each cyclic p-factor Z/p^j embeds in Z/p^k (the p-part of n) by the
-    multiplier p^(k-j).  The returned map is re-verified three ways:
-    monomorphism, Baer-injective target, essential image."""
+    """Classical injective envelope over Z/n from p-socles (Matlis):
+    E(M) is the sum, over each p^k exactly dividing n, of r_p copies of
+    Z/p^k, where p^r_p = |M[p]|.  Copy j receives a character M -> Z/p^k,
+    taken in ``hom_enumerate`` order when it is nonzero on the part of M[p]
+    that the characters taken so far all kill.  On M[p] a character is an
+    F_p-linear functional, and every functional extends because Z/p^k is
+    injective over Z/n, so exactly r_p characters are taken and together
+    they are injective on every socle.  The returned map is re-verified
+    three ways: monomorphism, Baer-injective target, essential image."""
     ring = module.ring
     n = ring.zmod_n
     if n is None:
         raise UnsupportedRingError("envelope construction only supports Z/n base rings")
 
-    factorization = prime_power_factorization(n)
-    coeffs = _crt_coefficients(n)
-
-    per_prime: list[tuple[int, int, list[tuple[int, int]], dict[int, tuple[int, ...]]]] = []
+    socles = []
     hull_mods: list[FiniteModule] = []
-    for p, k in sorted(factorization.items()):
-        comp = p_component_members(module, p, k)
-        basis = abelian_p_basis(module, comp)
-        if len(comp) != prod(order for _, order in basis):
-            raise InternalError("p-basis does not span the component")
-        coords: dict[int, tuple[int, ...]] = {}
-        for tup in product(*(range(order) for _, order in basis)):
-            elem = module.zero
-            for (g, _), t in zip(basis, tup):
-                elem = module.add[elem][module.int_mul(t, g)]
-            if elem in coords:
-                raise InternalError("p-basis is not independent")
-            coords[elem] = tup
-        per_prime.append((p, k, basis, coords))
-        hull_mods.extend(cyclic_zmod_module(ring, p**k) for _ in basis)
+    for p, k in sorted(prime_power_factorization(n).items()):
+        cyclic = cyclic_zmod_module(ring, p**k)
+        socle = p_component_members(module, p, 1)
+        socles.append((cyclic, socle))
+        hull_mods += [cyclic] * prime_power_factorization(len(socle)).get(p, 0)
 
     if not hull_mods:
         env = zero_module(ring)
@@ -276,18 +189,21 @@ def injective_envelope_zmod(
         raise ResourceExceededError(f"envelope would have {total_size} elements")
     env, injections, _ = direct_sum_many(hull_mods, caps)
 
+    characters: list[Homomorphism] = []
+    for cyclic, socle in socles:
+        unseparated = [x for x in socle if x != module.zero]
+        for chi in hom_enumerate(module, cyclic, caps=caps):
+            if not unseparated:
+                break
+            if any(chi.map[x] != cyclic.zero for x in unseparated):
+                characters.append(chi)
+                unseparated = [x for x in unseparated if chi.map[x] == cyclic.zero]
+
     mapping = []
     for x in module.elements():
         acc = env.zero
-        slot = 0
-        for p, k, basis, coords in per_prime:
-            xp = module.int_mul(coeffs[p] if len(per_prime) > 1 else 1, x)
-            tup = coords[xp]
-            q = p**k
-            for (g, order), t in zip(basis, tup):
-                val = (t * (q // order)) % q
-                acc = env.add[acc][injections[slot].map[val]]
-                slot += 1
+        for chi, inj in zip(characters, injections):
+            acc = env.add[acc][inj.map[chi.map[x]]]
         mapping.append(acc)
     i = make_hom(module, env, mapping)
 
@@ -519,8 +435,8 @@ def construct_u_S_envelope(
     """Best-effort construction.  Candidates in order: the identity when the
     module itself is certified u-S-injective (covers the uniformly-killed
     case), the classical injective envelope when the base ring is Z/n, and a
-    bounded search over certified pool targets.  Returns None (unknown)
-    rather than guessing."""
+    bounded search over certified pool targets.  Every target returned is
+    certified u-S-injective.  Returns None (unknown) rather than guessing."""
     cert = certify_u_S_injective(module, mset, caps, fallback=False)
     if cert.certified:
         ident = identity_hom(module)

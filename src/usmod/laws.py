@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .corpus import BuiltInstance, Instance, build_instance
-from .errors import ResourceExceededError
+from .errors import ConfigError, ResourceExceededError
 from .essential import (
     is_essential,
     is_u_S_essential_fast,
@@ -591,9 +591,9 @@ def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
     tor = s_torsion_submodule(env, mset)
     if 1 < tor.size < env.size:
         pool.append(submodule_as_module(tor)[0])
-    # the construction verified that i is a u-S-mono into a u-S-injective E,
-    # so (2) and (3) start from its certificate and its essential verdict
-    injective_factoring = cand.preenvelope_level == "certified"
+    # the construction verified that i is a u-S-mono into a certified
+    # u-S-injective E, so (2) starts true and (3) from its essential verdict
+    injective_factoring = True
     essential_factoring = cand.essential_verdict.verdict
     try:
         for q in pool:
@@ -643,13 +643,13 @@ def law_envelope_properties(b: BuiltInstance, caps: Caps) -> Outcome:
     u-S-isomorphic to E, read through the three-tier certification (a
     certificate demands the isomorphism, a refutation forbids it, a bounded
     verdict decides nothing); (2) the envelope of every u-S-essential
-    submodule is u-S-isomorphic to E; (3) a certified E is u-S-isomorphic
-    to E + B for one of its submodules B."""
+    submodule is u-S-isomorphic to E; (3) E, certified by the construction,
+    is u-S-isomorphic to E + B for one of its submodules B."""
     module, mset = b.module, b.mset
     out = construct_u_S_envelope(module, mset, caps)
     if out is None:
         return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    env, cand = out[0].target, out[1]
+    env = out[0].target
     certification = certify_u_S_injective(module, mset, caps)
     iso = find_u_S_isomorphism(module, env, mset, caps=caps) is not None
     if (certification.certified and not iso) or (certification.verdict == "refuted" and iso):
@@ -664,8 +664,7 @@ def law_envelope_properties(b: BuiltInstance, caps: Caps) -> Outcome:
             sub_env[0].target, env, mset, caps=caps
         ) is None:
             return VIOLATED, {"part": "essential-submodule-envelope"}, ""
-    certified_env = cand.preenvelope_level == "certified"
-    if certified_env and _complement_of_summand(env, env, mset, caps) is None:
+    if _complement_of_summand(env, env, mset, caps) is None:
         return VIOLATED, {"part": "overmodule-decomposition"}, ""
     return HOLDS, None, "" if certification.certified else "certificate bounded"
 
@@ -888,7 +887,7 @@ def run_laws(
         LAWS_BY_ID[i] for i in law_filter
     ]
     results: list[LawResult] = []
-    built_cache: dict[str, BuiltInstance] = {}
+    built_cache: dict[Instance, BuiltInstance] = {}
     for law in selected:
         seen_module_scope: set[tuple] = set()
         for inst in corpus:
@@ -899,10 +898,9 @@ def run_laws(
                 if key in seen_module_scope:
                     continue
                 seen_module_scope.add(key)
-            cache_key = inst.key()
-            if cache_key not in built_cache:
-                built_cache[cache_key] = build_instance(inst, caps)
-            built = built_cache[cache_key]
+            if inst not in built_cache:
+                built_cache[inst] = build_instance(inst, caps)
+            built = built_cache[inst]
             start = time.perf_counter()
             verdict, witness, detail = evaluate(law, built, caps)
             elapsed = time.perf_counter() - start
@@ -914,8 +912,13 @@ def run_laws(
 
 def replay_result(payload: dict, caps: Caps = DEFAULT_CAPS) -> str:
     """Re-run a law on its serialized instance; returns the fresh verdict."""
-    law = LAWS_BY_ID[payload["law_id"]]
+    law_id = payload["law_id"]
+    law = LAWS_BY_ID.get(law_id) if isinstance(law_id, str) else None
+    if law is None:
+        raise ConfigError(f"unknown law {law_id!r}")
     inst = Instance.from_json(payload["instance"])
+    if law.scope == "instance" and inst.submodule is None:
+        raise ConfigError(f"law {law.law_id} needs an instance with a submodule")
     return evaluate(law, build_instance(inst, caps), caps)[0]
 
 

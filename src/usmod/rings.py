@@ -319,10 +319,12 @@ def check_mult_set(mset: MultiplicativeSet) -> None:
 # constructors
 
 
-def make_zmod(n: int) -> FiniteRing:
+def make_zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Z/nZ with residue arithmetic."""
     if n < 2:
         raise InvalidRingError(f"zmod needs n >= 2, got {n}")
+    if n > caps.max_ring:
+        raise ResourceExceededError(f"zmod ring would have {n} > {caps.max_ring} elements")
     add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
     ring = FiniteRing(

@@ -8,14 +8,14 @@ a Z/n witness shrinks through the divisors of n, then through smaller
 multiplicative sets, ambient modules and submodules, re-verifying the
 claim after every step.  The hits of one search call often shrink through
 the same candidates, so the call keeps a memo of each candidate's size and
-claim result that all its shrinks share; it lives no longer than the call,
-and ``replay_hit`` never shares it, since it rebuilds a hit from the
-serialized instance alone.
+claim result, and of each variant's candidates, that all its shrinks share;
+it lives no longer than the call, and ``replay_hit`` never shares it, since
+it rebuilds a hit from the serialized instance alone.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .caps import DEFAULT_CAPS, Caps
@@ -192,47 +192,55 @@ def _candidate_msets(n: int) -> list[tuple]:
     return out
 
 
-def _expand_submodules(inst: Instance, caps: Caps) -> list[Instance]:
+# A shrink memo lives for one search call and is shared by every hit it
+# shrinks.  ``candidates`` maps each candidate to its (size key, JSON key,
+# claim result), or to None when building the candidate raised one of
+# _CANDIDATE_ERRORS; the claim result is _UNCHECKED until the claim is first
+# evaluated there.  ``expansions`` maps each variant to its candidates.  It
+# holds no built instance: a candidate is rebuilt to evaluate the claim.
+_UNCHECKED = object()
+
+
+@dataclass
+class _Memo:
+    candidates: dict[Instance, Optional[tuple]] = field(default_factory=dict)
+    expansions: dict[Instance, list[Instance]] = field(default_factory=dict)
+
+
+def _expand_submodules(memo: _Memo, inst: Instance, caps: Caps) -> list[Instance]:
     """For ring-shrink candidates (emitted without a submodule), instantiate
     every lattice member of the module as a candidate witness."""
     if inst.submodule is not None:
         return [inst]
-    try:
-        built = build_instance(inst, caps)
-        lattice = all_submodules(built.module, caps)
-    except _CANDIDATE_ERRORS:
-        return []
-    return [
-        Instance(inst.ring, inst.mset, inst.module, sub.members, inst.seed, inst.size_profile)
-        for sub in lattice
-    ]
-
-
-# A shrink memo lives for one search call and is shared by every hit it
-# shrinks.  It maps each candidate to its (size key, JSON key, claim result),
-# or to None when building the candidate raised one of _CANDIDATE_ERRORS.
-# The claim result is _UNCHECKED until the claim is first evaluated there.
-# It holds no built instance: a candidate is rebuilt to evaluate the claim.
-_UNCHECKED = object()
-_Memo = dict[Instance, Optional[tuple]]
+    if inst not in memo.expansions:
+        try:
+            built = build_instance(inst, caps)
+            lattice = all_submodules(built.module, caps)
+        except _CANDIDATE_ERRORS:
+            lattice = ()
+        memo.expansions[inst] = [
+            Instance(inst.ring, inst.mset, inst.module, sub.members, inst.seed, inst.size_profile)
+            for sub in lattice
+        ]
+    return memo.expansions[inst]
 
 
 def _memo_entry(memo: _Memo, cand: Instance, caps: Caps) -> Optional[tuple]:
-    if cand not in memo:
+    if cand not in memo.candidates:
         try:
             cb = build_instance(cand, caps)
         except _CANDIDATE_ERRORS:
-            memo[cand] = None
+            memo.candidates[cand] = None
         else:
-            memo[cand] = (_size_key(cb), cand.key(), _UNCHECKED)
-    return memo[cand]
+            memo.candidates[cand] = (_size_key(cb), cand.key(), _UNCHECKED)
+    return memo.candidates[cand]
 
 
 def _claim_result(memo: _Memo, cand: Instance, claim: Claim, caps: Caps) -> Optional[dict]:
-    size_key, json_key, found = memo[cand]
+    size_key, json_key, found = memo.candidates[cand]
     if found is _UNCHECKED:
         found = claim.fn(build_instance(cand, caps), caps)
-        memo[cand] = (size_key, json_key, found)
+        memo.candidates[cand] = (size_key, json_key, found)
     return found
 
 
@@ -246,7 +254,7 @@ def _shrink(
         base_key = _size_key(current_built)
         scored = []
         for variant in _variants(current, current_built, caps):
-            for cand in _expand_submodules(variant, caps):
+            for cand in _expand_submodules(memo, variant, caps):
                 entry = _memo_entry(memo, cand, caps)
                 if entry is not None and entry[0] < base_key:
                     scored.append((entry[0], entry[1], cand))
@@ -269,7 +277,7 @@ def shrink(
     payload = claim.fn(build_instance(inst, caps), caps)
     if payload is None:
         raise InternalError("shrink called on a non-witness")
-    return _shrink(inst, payload, claim, caps, {})
+    return _shrink(inst, payload, claim, caps, _Memo())
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +312,8 @@ def search_counterexamples(
         raise ConfigError(f"unknown claim {claim_id!r}")
     claim = CLAIMS[claim_id]
     hits: list[SearchHit] = []
-    seen: set[str] = set()
-    memo: _Memo = {}
+    seen: set[Instance] = set()
+    memo = _Memo()
     started = time.monotonic()
     for inst in generate_corpus(seed, bounds, caps):
         if time.monotonic() - started > time_budget:
@@ -320,17 +328,19 @@ def search_counterexamples(
         if payload is None:
             continue
         small, small_payload = _shrink(inst, payload, claim, caps, memo)
-        key = small.key()
-        if key in seen:
+        if small in seen:
             continue
-        seen.add(key)
+        seen.add(small)
         hits.append(SearchHit(claim_id, small, small_payload))
     return hits
 
 
 def replay_hit(hit_json: dict, caps: Caps = DEFAULT_CAPS) -> bool:
     """Re-verify a serialized search hit from its instance alone."""
-    claim = CLAIMS[hit_json["claim_id"]]
+    claim_id = hit_json["claim_id"]
+    claim = CLAIMS.get(claim_id) if isinstance(claim_id, str) else None
+    if claim is None:
+        raise ConfigError(f"unknown claim {claim_id!r}")
     inst = Instance.from_json(hit_json["instance"])
     built = build_instance(inst, caps)
     return claim.fn(built, caps) is not None

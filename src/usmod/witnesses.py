@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .corpus import Instance, build_instance
+from .corpus import Instance, _ints, build_instance
 from .errors import DomainError, InvalidModuleError, ResourceExceededError
 from .essential import is_essential, is_u_S_essential_fast, is_u_S_essential_oracle
 from .injective import RefutedWitness, certify_u_S_injective, replay_refuted
@@ -30,23 +30,6 @@ def serialize_module(module: FiniteModule) -> dict:
         "zero": module.zero,
         "label": module.label,
     }
-
-
-def _ints(value, depth: int, where: str, error: type[Exception]):
-    """*value* as tuples of ints nested *depth* deep (depth 0: one int).
-
-    Anything else is refused with *error*, floats and bools included: JSON
-    gives them, and they compare equal to indices (3.0 == 3, True == 1).
-    Payload values pass through here before any object is built from them,
-    so the range checks of the built objects only ever see ints.
-    """
-    if depth == 0:
-        if type(value) is not int:
-            raise error(f"non-integer value {value!r} in {where}")
-        return value
-    if not isinstance(value, (list, tuple)):
-        raise error(f"{where} is not a list")
-    return tuple(_ints(v, depth - 1, where, error) for v in value)
 
 
 def deserialize_module(ring, payload: dict) -> FiniteModule:
@@ -123,8 +106,8 @@ def replay_essential_witness(payload: dict, caps: Caps = DEFAULT_CAPS) -> bool:
     inst = Instance.from_json(payload["instance"])
     b = build_instance(inst, caps)
     module = b.module
-    kset = set(payload["submodule"])
-    lset = set(payload["counterexample_L"])
+    kset = set(_ints(payload["submodule"], 1, "submodule", DomainError))
+    lset = set(_ints(payload["counterexample_L"], 1, "counterexample_L", DomainError))
     if not lset <= set(module.elements()):
         return False
     # the counterexample must be a genuine submodule
@@ -138,7 +121,7 @@ def replay_essential_witness(payload: dict, caps: Caps = DEFAULT_CAPS) -> bool:
     meet = kset & lset
     if payload["kind"] == "essential-false":
         return meet == {module.zero} and lset != {module.zero}
-    s1 = payload["s1"]
+    s1 = _ints(payload["s1"], 0, "s1", DomainError)
     if s1 not in set(b.mset.members):
         return False
     meet_killed = all(module.act[s1][x] == module.zero for x in meet)

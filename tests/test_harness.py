@@ -3,15 +3,18 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from usmod.caps import DEFAULT_CAPS, Caps
 from usmod.cli import main
-from usmod.corpus import Bounds, Instance, build_instance, generate_corpus
+from usmod.corpus import Bounds, Instance, build_instance, build_ring, generate_corpus
 from usmod import laws, search
+from usmod.dsl import parse_program
 from usmod.errors import (
     ConfigError,
+    DomainError,
     InternalError,
     InvalidMultiplicativeSetError,
     ResourceExceededError,
@@ -285,6 +288,84 @@ def test_search_skips_candidates_that_cannot_be_built(monkeypatch, error):
     assert hits == [SearchHit("always", RUNNING_EXAMPLE, {})]
 
 
+def test_search_expands_each_shrink_variant_once(monkeypatch):
+    """A ring-shrink variant (built without a submodule) is expanded into
+    its lattice once per search call, not once per shrink round."""
+    built = Counter()
+
+    def counting(inst, caps):
+        if inst.submodule is None:
+            built[inst] += 1
+        return build_instance(inst, caps)
+
+    monkeypatch.setattr(search, "build_instance", counting)
+    hits = search_counterexamples("u-S-essential-not-essential", Bounds(max_ring=12), seed=0, limit=5)
+    assert hits and built and max(built.values()) == 1
+
+
+def test_corpus_and_law_run_key_instances_by_value(monkeypatch):
+    """Deduplication and the built-instance cache hash the frozen Instance;
+    its JSON key is only for output and ordering."""
+
+    def no_key(self):
+        raise AssertionError("Instance.key() called")
+
+    monkeypatch.setattr(Instance, "key", no_key)
+    corpus = generate_corpus(7, SMALL)
+    assert len(set(corpus)) == len(corpus)
+    results = run_laws(corpus[:20], ["running-example", "sigma-shortcut"])
+    assert {r.verdict for r in results} <= {laws.HOLDS, laws.SKIP_INAPPLICABLE}
+
+
+def _example_json(**changes):
+    payload = json.loads(json.dumps(RUNNING_EXAMPLE.to_json()))
+    payload.update(changes)
+    return payload
+
+
+MALFORMED_INSTANCES = {
+    "submodule-outside": _example_json(submodule=[99]),
+    "quot-generator-outside": _example_json(module=["quot", ["regular"], [99]]),
+    "submodule-not-int": _example_json(submodule=["a"]),
+    "zmod-not-int": _example_json(ring=["zmod", "6"]),
+    "spec-arity": _example_json(ring=["zmod"]),
+    "spec-not-list": _example_json(module={"regular": 1}),
+    "seed-not-int": _example_json(seed=None),
+    "missing-field": {k: v for k, v in _example_json().items() if k != "seed"},
+}
+
+
+@pytest.mark.parametrize("instance", MALFORMED_INSTANCES.values(), ids=MALFORMED_INSTANCES)
+def test_replay_refuses_malformed_instances(instance):
+    with pytest.raises(ConfigError):
+        replay_result({"law_id": "running-example", "instance": instance})
+    with pytest.raises(ConfigError):
+        replay_hit({"claim_id": "u-S-essential-not-essential", "instance": instance})
+
+
+def test_replay_refuses_unknown_ids_and_instance_laws_without_submodule():
+    instance = _example_json()
+    for unknown in ("no-such-id", ["a", "list"]):
+        with pytest.raises(ConfigError, match="unknown law"):
+            replay_result({"law_id": unknown, "instance": instance})
+        with pytest.raises(ConfigError, match="unknown claim"):
+            replay_hit({"claim_id": unknown, "instance": instance})
+    with pytest.raises(ConfigError, match="needs an instance with a submodule"):
+        replay_result({"law_id": "element-criterion", "instance": _example_json(submodule=None)})
+
+
+def test_zmod_is_capped_by_max_ring():
+    small = Caps(max_ring=8)
+    assert build_ring(("zmod", 8), small).size == 8
+    instance = _example_json(ring=["zmod", 9])
+    with pytest.raises(ResourceExceededError, match="9 > 8"):
+        replay_result({"law_id": "running-example", "instance": instance}, small)
+    with pytest.raises(ResourceExceededError, match="9 > 8"):
+        replay_hit({"claim_id": "u-S-essential-not-essential", "instance": instance}, small)
+    with pytest.raises(ResourceExceededError, match="9 > 8"):
+        parse_program("ring R = zmod 9\n", small)
+
+
 def test_law_violation_hunts_empty():
     for law_id in ("element-criterion", "complement", "transitivity-meet"):
         hits = search_counterexamples(
@@ -307,6 +388,23 @@ def test_false_essential_witnesses_replay(small_corpus):
     assert payloads, "corpus should contain some false verdicts"
     for p in payloads:
         assert replay_essential_witness(json.loads(json.dumps(p)))
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"s1": [4]}, {"submodule": 5}, {"counterexample_L": ["a"]}],
+    ids=["s1-list", "submodule-int", "counterexample-not-int"],
+)
+def test_essential_witness_replay_refuses_malformed_payloads(changes):
+    payload = {
+        "kind": "u-S-essential-false",
+        "instance": _example_json(),
+        "submodule": [0, 2, 4],
+        "counterexample_L": [0, 3],
+        "s1": 4,
+    }
+    with pytest.raises(DomainError):
+        replay_essential_witness({**payload, **changes})
 
 
 def test_false_essential_witnesses_are_distinct(small_corpus):
@@ -411,15 +509,22 @@ def test_cli_smoke(tmp_path):
 def test_cli_caps_env(tmp_path):
     program = tmp_path / "ex.usm"
     program.write_text("ring R = zmod 6\nmodule M over R = regular\n")
-    # ``zmod n`` is not capped; only ``product``, ``trivext`` and direct sums
-    # are.  So this run checks that a well-formed override is accepted.
+    # A well-formed override is accepted, and ``zmod n`` is capped by it.
     proc = subprocess.run(
         [sys.executable, "-m", "usmod.cli", "check", str(program)],
         capture_output=True,
         text=True,
-        env=_cli_env("ring=4"),
+        env=_cli_env("ring=6"),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "usmod.cli", "check", str(program)],
+        capture_output=True,
+        text=True,
+        env=_cli_env("ring=5"),
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "resource-exceeded" in proc.stderr and "6 > 5" in proc.stderr
 
     # A malformed override is refused with exit code 2 and ``config-error``.
     proc = subprocess.run(
@@ -441,6 +546,22 @@ def test_cli_caps_env(tmp_path):
     )
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "config-error" in proc.stderr and "iso_search" in proc.stderr
+
+
+def test_cli_envelope_certificate_fields(tmp_path, capsys):
+    program = tmp_path / "ex.usm"
+    program.write_text(
+        "ring R = zmod 4\nmset S over R = closure {3}\nmodule F over R = regular\n"
+        "sub K of F = gens {2}\nmodule M = asmod K\n"
+    )
+    assert main(["envelope", str(program), "--module", "M"]) == 0
+    certificate = json.loads(capsys.readouterr().out)
+    assert set(certificate) == {
+        "module", "mset", "candidate_E", "embedding", "certificate_tier",
+        "preenvelope_level", "essential_verdict", "is_envelope", "witnesses",
+    }
+    assert certificate["candidate_E"]["label"] == "C4"
+    assert certificate["preenvelope_level"] == "certified" and certificate["is_envelope"]
 
 
 @pytest.mark.parametrize("command", ["envelope", "injective"])

@@ -1,24 +1,23 @@
+from math import prod
+
 import pytest
 
 from usmod import laws
 from usmod.caps import DEFAULT_CAPS
 from usmod.corpus import Instance, build_instance
-from usmod.errors import UnsupportedRingError
+from usmod.errors import ResourceExceededError, UnsupportedRingError
 from usmod.essential import is_essential, is_u_S_essential_fast
 from usmod.injective import (
-    abelian_p_basis,
     bounded_u_S_injective_test,
     certify_u_S_injective,
     check_u_S_envelope,
     check_u_S_preenvelope,
     classify_injective_zmod,
     construct_u_S_envelope,
-    cyclic_invariants,
     default_catalogue,
     endomorphism_condition,
     injective_envelope_zmod,
     is_injective_baer,
-    p_component_members,
     prime_power_factorization,
     replay_refuted,
 )
@@ -143,21 +142,50 @@ def test_baer_matches_structure_classification(n):
         assert baer == classify_injective_zmod(module), module.label
 
 
-def test_cyclic_invariants_examples(z6, m6):
-    assert cyclic_invariants(m6) == {2: [1], 3: [1]}
-    m12 = regular_module(make_zmod(12))
-    assert cyclic_invariants(m12) == {2: [2], 3: [1]}
-    sub2, _ = submodule_as_module(submodule(regular_module(make_zmod(4)), [0, 2]))
-    assert cyclic_invariants(sub2) == {2: [1]}
+def _socle_rank(module, p):
+    """log_p of the number of elements that p additions kill."""
+    size = sum(1 for x in module.elements() if module.int_mul(p, x) == module.zero)
+    rank = 0
+    while size > 1:
+        size //= p
+        rank += 1
+    return rank
 
 
-def test_abelian_p_basis_splits_components():
-    m8 = regular_module(make_zmod(8))
-    d, *_ = direct_sum(m8, m8)
-    comp = p_component_members(d, 2, 3)
-    basis = abelian_p_basis(d, comp)
-    assert sorted(order for _, order in basis) == [8, 8]
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12])
+def test_hull_from_p_socles(n):
+    """E(M) is the sum over p^k exactly dividing n of (Z/p^k)^dim M[p],
+    primes ascending; a hull beyond the module cap is refused."""
+    ring = make_zmod(n)
+    factors = sorted(prime_power_factorization(n).items())
+    for module in _modules_over(n, 64):
+        cyclics = [
+            cyclic_zmod_module(ring, p**k)
+            for p, k in factors
+            for _ in range(_socle_rank(module, p))
+        ]
+        size = prod(c.size for c in cyclics)
+        if size > DEFAULT_CAPS.max_module:
+            with pytest.raises(ResourceExceededError, match=f"^envelope would have {size} elements$"):
+                injective_envelope_zmod(module)
+            continue
+        env, i = injective_envelope_zmod(module)
+        assert kernel(i).size == 1, module.label
+        assert is_injective_baer(env).verdict == "injective", module.label
+        # essential image: every nonzero cyclic submodule of E meets it
+        img = set(i.map) - {env.zero}
+        assert all(
+            img.intersection(env.act[r][x] for r in ring.elements())
+            for x in env.elements()
+            if x != env.zero
+        ), module.label
+        assert env.size == size, module.label
+        assert env == (direct_sum_many(cyclics)[0] if cyclics else zero_module(ring)), module.label
+
+
+def test_prime_power_factorization():
     assert prime_power_factorization(24) == {2: 3, 3: 1}
+    assert prime_power_factorization(1) == {}
 
 
 def test_certification_tiers(z6, m6, s14):
