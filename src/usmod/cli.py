@@ -31,7 +31,7 @@ from .injective import (
     construct_u_S_envelope,
     default_catalogue,
 )
-from .laws import LAWS_BY_ID, run_laws, tally
+from .laws import HOLDS, LAWS_BY_ID, SKIP_INAPPLICABLE, SKIP_RESOURCE, VIOLATED, run_laws, tally
 from .report import FORMATS, emit_report
 from .search import CLAIMS, search_counterexamples
 from .witnesses import serialize_module
@@ -117,11 +117,12 @@ def _cmd_laws(args, caps) -> int:
     violated_total = 0
     for law_id, counts in sorted(tallies.items()):
         line = (
-            f"{law_id:36s} holds={counts['holds']:5d} "
-            f"violated={counts['violated']:3d} skipped={counts['skipped']:5d}"
+            f"{law_id:36s} holds={counts[HOLDS]:5d} violated={counts[VIOLATED]:3d} "
+            f"{SKIP_RESOURCE}={counts[SKIP_RESOURCE]:5d} "
+            f"{SKIP_INAPPLICABLE}={counts[SKIP_INAPPLICABLE]:5d}"
         )
         print(line)
-        violated_total += counts["violated"]
+        violated_total += counts[VIOLATED]
     print(f"-- {len(results)} results over {len(corpus)} instances; violated={violated_total}")
     if args.report:
         emit_report(results, args.format, args.report, seed=args.seed, caps=caps)

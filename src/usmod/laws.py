@@ -399,15 +399,22 @@ def law_essential_mono_characterization(b: BuiltInstance, caps: Caps) -> Outcome
 
 
 def law_mono_composition(b: BuiltInstance, caps: Caps) -> Outcome:
+    """Composites of u-S-monos r.x are u-S-monos.  Every composite is an
+    endomorphism of M, so within one call its map alone fixes the verdict:
+    each distinct composite (at most |R| of them) is decided once."""
     module, mset = b.module, b.mset
     monos = []
     for r in range(b.ring.size):
         f = scalar_hom(module, r)
         if is_u_S_mono(f, mset)[0]:
             monos.append(f)
+    decided: dict[tuple[int, ...], bool] = {}
     for f in monos:
         for g in monos:
-            if not is_u_S_mono(compose(g, f), mset)[0]:
+            gf = compose(g, f)
+            if gf.map not in decided:
+                decided[gf.map] = is_u_S_mono(gf, mset)[0]
+            if not decided[gf.map]:
                 return VIOLATED, {"f": list(f.map), "g": list(g.map)}, ""
     return HOLDS, None, f"{len(monos)}^2 compositions"
 
@@ -922,16 +929,17 @@ def replay_result(payload: dict, caps: Caps = DEFAULT_CAPS) -> str:
     return evaluate(law, build_instance(inst, caps), caps)[0]
 
 
-def tally(results: Sequence[LawResult]) -> dict[str, dict[str, int]]:
-    out: dict[str, dict[str, int]] = {}
+def tally(results: Sequence[LawResult]) -> dict[str, dict]:
+    """Per law: the count of each verdict, the two skip kinds apart, and
+    under "skip_reasons" each skip kind's reason texts with their counts."""
+    out: dict[str, dict] = {}
     for r in results:
-        bucket = out.setdefault(
-            r.law_id, {"holds": 0, "violated": 0, "skipped": 0}
-        )
-        if r.verdict == HOLDS:
-            bucket["holds"] += 1
-        elif r.verdict == VIOLATED:
-            bucket["violated"] += 1
-        else:
-            bucket["skipped"] += 1
+        bucket = out.setdefault(r.law_id, {
+            HOLDS: 0, VIOLATED: 0, SKIP_RESOURCE: 0, SKIP_INAPPLICABLE: 0,
+            "skip_reasons": {SKIP_RESOURCE: {}, SKIP_INAPPLICABLE: {}},
+        })
+        bucket[r.verdict] += 1
+        if r.verdict in (SKIP_RESOURCE, SKIP_INAPPLICABLE):
+            reasons = bucket["skip_reasons"][r.verdict]
+            reasons[r.detail] = reasons.get(r.detail, 0) + 1
     return out

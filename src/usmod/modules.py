@@ -684,9 +684,11 @@ def hom_enumerate(
 
     Candidate images of each generator are filtered by additive order; the
     product of the candidate counts is the projected size and must stay
-    within the cap before enumeration starts.  The search backtracks over
-    the generators and replays the source's derivation plan at each level,
-    so a prefix is kept exactly when it extends to a map on its span.
+    within the cap before enumeration starts.  The search then keeps only
+    the candidates y with ann(g).y = 0, which every image of g satisfies,
+    and backtracks over the generators, replaying the source's derivation
+    plan at each level, so a prefix is kept exactly when it extends to a
+    map on its span.
     """
     if source.ring != target.ring:
         raise DomainError("source and target are over different rings")
@@ -697,12 +699,15 @@ def hom_enumerate(
     for g in gens:
         d = source.additive_order(g)
         cand = [y for y in target.elements() if target.int_mul(d, y) == target.zero]
-        candidates.append(cand)
         projected *= len(cand)
         if projected > cap:
             raise ResourceExceededError(
                 f"projected hom count {projected} exceeds cap {cap}"
             )
+        for t_row, s_row in zip(target.act, source.act):
+            if s_row[g] == source.zero:  # r in ann(g) kills every image of g
+                cand = [y for y in cand if t_row[y] == target.zero]
+        candidates.append(cand)
 
     f = [target.zero] * source.size
     out: list[Homomorphism] = []

@@ -12,7 +12,7 @@ from xml.etree import ElementTree as ET
 from . import __version__
 from .caps import Caps
 from .errors import IOErrorUsmod
-from .laws import HOLDS, VIOLATED, LawResult, tally
+from .laws import HOLDS, SKIP_INAPPLICABLE, SKIP_RESOURCE, VIOLATED, LawResult, tally
 
 FORMATS = ("json", "junit-xml", "markdown-summary")
 
@@ -63,9 +63,11 @@ def _render_json(results, seed, caps) -> str:
         "laws": [
             {
                 "law_id": law_id,
-                "holds": counts["holds"],
-                "violated": counts["violated"],
-                "skipped": counts["skipped"],
+                "holds": counts[HOLDS],
+                "violated": counts[VIOLATED],
+                SKIP_RESOURCE: counts[SKIP_RESOURCE],
+                SKIP_INAPPLICABLE: counts[SKIP_INAPPLICABLE],
+                "skip_reasons": counts["skip_reasons"],
             }
             for law_id, counts in sorted(tallies.items())
         ],
@@ -111,14 +113,15 @@ def _render_markdown(results) -> str:
     lines = [
         f"# usmod law report (v{__version__})",
         "",
-        "| law | holds | violated | skipped |",
-        "|-----|------:|---------:|--------:|",
+        f"| law | holds | violated | {SKIP_RESOURCE} | {SKIP_INAPPLICABLE} |",
+        "|-----|------:|---------:|-----------------:|---------------------:|",
     ]
     for law_id, counts in sorted(tallies.items()):
         lines.append(
-            f"| {law_id} | {counts['holds']} | {counts['violated']} | {counts['skipped']} |"
+            f"| {law_id} | {counts[HOLDS]} | {counts[VIOLATED]} "
+            f"| {counts[SKIP_RESOURCE]} | {counts[SKIP_INAPPLICABLE]} |"
         )
-    total_violated = sum(c["violated"] for c in tallies.values())
+    total_violated = sum(c[VIOLATED] for c in tallies.values())
     lines.append("")
     lines.append(f"**Total violated: {total_violated}**")
     return "\n".join(lines) + "\n"

@@ -244,9 +244,10 @@ def _lattice(add: Table, act: Table, cap: Optional[int]) -> list[tuple[int, ...]
     Each is a finite join of cyclic ones, {row[x] for row in act}, so this is
     the closure of the distinct cyclics under joining each subgroup found
     with each cyclic Rg (one generator g kept per cyclic; skipped when g is
-    already inside).  The join of two such subgroups is their elementwise
-    sum.  With a *cap*, more than max(cap, #cyclics) subgroups raise
-    ResourceExceededError.
+    already inside).  The join X + Rg is built coset by coset: each y in Rg
+    not yet reached adds the coset y + X, read off the row of y at the
+    members of X.  With a *cap*, more than max(cap, #cyclics) subgroups
+    raise ResourceExceededError.
     """
     generator_of: dict[tuple[int, ...], int] = {}
     for x, column in enumerate(zip(*act)):
@@ -257,10 +258,15 @@ def _lattice(add: Table, act: Table, cap: Optional[int]) -> list[tuple[int, ...]
     while queue:
         xs = queue.pop()
         inside = set(xs)
+        plus_x = _picker(xs)
         for ys, g in cyclics:
             if g in inside:
                 continue
-            zs = tuple(sorted({add[x][y] for x in xs for y in ys}))
+            reached = set(inside)
+            for y in ys:
+                if y not in reached:
+                    reached.update(plus_x(add[y]))
+            zs = tuple(sorted(reached))
             if zs not in found:
                 if cap is not None and len(found) >= cap:
                     raise ResourceExceededError("submodule lattice exceeds cap")

@@ -1,7 +1,8 @@
 """Differential tests: the generator-driven closures, the set-based
-essential deciders, the index-arithmetic table builders and the lattice,
-coset and pair-table helpers that rings and modules share against the
-pairwise formulations they replaced.
+essential deciders, the index-arithmetic table builders, the lattice
+(joined coset by coset), coset and pair-table helpers that rings and
+modules share, and the annihilator-narrowed hom candidates against the
+pairwise and unnarrowed formulations they replaced.
 
 Each reference below is the earlier implementation, kept here verbatim in
 substance; the library versions must agree with them on seeded random
@@ -21,6 +22,7 @@ from usmod.essential import (
     is_u_S_essential_oracle,
     u_S_complement,
 )
+from usmod import modules
 from usmod.modules import (
     FiniteModule,
     Homomorphism,
@@ -45,6 +47,7 @@ from usmod.rings import (
     FiniteRing,
     Ideal,
     MultiplicativeSet,
+    _lattice,
     all_ideals,
     check_mult_set,
     check_ring_axioms,
@@ -266,6 +269,59 @@ def add_homs_hom_module(source, target, cap=None, caps=DEFAULT_CAPS):
         names=tuple(str(h.map) for h in homs),
     )
     return module, homs
+
+
+def pairwise_sum_lattice(add, act, cap):
+    """rings._lattice with each join X + Rg summed over every pair."""
+    generator_of = {}
+    for x, column in enumerate(zip(*act)):
+        generator_of.setdefault(tuple(sorted(set(column))), x)
+    cyclics = list(generator_of.items())
+    found = set(generator_of)
+    queue = list(generator_of)
+    while queue:
+        xs = queue.pop()
+        inside = set(xs)
+        for ys, g in cyclics:
+            if g in inside:
+                continue
+            zs = tuple(sorted({add[x][y] for x in xs for y in ys}))
+            if zs not in found:
+                if cap is not None and len(found) >= cap:
+                    raise ResourceExceededError("submodule lattice exceeds cap")
+                found.add(zs)
+                queue.append(zs)
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def additive_order_hom_enumerate(source, target, cap=None, caps=DEFAULT_CAPS):
+    """hom_enumerate with the candidates filtered by additive order only."""
+    if source.ring != target.ring:
+        raise DomainError("source and target are over different rings")
+    cap = caps.max_hom if cap is None else cap
+    gens, plan = modules._source_plan(source)
+    candidates = []
+    projected = 1
+    for g in gens:
+        d = source.additive_order(g)
+        cand = [y for y in target.elements() if target.int_mul(d, y) == target.zero]
+        candidates.append(cand)
+        projected *= len(cand)
+        if projected > cap:
+            raise ResourceExceededError(f"projected hom count {projected} exceeds cap {cap}")
+    f = [target.zero] * source.size
+    out = []
+
+    def backtrack(i):
+        if i == len(plan):
+            out.append(Homomorphism(source, target, tuple(f)))
+            return
+        for y in candidates[i]:
+            if modules._replay(plan[i], y, f, target):
+                backtrack(i + 1)
+
+    backtrack(0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +698,27 @@ def test_hom_module_matches_add_homs_tables(ring):
                 _same_hom(g, w)
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_hom_enumerate_matches_additive_order_candidates(ring):
+    """Narrowing each generator's candidates by its annihilator keeps the
+    same maps in the same order, and the same refusals word for word."""
+    rng = random.Random(f"hom-narrow-{ring.label}")
+    pool = _table_pool(ring, rng, 16)
+    for source in pool:
+        for target in rng.sample(pool, min(4, len(pool))):
+            for cap in (64, 4096):
+                try:
+                    want = additive_order_hom_enumerate(source, target, cap)
+                except ResourceExceededError as exc:
+                    with pytest.raises(ResourceExceededError, match=f"^{exc}$"):
+                        hom_enumerate(source, target, cap)
+                    continue
+                got = hom_enumerate(source, target, cap)
+                assert [h.map for h in got] == [h.map for h in want]
+                for g, w in zip(got, want):
+                    _same_hom(g, w)
+
+
 # ---------------------------------------------------------------------------
 # helpers shared by rings and modules
 
@@ -673,6 +750,31 @@ def test_ideals_and_quotient_rings_match_old_loops(ring):
         want, want_surj = coset_loop_quotient_ring(ring, ideal)
         _same_ring(got, want)
         assert got_surj == want_surj
+
+
+def _lattice_or_refusal(lattice, add, act, cap):
+    try:
+        return lattice(add, act, cap)
+    except ResourceExceededError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("ring", _ring_cases(), ids=lambda r: r.label)
+def test_lattice_coset_joins_match_pairwise_sums(ring):
+    """The ideals of every ring, and for the rings of RINGS the lattices of
+    the module pool and of M + M for its small modules, uncapped and at the
+    caps around each size, whose refusals must fall at the same point."""
+    tables = [(ring.add, ring.mul)]
+    if ring in RINGS:
+        pool = _table_pool(ring, random.Random(f"coset-join-{ring.label}"), 32)
+        pool += [direct_sum(m, m)[0] for m in pool if m.size <= 6]
+        tables += [(m.add, m.act) for m in pool]
+    for add, act in tables:
+        want = pairwise_sum_lattice(add, act, None)
+        assert _lattice(add, act, None) == want
+        for cap in {len(want) - 1, len(want) // 2, 1}:
+            got = _lattice_or_refusal(_lattice, add, act, cap)
+            assert got == _lattice_or_refusal(pairwise_sum_lattice, add, act, cap), cap
 
 
 def test_products_match_idx_pairs_tables():

@@ -436,6 +436,45 @@ def test_report_formats(small_results):
     assert "| law |" in md and "Total violated: 0" in md
 
 
+def test_tally_keeps_the_skip_kinds_and_their_reasons_apart(capsys):
+    """On the seed-42 small corpus: per law, the four verdict counts add up
+    to its results, each skip kind's reason map is the count of its
+    results' details, and the JSON rows, the markdown table and the
+    `usmod laws` summary lines all show both kinds."""
+    results = run_laws(generate_corpus(42, SMALL))
+    t = tally(results)
+    assert set(t) == {law.law_id for law in REGISTRY}
+    kinds = (laws.SKIP_RESOURCE, laws.SKIP_INAPPLICABLE)
+    for law_id, counts in t.items():
+        rows = [r for r in results if r.law_id == law_id]
+        verdicts = Counter(r.verdict for r in rows)
+        assert set(verdicts) <= {laws.HOLDS, laws.VIOLATED, *kinds}
+        for verdict in (laws.HOLDS, laws.VIOLATED, *kinds):
+            assert counts[verdict] == verdicts[verdict], (law_id, verdict)
+        for kind in kinds:
+            reasons = counts["skip_reasons"][kind]
+            assert reasons == Counter(r.detail for r in rows if r.verdict == kind), law_id
+            assert sum(reasons.values()) == counts[kind]
+    assert all(sum(c[kind] for c in t.values()) > 0 for kind in kinds)
+
+    rows = json.loads(render_report(results, "json", seed=42))["laws"]
+    for row in rows:
+        counts = t[row["law_id"]]
+        assert [row[kind] for kind in kinds] == [counts[kind] for kind in kinds]
+        assert row["skip_reasons"] == counts["skip_reasons"]
+    md = render_report(results, "markdown-summary")
+    assert "| law | holds | violated | skipped-resource | skipped-inapplicable |" in md
+    for law_id, counts in t.items():
+        cells = [counts[v] for v in (laws.HOLDS, laws.VIOLATED, *kinds)]
+        assert f"| {law_id} | " + " | ".join(map(str, cells)) + " |" in md
+
+    assert main(["laws", "--seed", "42", "--max-ring", "8", "--max-instances", "80"]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    for law_id, counts in t.items():
+        assert f"skipped-resource={counts[laws.SKIP_RESOURCE]:5d}" in lines[law_id]
+        assert f"skipped-inapplicable={counts[laws.SKIP_INAPPLICABLE]:5d}" in lines[law_id]
+
+
 def test_report_determinism(small_corpus):
     r1 = run_laws(small_corpus, ["element-criterion", "complement"])
     r2 = run_laws(small_corpus, ["element-criterion", "complement"])

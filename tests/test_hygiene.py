@@ -3,7 +3,11 @@ it did not name: no assert statement, no AssertionError and no bare,
 Exception or BaseException handler in any module of the package.
 
 It also keeps one identity rule: dataclasses compare by value, every field,
-so no class defines __eq__ by hand and no @dataclass passes eq=False."""
+so no class defines __eq__ by hand and no @dataclass passes eq=False.
+
+Process-wide caches only shrink: the package holds at most
+MAX_PROCESS_CACHES functools cache decorators, so a new speedup keeps its
+memo in the call that needs it."""
 import ast
 from pathlib import Path
 
@@ -11,11 +15,16 @@ import usmod
 
 PACKAGE = Path(usmod.__file__).resolve().parent
 BROAD = {"Exception", "BaseException"}
+MAX_PROCESS_CACHES = 17
+CACHE_DECORATORS = {"lru_cache", "cache"}
 
 
 def _name(node) -> str:
+    """The name called or referred to: `f`, `f(...)`, `mod.f` or `mod.f(...)`."""
     if isinstance(node, ast.Call):
         node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
     return node.id if isinstance(node, ast.Name) else ""
 
 
@@ -44,3 +53,15 @@ def test_library_raises_and_catches_only_named_errors():
         for line, what in _offences(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
+
+
+def test_process_wide_caches_do_not_grow():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for deco in node.decorator_list
+        if _name(deco) in CACHE_DECORATORS
+    ]
+    assert len(found) <= MAX_PROCESS_CACHES, found

@@ -17,8 +17,8 @@ import pytest
 
 from usmod import laws
 from usmod.caps import DEFAULT_CAPS
-from usmod.corpus import Instance, build_instance
-from usmod.modules import Submodule
+from usmod.corpus import Bounds, Instance, build_instance, generate_corpus
+from usmod.modules import Submodule, compose, scalar_hom
 
 PINNED = Instance(("zmod", 6), ("closure", (4,)), ("regular",), (2,), 0, (36, 64))
 TESTS = Path(__file__).resolve().parent
@@ -146,3 +146,80 @@ def test_docs_laws_test_references_resolve():
                 if test_name and (current is None or test_name not in _test_functions(current)):
                     unresolved.append(ref)
     assert unresolved == []
+
+
+# ---------------------------------------------------------------------------
+# mono-composition decides each distinct composite map once
+
+
+def reference_mono_composition(b):
+    """The law as a plain double loop: every composite decided afresh."""
+    module, mset = b.module, b.mset
+    scalars = [scalar_hom(module, r) for r in range(b.ring.size)]
+    monos = [f for f in scalars if laws.is_u_S_mono(f, mset)[0]]
+    for f in monos:
+        for g in monos:
+            if not laws.is_u_S_mono(compose(g, f), mset)[0]:
+                return laws.VIOLATED, {"f": list(f.map), "g": list(g.map)}, ""
+    return laws.HOLDS, None, f"{len(monos)}^2 compositions"
+
+
+def _mono_composition_cases():
+    corpus = generate_corpus(42, Bounds(max_ring=12, max_module=36, max_instances=60))
+    triples = {(i.ring, i.mset, i.module): i for i in corpus}
+    return [PINNED, UNITS, PRIME, PRIME_UNITS] + list(triples.values())
+
+
+MONO_CASES = [build_instance(inst) for inst in _mono_composition_cases()]
+
+
+def _refusing(real, refused_map, calls, after=0):
+    """is_u_S_mono logging each map asked, refusing *refused_map* once more
+    than *after* calls were made."""
+    def is_u_S_mono(f, mset):
+        calls.append(f.map)
+        if f.map == refused_map and len(calls) > after:
+            return False, None
+        return real(f, mset)
+
+    return is_u_S_mono
+
+
+def test_mono_composition_matches_the_double_loop(monkeypatch):
+    """With any one composite refused, the law gives the reference's
+    verdict and first failing (f, g), and asks is_u_S_mono at most 2|R|
+    times: once per scalar map, then once per distinct composite."""
+    law = laws.LAWS_BY_ID["mono-composition"].fn
+    real = laws.is_u_S_mono
+    violated = 0
+    for b in MONO_CASES:
+        assert law(b, DEFAULT_CAPS) == reference_mono_composition(b)
+        n, act = b.ring.size, b.module.act
+        composites = {tuple(act[s][x] for x in act[r]) for r in range(n) for s in range(n)}
+        for refused in sorted(composites):
+            calls: list = []
+            monkeypatch.setattr(laws, "is_u_S_mono", _refusing(real, refused, calls))
+            got = law(b, DEFAULT_CAPS)
+            assert len(calls) <= 2 * n, (b.instance.key(), len(calls))
+            assert len(set(calls[n:])) == len(calls[n:]), b.instance.key()
+            assert got == reference_mono_composition(b), (b.instance.key(), refused)
+            violated += got[0] == laws.VIOLATED
+    assert violated > 0
+
+
+def test_mono_composition_calls_share_no_state(monkeypatch):
+    """Two calls on one instance ask the same questions; refusing a
+    composite in the second call's composite loop alone turns it violated."""
+    law = laws.LAWS_BY_ID["mono-composition"].fn
+    real = laws.is_u_S_mono
+    b = build_instance(PINNED)
+    n = b.ring.size
+    first: list = []
+    monkeypatch.setattr(laws, "is_u_S_mono", _refusing(real, None, first))
+    assert law(b, DEFAULT_CAPS)[0] == laws.HOLDS
+    assert len(first) > n
+    second: list = []
+    monkeypatch.setattr(laws, "is_u_S_mono", _refusing(real, first[n], second, after=n))
+    verdict, witness, _ = law(b, DEFAULT_CAPS)
+    assert verdict == laws.VIOLATED and set(witness) == {"f", "g"}
+    assert second == first[:len(second)] and len(second) > n
