@@ -33,10 +33,8 @@ from .modules import (
     submodule_as_module,
 )
 from .storsion import (
-    USWitness,
     find_u_S_isomorphism,
     is_u_S_epi,
-    is_u_S_exact,
     is_u_S_iso,
     is_u_S_mono,
     is_u_S_split,

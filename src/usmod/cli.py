@@ -12,11 +12,17 @@ Subcommands:
 Size caps come from defaults overridden by the USMOD_CAPS environment
 variable, whose keys are ring, module, lattice and hom (e.g.
 USMOD_CAPS=ring=32,module=64); any other key exits 2 with config-error.
+
+A reader that closes stdout early (``usmod laws | head -2``) ends any
+subcommand with exit 141 (128 + SIGPIPE) and nothing on stderr: the rest of
+stdout goes to os.devnull, as the SIGPIPE note in Python's signal docs
+describes.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -77,22 +83,24 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_inj.add_argument("--mset", help="multiplicative set name (default: first declared)")
 
     args = parser.parse_args(argv)
+    commands = {
+        "laws": _cmd_laws,
+        "check": _cmd_check,
+        "search": _cmd_search,
+        "envelope": _cmd_envelope,
+        "injective": _cmd_injective,
+    }
     try:
-        caps = caps_from_env()
-        if args.command == "laws":
-            return _cmd_laws(args, caps)
-        if args.command == "check":
-            return _cmd_check(args, caps)
-        if args.command == "search":
-            return _cmd_search(args, caps)
-        if args.command == "envelope":
-            return _cmd_envelope(args, caps)
-        if args.command == "injective":
-            return _cmd_injective(args, caps)
+        code = commands[args.command](args, caps_from_env())
+        sys.stdout.flush()
     except UsmodError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2
-    return 0
+    except BrokenPipeError:
+        # the exit flush must not hit the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 def _cmd_laws(args, caps) -> int:

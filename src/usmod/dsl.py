@@ -33,6 +33,7 @@ from .modules import (
     Submodule,
     direct_sum,
     extend_images,
+    kernel,
     quotient_module,
     regular_module,
     submodule_as_module,
@@ -48,12 +49,15 @@ from .rings import (
     mult_set_closure,
 )
 from .storsion import (
+    cokernel,
     find_u_S_isomorphism,
     is_u_S_epi,
     is_u_S_iso,
     is_u_S_mono,
     is_u_S_split,
     is_u_S_torsion,
+    members_of,
+    smallest_killer,
 )
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -289,6 +293,13 @@ def _name_of(ring: FiniteRing, s: Optional[int]) -> Optional[str]:
     return None if s is None else ring.name(s)
 
 
+def _killer_name(mset: MultiplicativeSet, target) -> Optional[str]:
+    """The s shown for a u-S check: the first member of S killing *target*,
+    None exactly when the check fails (the ``sigma-shortcut`` law)."""
+    module, members = members_of(target)
+    return _name_of(mset.ring, smallest_killer(module, mset, members))
+
+
 def _evaluate_one(env: Environment, a: Assertion, caps: Caps) -> AssertionResult:
     def sub(i: int) -> Submodule:
         return env.lookup("subs", a.args[i], a.line)
@@ -334,20 +345,16 @@ def _evaluate_one(env: Environment, a: Assertion, caps: Caps) -> AssertionResult
             if res.counterexample_L is not None:
                 counterexample = list(res.counterexample_L.members)
         elif a.func == "u_s_torsion":
-            ok, w = is_u_S_torsion(mod_or_sub(0), mset(1))
-            verdict = ok
-            witness = _name_of(mset(1).ring, w.s if w else None)
+            verdict = is_u_S_torsion(mod_or_sub(0), mset(1))
+            witness = _killer_name(mset(1), mod_or_sub(0))
         elif a.func == "u_s_mono":
-            ok, w = is_u_S_mono(hom(0), mset(1))
-            verdict = ok
-            witness = _name_of(mset(1).ring, w.s if w else None)
+            verdict = is_u_S_mono(hom(0), mset(1))
+            witness = _killer_name(mset(1), kernel(hom(0)))
         elif a.func == "u_s_epi":
-            ok, w = is_u_S_epi(hom(0), mset(1))
-            verdict = ok
-            witness = _name_of(mset(1).ring, w.s if w else None)
+            verdict = is_u_S_epi(hom(0), mset(1))
+            witness = _killer_name(mset(1), cokernel(hom(0))[0])
         elif a.func == "u_s_iso":
-            ok, _ = is_u_S_iso(hom(0), mset(1))
-            verdict = ok
+            verdict = is_u_S_iso(hom(0), mset(1))
         elif a.func == "u_s_split":
             ok, payload = is_u_S_split(hom(0), mset(1), caps=caps)
             verdict = ok

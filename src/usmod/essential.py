@@ -162,11 +162,8 @@ def quotient_characterization(
     for l in all_submodules(module, caps):
         quot, eta = quotient_module(module, l)
         restricted = compose(eta, incl)
-        mono_restricted, _ = is_u_S_mono(restricted, mset)
-        if mono_restricted:
-            mono_full, _ = is_u_S_mono(eta, mset)
-            if not mono_full:
-                return False
+        if is_u_S_mono(restricted, mset) and not is_u_S_mono(eta, mset):
+            return False
     return True
 
 
@@ -211,8 +208,7 @@ def u_S_complement(
 
 def is_u_S_essential_mono(f: Homomorphism, mset: MultiplicativeSet) -> bool:
     """A u-S-monomorphism whose image is u-S-essential in the target."""
-    mono, _ = is_u_S_mono(f, mset)
-    if not mono:
+    if not is_u_S_mono(f, mset):
         raise PreconditionViolatedError("map is not a u-S-monomorphism")
     return is_u_S_essential_fast(image(f), f.target, mset).verdict
 

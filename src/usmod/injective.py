@@ -315,13 +315,12 @@ def bounded_u_S_injective_test(
     s refutes u-S-injectivity (sound); passing everything is only
     "bounded-pass"."""
     for f in catalogue:
-        mono, _ = is_u_S_mono(f, mset)
-        if not mono:
+        if not is_u_S_mono(f, mset):
             raise PreconditionViolatedError("catalogue entry is not a u-S-monomorphism")
     for f in catalogue:
         source_homs = hom_enumerate(f.source, module, caps=caps)
         target_homs = hom_enumerate(f.target, module, caps=caps)
-        composed = [tuple(g.map[y] for y in f.map) for g in target_homs]
+        composed = {tuple(g.map[y] for y in f.map) for g in target_homs}
         failures: list[tuple[int, Homomorphism]] = []
         ok = False
         for s in mset.members:
@@ -380,7 +379,7 @@ def check_u_S_preenvelope(
     f: Homomorphism, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS
 ) -> PreenvelopeReport:
     """A u-S-monomorphism into a u-S-injective module."""
-    mono, _ = is_u_S_mono(f, mset)
+    mono = is_u_S_mono(f, mset)
     report = certify_u_S_injective(f.target, mset, caps, extra_modules=(f.source,))
     if not mono:
         return PreenvelopeReport(False, "not-mono", report)
@@ -423,7 +422,7 @@ def endomorphism_condition(
         for s in mset.members:
             act_s = env.act[s]
             if all(act_s[f.map[x]] == alpha.map[f.map[x]] for x in f.source.elements()):
-                if not is_u_S_iso(alpha, mset)[0]:
+                if not is_u_S_iso(alpha, mset):
                     return False
                 break
     return True
@@ -460,8 +459,7 @@ def construct_u_S_envelope(
             continue
         try:
             for f in hom_enumerate(module, target, cap=min(2048, caps.max_hom), caps=caps):
-                mono, _ = is_u_S_mono(f, mset)
-                if not mono:
+                if not is_u_S_mono(f, mset):
                     continue
                 cand = check_u_S_envelope(f, mset, caps)
                 if cand.is_envelope:

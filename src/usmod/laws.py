@@ -76,6 +76,7 @@ from .storsion import (
     is_u_S_torsion,
     kills,
     s_torsion_submodule,
+    smallest_killer,
 )
 
 HOLDS = "holds"
@@ -120,14 +121,6 @@ def _members(sub: Submodule) -> list[int]:
     return list(sub.members)
 
 
-def _exists_killer_scan(module: FiniteModule, mset, members) -> Optional[int]:
-    """Literal existential scan (no sigma shortcut)."""
-    for s in mset.members:
-        if all(module.act[s][x] == module.zero for x in members):
-            return s
-    return None
-
-
 # ---------------------------------------------------------------------------
 # derived finite-S lemmas
 
@@ -143,7 +136,7 @@ def law_sigma_shortcut(b: BuiltInstance, caps: Caps) -> Outcome:
     if by_scan != by_sigma:
         return VIOLATED, {"by_scan": sorted(by_scan), "by_sigma": sorted(by_sigma)}, ""
     for sub in all_submodules(module, caps):
-        uniform = _exists_killer_scan(module, mset, sub.members) is not None
+        uniform = smallest_killer(module, mset, sub.members) is not None
         sigma_kills = kills(module, mset.sigma, sub.members)
         if uniform != sigma_kills:
             return VIOLATED, {"submodule": _members(sub)}, ""
@@ -152,10 +145,10 @@ def law_sigma_shortcut(b: BuiltInstance, caps: Caps) -> Outcome:
 
 def law_torsion_submodule_uniform(b: BuiltInstance, caps: Caps) -> Outcome:
     tor = s_torsion_submodule(b.module, b.mset)
-    ok, w = is_u_S_torsion(tor, b.mset)
-    if not ok:
+    if not is_u_S_torsion(tor, b.mset):
         return VIOLATED, {"torsion_submodule": _members(tor)}, ""
-    return HOLDS, None, f"witness {b.ring.name(w.s)}"
+    s = smallest_killer(b.module, b.mset, tor.members)
+    return HOLDS, None, f"witness {b.ring.name(s)}"
 
 
 def law_uniform_noetherian(b: BuiltInstance, caps: Caps) -> Outcome:
@@ -175,8 +168,8 @@ def law_definition_via_torsion(b: BuiltInstance, caps: Caps) -> Outcome:
     literal = True
     for l in all_submodules(module, caps):
         meet = intersect_submodules(k, l)
-        if _exists_killer_scan(module, mset, meet.members) is not None:
-            if _exists_killer_scan(module, mset, l.members) is None:
+        if smallest_killer(module, mset, meet.members) is not None:
+            if smallest_killer(module, mset, l.members) is None:
                 literal = False
                 break
     if oracle != literal:
@@ -303,7 +296,7 @@ def law_transport(b: BuiltInstance, caps: Caps) -> Outcome:
         for q in essential_subs:
             if not is_u_S_essential_fast(preimage(f, q), module, mset).verdict:
                 return VIOLATED, {"Q": _members(q), "map": list(f.map), "part": "preimage"}, ""
-        if is_u_S_mono(f, mset)[0]:
+        if is_u_S_mono(f, mset):
             img_mod, incl = submodule_as_module(image(f))
             incl_index = {m: i for i, m in enumerate(incl.map)}
             for k in essential_subs:
@@ -351,8 +344,7 @@ def law_direct_sum_many(b: BuiltInstance, caps: Caps) -> Outcome:
     component = is_u_S_essential_fast(k, module, mset).verdict
     if not component:
         return SKIP_INAPPLICABLE, None, "component is not u-S-essential"
-    tor_ok, _ = is_u_S_torsion(s_torsion_submodule(total, mset), mset)
-    if not tor_ok:
+    if not is_u_S_torsion(s_torsion_submodule(total, mset), mset):
         return VIOLATED, {"part": "hypothesis"}, ""
     if not is_u_S_essential_fast(ksum, total, mset).verdict:
         return VIOLATED, {"K": _members(k)}, ""
@@ -382,7 +374,7 @@ def law_essential_mono_characterization(b: BuiltInstance, caps: Caps) -> Outcome
     candidates: list[Homomorphism] = [incl]
     for s in mset.members[-1:]:
         f = compose(scalar_hom(module, s), incl)
-        if is_u_S_mono(f, mset)[0]:
+        if is_u_S_mono(f, mset):
             candidates.append(f)
     lattice = all_submodules(module, caps)
     for f in candidates:
@@ -390,7 +382,7 @@ def law_essential_mono_characterization(b: BuiltInstance, caps: Caps) -> Outcome
         rhs = True
         for j in lattice:
             _, eta = quotient_module(module, j)
-            if is_u_S_mono(compose(eta, f), mset)[0] and not is_u_S_mono(eta, mset)[0]:
+            if is_u_S_mono(compose(eta, f), mset) and not is_u_S_mono(eta, mset):
                 rhs = False
                 break
         if lhs != rhs:
@@ -406,14 +398,14 @@ def law_mono_composition(b: BuiltInstance, caps: Caps) -> Outcome:
     monos = []
     for r in range(b.ring.size):
         f = scalar_hom(module, r)
-        if is_u_S_mono(f, mset)[0]:
+        if is_u_S_mono(f, mset):
             monos.append(f)
     decided: dict[tuple[int, ...], bool] = {}
     for f in monos:
         for g in monos:
             gf = compose(g, f)
             if gf.map not in decided:
-                decided[gf.map] = is_u_S_mono(gf, mset)[0]
+                decided[gf.map] = is_u_S_mono(gf, mset)
             if not decided[gf.map]:
                 return VIOLATED, {"f": list(f.map), "g": list(g.map)}, ""
     return HOLDS, None, f"{len(monos)}^2 compositions"
@@ -430,7 +422,7 @@ def law_twisted_transfer(b: BuiltInstance, caps: Caps) -> Outcome:
     for s in mset.members:
         phi = scalar_hom(module, s)
         g = compose(phi, incl)
-        if not (is_u_S_iso(phi, mset)[0] and is_u_S_mono(g, mset)[0]):
+        if not (is_u_S_iso(phi, mset) and is_u_S_mono(g, mset)):
             continue
         checked += 1
         if incl_essential != is_u_S_essential_fast(image(g), module, mset).verdict:
@@ -483,8 +475,7 @@ def law_preenvelope_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
                     index_m[tuple(h.map[v] for v in env_map.map)] for h in homs_e
                 ),
             )
-            epi, _ = is_u_S_epi(induced, mset)
-            if not epi:
+            if not is_u_S_epi(induced, mset):
                 return VIOLATED, {"pool_module": a2.label}, ""
             checked += 1
     except ResourceExceededError:
@@ -576,7 +567,7 @@ def _factors(
     for s in mset.members:
         want = tuple(act[s][v] for v in left.map)
         for g in right_homs:
-            if tuple(g.map[v] for v in via.map) == want and is_u_S_mono(g, mset)[0]:
+            if tuple(g.map[v] for v in via.map) == want and is_u_S_mono(g, mset):
                 return True
     return False
 
@@ -614,7 +605,7 @@ def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
             except ResourceExceededError:
                 continue
             injective_factoring = all(
-                _factors(fm, homs_eq, i, mset) for fm in homs_mq if is_u_S_mono(fm, mset)[0]
+                _factors(fm, homs_eq, i, mset) for fm in homs_mq if is_u_S_mono(fm, mset)
             )
         for n_mod in pool:
             if not essential_factoring:
@@ -627,7 +618,7 @@ def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
             essential_factoring = all(
                 _factors(i, homs_ne, fm, mset)
                 for fm in homs_mn
-                if is_u_S_mono(fm, mset)[0]
+                if is_u_S_mono(fm, mset)
                 and is_u_S_essential_fast(image(fm), n_mod, mset).verdict
             )
     except ResourceExceededError:
@@ -787,7 +778,7 @@ def law_running_example_envelope(b: BuiltInstance, caps: Caps) -> Outcome:
     cand = check_u_S_envelope(incl, b.mset, caps)
     definitional = endomorphism_condition(incl, b.mset, caps)
     baer = is_injective_baer(b.module, caps).verdict == "injective"
-    mono = is_u_S_mono(incl, b.mset)[0]
+    mono = is_u_S_mono(incl, b.mset)
     essential = cand.essential_verdict.verdict
     if not (cand.is_envelope and definitional and baer and mono and essential):
         return (

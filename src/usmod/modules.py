@@ -549,9 +549,9 @@ class PlanLevel:
     members: tuple[int, ...]  # the span, sorted
 
 
-@lru_cache(maxsize=None)
 def derivation_plan(module: FiniteModule, keys: tuple[int, ...]) -> tuple[PlanLevel, ...]:
-    """One level per key: the spans of the key prefixes, built once per module."""
+    """One level per key: the spans of the key prefixes (``_source_plan``
+    keeps the one plan per hom source)."""
     add, act = module.add, module.act
     ring_elements = module.ring.elements()
     span_list = [module.zero]

@@ -97,7 +97,7 @@ def test_criterion_2_envelope_example():
     module = regular_module(ring)
     k = cyclic_submodule(module, 2)
     _, incl = submodule_as_module(k)
-    mono, _ = is_u_S_mono(incl, mset)
+    mono = is_u_S_mono(incl, mset)
     baer = is_injective_baer(module).verdict == "injective"
     cand = check_u_S_envelope(incl, mset)
     definitional = endomorphism_condition(incl, mset)

@@ -220,3 +220,29 @@ assert u_s_torsion(L, S)
     payload = evaluate_assertions(env)[0].to_json()
     assert set(payload) >= {"verdict", "witness_s", "enumeration_complete", "law"}
     assert payload["verdict"] is True and payload["witness_s"] == "4"
+
+
+def test_mono_and_epi_witnesses():
+    # the shown s is the first member of S killing the kernel (mono) or the
+    # cokernel (epi); a check that fails shows none
+    env = parse_program(
+        """
+ring R = zmod 6
+mset S over R = closure {4}
+module M over R = regular
+sub K of M = gens {2}
+module KM = asmod K
+hom d : M -> M = images {1: 2}
+hom i : KM -> M = images {1: 2}
+hom z : M -> M = images {1: 0}
+assert u_s_mono(d, S)
+assert u_s_epi(d, S)
+assert u_s_mono(i, S)
+assert u_s_epi(i, S)
+assert u_s_mono(z, S) == false
+assert u_s_epi(z, S) == false
+"""
+    )
+    results = evaluate_assertions(env)
+    assert all(r.ok for r in results), [r.to_json() for r in results]
+    assert [r.witness_s for r in results] == ["4", "4", "1", "4", None, None]

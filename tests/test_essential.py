@@ -91,7 +91,7 @@ def test_fast_examples(m6, s14, k24):
     s1 = bad.witness_s_pair[0]
     meet = set(l.members) & {0, 3}
     assert kills(m6, s1, meet)
-    assert not is_u_S_torsion(l, s14)[0]
+    assert not is_u_S_torsion(l, s14)
 
 
 def test_false_verdicts_replay(m6, s14):
@@ -169,7 +169,7 @@ def test_transport_preimage_examples(m6, s14, k24):
 
 def test_transport_image_examples(monkeypatch, m6, s14):
     f4 = scalar_hom(m6, 4)
-    assert kernel(f4).members == (0, 3) and is_u_S_mono(f4, s14)[0]  # u-S-monic, not monic
+    assert kernel(f4).members == (0, 3) and is_u_S_mono(f4, s14)  # u-S-monic, not monic
     assert _law("transport", ring=("zmod", 4), mset=("closure", (3,)))[0] == laws.HOLDS
 
     # images are decided inside f(M), a module other than M: flipping only

@@ -587,6 +587,30 @@ def test_cli_caps_env(tmp_path):
     assert "config-error" in proc.stderr and "iso_search" in proc.stderr
 
 
+def test_cli_closed_pipe_exits_quietly(tmp_path):
+    """A reader that stops after one line ends the run with exit 141
+    (128 + SIGPIPE) and nothing on stderr."""
+    program = tmp_path / "many.usm"
+    # about 1 MB of output, far more than a pipe buffers, so writes follow
+    # the close; stdout is block-buffered, as it is by default on a pipe
+    program.write_text(
+        "ring R = zmod 6\nmset S over R = closure {4}\nmodule M over R = regular\n"
+        + "assert u_s_torsion(M, S) == false\n" * 20000
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "usmod.cli", "check", str(program)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={k: v for k, v in _cli_env().items() if k != "PYTHONUNBUFFERED"},
+    )
+    assert proc.stdout.readline().startswith(b"ok   line 4: ")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141, stderr
+    assert stderr == b""
+
+
 def test_cli_envelope_certificate_fields(tmp_path, capsys):
     program = tmp_path / "ex.usm"
     program.write_text(
