@@ -113,6 +113,9 @@ def _tuplize(x):
     return x
 
 
+_INT_ONLY = frozenset({int})
+
+
 def _ints(value, depth: int, where: str, error: type[Exception]):
     """*value* as tuples of ints nested *depth* deep (depth 0: one int).
 
@@ -127,6 +130,8 @@ def _ints(value, depth: int, where: str, error: type[Exception]):
         return value
     if not isinstance(value, (list, tuple)):
         raise error(f"{where} is not a list")
+    if depth == 1 and _INT_ONLY.issuperset(map(type, value)):
+        return tuple(value)  # a flat list of ints, checked in one pass
     return tuple(_ints(v, depth - 1, where, error) for v in value)
 
 
@@ -134,7 +139,7 @@ def _submodule(module: FiniteModule, gens, where: str) -> Submodule:
     """The submodule spanned by *gens*, refused with ConfigError unless they
     are elements of *module*."""
     gens = _ints(gens, 1, where, ConfigError)
-    if not all(0 <= g < module.size for g in gens):
+    if gens and (min(gens) < 0 or max(gens) >= module.size):
         raise ConfigError(f"{where} names an element outside {module.label}")
     return Submodule(module, span(module, gens))
 

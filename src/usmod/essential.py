@@ -21,11 +21,21 @@ of ``is_essential`` against the fast route at S={1}, and
 ``torsion-submodule-uniform`` for the hypothesis).  The paper's statements
 about these notions (transport, direct sums, chains and meets, localized
 upgrades) are written once, in their laws.
+
+The lattice scans (``is_essential``, the oracle and ``u_S_complement``) run
+on the bitmasks the cached lattice carries, bit x set for each member x.
+K's mask and the kernel mask of each s in S that the scan needs are built
+once per call (|M| lookups per kernel).  Then a meet is one AND and "s
+kills X" is X & ker_s == X, so each submodule costs a few integer
+operations instead of a set intersection and a pass over its members.  The
+quotient route still composes materialized maps, to stay independent of
+the other two.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Optional
 
 from .caps import DEFAULT_CAPS, Caps
@@ -34,6 +44,7 @@ from .modules import (
     FiniteModule,
     Homomorphism,
     Submodule,
+    _mask,
     all_submodules,
     compose,
     cyclic_submodule,
@@ -44,7 +55,7 @@ from .modules import (
     sum_submodules,
 )
 from .rings import Ideal, MultiplicativeSet, complement_of_prime
-from .storsion import is_u_S_mono, kills, smallest_killer
+from .storsion import is_u_S_mono, smallest_killer
 
 
 @dataclass(frozen=True)
@@ -59,8 +70,13 @@ class EssentialVerdict:
 
 
 def _require_submodule(k: Submodule, module: FiniteModule) -> None:
-    if k.parent != module:
+    if k.parent is not module and k.parent != module:
         raise DomainError("submodule belongs to a different module")
+
+
+def _kernel_mask(module: FiniteModule, s: int) -> int:
+    """The bitmask of the elements that s kills."""
+    return _mask(compress(module.elements(), map(module.zero.__eq__, module.act[s])))
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +86,17 @@ def _require_submodule(k: Submodule, module: FiniteModule) -> None:
 def is_essential(k: Submodule, module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EssentialVerdict:
     """K meets every nonzero submodule nontrivially.
 
-    Decided by a scan of the submodule lattice; a false verdict carries the
-    first nonzero L (in lattice order) that meets K trivially.  The
-    ``essential-element-criterion`` law checks it against the element
-    criterion, i.e. the fast u-S decider at S={1}.
+    Decided by a scan of the lattice masks, one AND per submodule; a false
+    verdict carries the first nonzero L (in lattice order) that meets K
+    trivially.  The ``essential-element-criterion`` law checks it against
+    the element criterion, i.e. the fast u-S decider at S={1}.
     """
     _require_submodule(k, module)
-    nonzero_k = k.member_set() - {module.zero}
-    for l in all_submodules(module, caps):
-        if not l.is_zero() and nonzero_k.isdisjoint(l.members):
+    lattice = all_submodules(module, caps)
+    zero_bit = 1 << module.zero
+    nonzero_k = _mask(k.members) & ~zero_bit
+    for l, lm in zip(lattice, lattice.masks()):
+        if lm != zero_bit and not lm & nonzero_k:
             return EssentialVerdict(False, l, None, "lattice-scan")
     return EssentialVerdict(True, None, None, "lattice-scan")
 
@@ -96,18 +114,32 @@ def is_u_S_essential_oracle(
     A false verdict carries the offending L plus the pair (s1, None): s1
     kills K meet L while no member of S kills L.  A true verdict carries,
     for the largest uniformly-killed L encountered, the pair (s1, s2).
+
+    The scan runs on the lattice masks: with the kernel mask of each s in
+    S built once (|S|.|M| lookups), "s kills X" is X & ker_s == X, and S is
+    tried in its own order, so s1 and s2 are ``smallest_killer``'s.  That is
+    at most 2|S| integer operations per submodule.
     """
     _require_submodule(k, module)
-    if module.ring != mset.ring:
+    if module.ring is not mset.ring and module.ring != mset.ring:
         raise DomainError("multiplicative set over a different ring")
-    kset = k.member_set()
+    lattice = all_submodules(module, caps)
+    kernels = [(s, _kernel_mask(module, s)) for s in mset.members]
+
+    def first_killer(x: int) -> Optional[int]:
+        for s, ker in kernels:
+            if x & ker == x:
+                return s
+        return None
+
+    kmask = _mask(k.members)
     best_pair: Optional[tuple[Optional[int], Optional[int]]] = None
     best_size = -1
-    for l in all_submodules(module, caps):
-        s1 = smallest_killer(module, mset, kset.intersection(l.members))
+    for l, lm in zip(lattice, lattice.masks()):
+        s1 = first_killer(kmask & lm)
         if s1 is None:
             continue
-        s2 = smallest_killer(module, mset, l.members)
+        s2 = first_killer(lm)
         if s2 is None:
             return EssentialVerdict(False, l, (s1, None), "lattice-oracle")
         if l.size > best_size:
@@ -132,7 +164,7 @@ def is_u_S_essential_fast(
     kills Rx meet K.
     """
     _require_submodule(k, module)
-    if module.ring != mset.ring:
+    if module.ring is not mset.ring and module.ring != mset.ring:
         raise DomainError("multiplicative set is over a different ring")
     zero = module.zero
     act_sigma = module.act[mset.sigma]
@@ -146,7 +178,6 @@ def is_u_S_essential_fast(
     return EssentialVerdict(True, None, None, "element-criterion")
 
 
-@lru_cache(maxsize=None)
 def quotient_characterization(
     k: Submodule, module: FiniteModule, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS
 ) -> bool:
@@ -179,18 +210,21 @@ def u_S_complement(
 
     Maximality is under inclusion; ties are broken by canonical lattice
     order (the abstract choice is non-canonical, tests need determinism).
+
+    sigma kills K meet N iff N misses alive = K minus ker(sigma), so the
+    candidates are the lattice masks N with N & alive == 0: one AND each.
+    The lattice is ordered by size, so a proper superset of a candidate can
+    only come after it, and the first candidate with no later superset
+    (N | N' == N') is the first maximal one: O(|Gamma|^2) integer
+    operations at worst.
     """
     _require_submodule(k, module)
-    kset = k.member_set()
-    gamma = [
-        n
-        for n in all_submodules(module, caps)
-        if kills(module, mset.sigma, kset.intersection(n.members))
-    ]
-    member_sets = [n.member_set() for n in gamma]
-    # the first maximal member, in the canonical order inherited from the lattice
+    lattice = all_submodules(module, caps)
+    alive = _mask(k.members) & ~_kernel_mask(module, mset.sigma)
+    gamma = [(n, nm) for n, nm in zip(lattice, lattice.masks()) if not nm & alive]
+    masks = [nm for _, nm in gamma]
     kp = next(
-        n for n, ns in zip(gamma, member_sets) if not any(ns < ms for ms in member_sets)
+        n for i, (n, nm) in enumerate(gamma) if not any(nm | m == m for m in masks[i + 1:])
     )
 
     total = sum_submodules(k, kp)

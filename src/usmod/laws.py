@@ -393,17 +393,23 @@ def law_essential_mono_characterization(b: BuiltInstance, caps: Caps) -> Outcome
 def law_mono_composition(b: BuiltInstance, caps: Caps) -> Outcome:
     """Composites of u-S-monos r.x are u-S-monos.  Every composite is an
     endomorphism of M, so within one call its map alone fixes the verdict:
-    each distinct composite (at most |R| of them) is decided once."""
-    module, mset = b.module, b.mset
+    each distinct composite (at most |R| of them) is decided once.  The
+    composite of r.x and then t.x is the map of tr (the module axiom
+    (tr)x = t(rx)), so it is built once per ring product."""
+    module, mset, mul = b.module, b.mset, b.ring.mul
     monos = []
     for r in range(b.ring.size):
         f = scalar_hom(module, r)
         if is_u_S_mono(f, mset):
-            monos.append(f)
+            monos.append((r, f))
+    composite_of: dict[int, Homomorphism] = {}
     decided: dict[tuple[int, ...], bool] = {}
-    for f in monos:
-        for g in monos:
-            gf = compose(g, f)
+    for r, f in monos:
+        for t, g in monos:
+            tr = mul[t][r]
+            if tr not in composite_of:
+                composite_of[tr] = compose(g, f)
+            gf = composite_of[tr]
             if gf.map not in decided:
                 decided[gf.map] = is_u_S_mono(gf, mset)
             if not decided[gf.map]:

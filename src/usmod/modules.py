@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -341,9 +342,27 @@ def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:
     return Submodule(a.parent, tuple(sorted(set(a.members) & set(b.members))))
 
 
+def _mask(members: Iterable[int]) -> int:
+    """The bitmask with bit x set for each x in *members* (distinct)."""
+    return sum(map((1).__lshift__, members))
+
+
+class SubmoduleLattice(tuple):
+    """The submodules of one module, ordered by (size, members), with the
+    bitmask of each (see ``_mask``) filled in on the first call of ``masks``,
+    so a lattice only ever scanned as submodules never builds them."""
+
+    def masks(self) -> tuple[int, ...]:
+        masks = self.__dict__.get("_masks")
+        if masks is None:
+            masks = self.__dict__["_masks"] = tuple(_mask(l.members) for l in self)
+        return masks
+
+
 @lru_cache(maxsize=None)
-def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> tuple[Submodule, ...]:
-    """The full submodule lattice, ordered by (size, members).
+def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> SubmoduleLattice:
+    """The full submodule lattice, ordered by (size, members); its
+    ``masks()`` are the members' bitmasks, built on first use.
 
     Built by rings._lattice, the closure of the cyclic submodules under
     joins.  More than max(caps.max_lattice, #cyclics) submodules raise
@@ -354,13 +373,13 @@ def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> tuple[Sub
             f"module has {module.size} > {caps.max_module} elements"
         )
     lattice = _lattice(module.add, module.act, caps.max_lattice)
-    return tuple(Submodule(module, mem) for mem in lattice)
+    return SubmoduleLattice(Submodule(module, mem) for mem in lattice)
 
 
 @lru_cache(maxsize=None)
 def quotient_module(module: FiniteModule, sub: Submodule) -> tuple[FiniteModule, Homomorphism]:
     """Coset module and the natural surjection, labelled by minimal coset reps."""
-    if sub.parent != module:
+    if sub.parent is not module and sub.parent != module:
         raise DomainError("submodule of a different module")
     mem = sub.members
     reps, proj = _cosets(module.add, mem)
@@ -471,9 +490,9 @@ def zero_hom(source: FiniteModule, target: FiniteModule) -> Homomorphism:
 
 def compose(g: Homomorphism, f: Homomorphism) -> Homomorphism:
     """g after f.  Compositions of valid maps are valid; no recheck."""
-    if f.target != g.source:
+    if f.target is not g.source and f.target != g.source:
         raise DomainError("maps do not compose")
-    return Homomorphism(f.source, g.target, tuple(g.map[y] for y in f.map))
+    return Homomorphism(f.source, g.target, tuple(map(g.map.__getitem__, f.map)))
 
 
 def add_homs(f: Homomorphism, g: Homomorphism) -> Homomorphism:
@@ -490,7 +509,7 @@ def scalar_hom(module: FiniteModule, r: int) -> Homomorphism:
 
 def kernel(f: Homomorphism) -> Submodule:
     zero = f.target.zero
-    return Submodule(f.source, tuple(x for x in f.source.elements() if f.map[x] == zero))
+    return Submodule(f.source, tuple(compress(f.source.elements(), map(zero.__eq__, f.map))))
 
 
 def image(f: Homomorphism) -> Submodule:

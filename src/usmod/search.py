@@ -205,6 +205,9 @@ _UNCHECKED = object()
 class _Memo:
     candidates: dict[Instance, Optional[tuple]] = field(default_factory=dict)
     expansions: dict[Instance, list[Instance]] = field(default_factory=dict)
+    # where the greedy shrink from an instance ends, as (instance, payload),
+    # for every instance on a finished shrink path
+    finished: dict[Instance, tuple[Instance, dict]] = field(default_factory=dict)
 
 
 def _expand_submodules(memo: _Memo, inst: Instance, caps: Caps) -> list[Instance]:
@@ -247,9 +250,15 @@ def _claim_result(memo: _Memo, cand: Instance, claim: Claim, caps: Caps) -> Opti
 def _shrink(
     inst: Instance, payload: dict, claim: Claim, caps: Caps, memo: _Memo
 ) -> tuple[Instance, dict]:
-    """Greedy shrink of a witness *inst* whose claim payload is *payload*."""
+    """Greedy shrink of a witness *inst* whose claim payload is *payload*.
+
+    The shrink from an instance depends on that instance alone, so a path
+    that reaches an instance of a finished path stops there and ends where
+    that path ended."""
     current, current_payload = inst, payload
-    while True:
+    path = []
+    while current not in memo.finished:
+        path.append(current)
         current_built = build_instance(current, caps)
         base_key = _size_key(current_built)
         scored = []
@@ -266,7 +275,11 @@ def _shrink(
                 current, current_payload = cand, found
                 break
         else:
-            return current, current_payload
+            memo.finished[current] = (current, current_payload)
+    end = memo.finished[current]
+    for visited in path:
+        memo.finished[visited] = end
+    return end
 
 
 def shrink(

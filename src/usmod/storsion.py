@@ -32,9 +32,7 @@ def members_of(target: Submodule | FiniteModule) -> tuple[FiniteModule, Sequence
 
 
 def kills(module: FiniteModule, s: int, members: Iterable[int]) -> bool:
-    act_s = module.act[s]
-    zero = module.zero
-    return all(act_s[x] == zero for x in members)
+    return all(map(module.zero.__eq__, map(module.act[s].__getitem__, members)))
 
 
 def smallest_killer(
@@ -48,7 +46,7 @@ def s_torsion_submodule(module: FiniteModule, mset: MultiplicativeSet) -> Submod
     """tor_S(M): elements killed by some member of S, computed as the
     kernel of sigma (the ``sigma-shortcut`` law checks it against the
     existential scan)."""
-    if module.ring != mset.ring:
+    if module.ring is not mset.ring and module.ring != mset.ring:
         raise DomainError("multiplicative set is over a different ring")
     act_sigma = module.act[mset.sigma]
     killed = tuple(x for x in module.elements() if act_sigma[x] == module.zero)
@@ -59,7 +57,7 @@ def is_u_S_torsion(target: Submodule | FiniteModule, mset: MultiplicativeSet) ->
     """True iff a single member of S kills all of the target, decided by
     sigma; ``smallest_killer`` names the first member that does."""
     module, members = members_of(target)
-    if module.ring != mset.ring:
+    if module.ring is not mset.ring and module.ring != mset.ring:
         raise DomainError("multiplicative set is over a different ring")
     return kills(module, mset.sigma, members)
 

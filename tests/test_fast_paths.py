@@ -1,14 +1,16 @@
-"""Differential tests: the generator-driven closures, the set-based
+"""Differential tests: the generator-driven closures, the mask-scanning
 essential deciders, the index-arithmetic table builders, the lattice
-(joined coset by coset), coset and pair-table helpers that rings and
-modules share, and the annihilator-narrowed hom candidates against the
-pairwise and unnarrowed formulations they replaced.
+(joined coset by coset) and its bitmasks, coset and pair-table helpers that
+rings and modules share, the table primitives (kernel, kills, compose) and
+the annihilator-narrowed hom candidates against the pairwise, set-based and
+unnarrowed formulations they replaced.
 
 Each reference below is the earlier implementation, kept here verbatim in
 substance; the library versions must agree with them on seeded random
 instances, down to the counterexample, the witness pair and the refusal
 message.
 """
+import dataclasses
 import random
 
 import pytest
@@ -29,6 +31,7 @@ from usmod.modules import (
     Submodule,
     add_homs,
     all_submodules,
+    compose,
     cyclic_submodule,
     cyclic_zmod_module,
     direct_sum,
@@ -36,12 +39,15 @@ from usmod.modules import (
     hom_module,
     image_of_submodule,
     intersect_submodules,
+    kernel,
     quotient_module,
     regular_module,
+    scalar_hom,
     span,
     submodule_as_module,
     sum_submodules,
     zero_hom,
+    zero_module,
 )
 from usmod.rings import (
     FiniteRing,
@@ -114,7 +120,14 @@ def pairwise_mult_set_closure(ring, generators):
 
 # ---------------------------------------------------------------------------
 # references: the essential deciders with an |R| scan per (x, s) and
-# intersections built as Submodule tuples
+# intersections built as Submodule tuples, killed by a literal loop
+
+
+def literal_kills(module, s, members):
+    for x in members:
+        if module.act[s][x] != module.zero:
+            return False
+    return True
 
 
 def scan_fast(k, module, mset):
@@ -158,7 +171,7 @@ def tuple_oracle(k, module, mset):
     """(verdict, counterexample_L, witness_s_pair) of the lattice oracle."""
 
     def smallest_killer(members):
-        return next((s for s in mset.members if kills(module, s, members)), None)
+        return next((s for s in mset.members if literal_kills(module, s, members)), None)
 
     best_pair, best_size = None, -1
     for l in all_submodules(module):
@@ -178,7 +191,7 @@ def tuple_complement(k, module, mset):
     gamma = [
         n
         for n in all_submodules(module)
-        if kills(module, mset.sigma, intersect_submodules(k, n).members)
+        if literal_kills(module, mset.sigma, intersect_submodules(k, n).members)
     ]
     maximal = [
         n
@@ -816,3 +829,90 @@ def test_quotient_module_matches_old_coset_loop(ring):
             want, want_eta = coset_loop_quotient_module(module, sub)
             _same_module(got, want)
             _same_hom(got_eta, want_eta)
+
+
+# ---------------------------------------------------------------------------
+# table primitives and lattice masks against literal loops
+
+
+def literal_kernel(f):
+    out = []
+    for x in range(f.source.size):
+        if f.map[x] == f.target.zero:
+            out.append(x)
+    return tuple(out)
+
+
+def literal_compose(g, f):
+    out = []
+    for x in range(f.source.size):
+        out.append(g.map[f.map[x]])
+    return tuple(out)
+
+
+def literal_mask(members):
+    mask = 0
+    for x in members:
+        mask |= 1 << x
+    return mask
+
+
+def _member_lists(module, rng):
+    """The empty list, one-element lists (zero among them) and random ones."""
+    elements = list(module.elements())
+    yield []
+    yield [module.zero]
+    yield [rng.choice(elements)]
+    for _ in range(3):
+        yield rng.sample(elements, rng.randint(1, module.size))
+    yield elements
+
+
+def _maps_into(module, rng):
+    """Scalar maps, the zero map, the map from the zero module, the
+    projections onto quotients and inclusions of submodules: maps with
+    one-element kernels and sources among them."""
+    maps = [scalar_hom(module, r) for r in module.ring.elements()]
+    maps += [zero_hom(module, module), zero_hom(zero_module(module.ring), module)]
+    lattice = all_submodules(module)
+    for sub in rng.sample(lattice, min(3, len(lattice))):
+        maps += [quotient_module(module, sub)[1], submodule_as_module(sub)[1]]
+    return maps
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_kernel_kills_and_compose_match_literal_loops(ring):
+    rng = random.Random(f"primitives-{ring.label}")
+    for module in _table_pool(ring, rng, 24):  # rotated copies: zero is not element 0
+        for members in _member_lists(module, rng):
+            for s in ring.elements():
+                assert kills(module, s, members) == literal_kills(module, s, members)
+        maps = _maps_into(module, rng)
+        for f in maps:
+            assert kernel(f).members == literal_kernel(f), f
+            for g in maps:
+                if f.target == g.source:
+                    assert compose(g, f).map == literal_compose(g, f), (g, f)
+                else:
+                    with pytest.raises(DomainError, match="^maps do not compose$"):
+                        compose(g, f)
+
+
+def test_compose_accepts_an_equal_copy_of_the_middle_module():
+    module = regular_module(make_zmod(6))
+    copy = dataclasses.replace(module)
+    assert copy == module and copy is not module
+    f, g = scalar_hom(module, 2), scalar_hom(copy, 3)
+    assert compose(g, f).map == literal_compose(g, f) == (0,) * 6
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_lattice_masks_match_literal_masks(ring):
+    rng = random.Random(f"masks-{ring.label}")
+    for module in _table_pool(ring, rng, 32):
+        fresh = all_submodules.__wrapped__(module)
+        assert vars(fresh) == {}  # masks are built on first use, not with the lattice
+        masks = fresh.masks()
+        assert masks == tuple(literal_mask(l.members) for l in fresh), module.label
+        assert fresh.masks() is masks
+        assert fresh == all_submodules(module)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 from usmod.caps import DEFAULT_CAPS, Caps
 from usmod.cli import main
 from usmod.corpus import Bounds, Instance, build_instance, build_ring, generate_corpus
-from usmod import laws, search
+from usmod import corpus, laws, search
 from usmod.dsl import parse_program
 from usmod.errors import (
     ConfigError,
@@ -250,11 +251,27 @@ def _search_without_memo(claim_id, bounds, seed):
 @pytest.mark.parametrize(
     "claim_id", ["u-S-essential-not-essential", "essential-not-u-S-essential"]
 )
-def test_search_memo_matches_fresh_shrinks(claim_id):
+def test_search_memo_matches_fresh_shrinks(claim_id, monkeypatch):
+    """The memo one search call shares changes no hit.  A shrink that
+    reaches an instance of a finished shrink path stops there, so where
+    hits share a path the search runs fewer greedy rounds than fresh
+    shrinks do."""
+    rounds = []
+    real = search._variants
+
+    def counting(current, built, caps):
+        rounds.append(current)
+        return real(current, built, caps)
+
+    monkeypatch.setattr(search, "_variants", counting)
     bounds = Bounds(max_ring=12)
     got = search_counterexamples(claim_id, bounds, seed=0, limit=10**6, time_budget=1e6)
+    shared = len(rounds)
     want = _search_without_memo(claim_id, bounds, 0)
+    fresh = len(rounds) - shared
     assert [h.to_json() for h in got] == [h.to_json() for h in want]
+    assert len(set(rounds[:shared])) == shared  # no instance is shrunk from twice
+    assert shared < fresh if claim_id == "u-S-essential-not-essential" else shared == fresh == 0
 
 
 def _search_running_example(monkeypatch, error: Exception):
@@ -341,6 +358,19 @@ def test_replay_refuses_malformed_instances(instance):
         replay_result({"law_id": "running-example", "instance": instance})
     with pytest.raises(ConfigError):
         replay_hit({"claim_id": "u-S-essential-not-essential", "instance": instance})
+
+
+@pytest.mark.parametrize("entry", [True, 1.0], ids=["bool", "float"])
+def test_submodule_lists_refuse_bools_and_floats(entry):
+    """JSON bools and floats compare equal to indices (True == 1, 1.0 == 1);
+    inside an otherwise flat list of ints they are still refused."""
+    message = "^" + re.escape(f"non-integer value {entry!r} in submodule") + "$"
+    for value in ([0, entry], [0, 1, 2, entry, 3], (entry,)):
+        with pytest.raises(ConfigError, match=message):
+            corpus._ints(value, 1, "submodule", ConfigError)
+    with pytest.raises(ConfigError, match=message):
+        Instance.from_json(_example_json(submodule=[0, entry]))
+    assert corpus._ints([0, 1, 2], 1, "submodule", ConfigError) == (0, 1, 2)
 
 
 def test_replay_refuses_unknown_ids_and_instance_laws_without_submodule():

@@ -15,7 +15,7 @@ import usmod
 
 PACKAGE = Path(usmod.__file__).resolve().parent
 BROAD = {"Exception", "BaseException"}
-MAX_PROCESS_CACHES = 16
+MAX_PROCESS_CACHES = 15
 CACHE_DECORATORS = {"lru_cache", "cache"}
 
 
