@@ -7,12 +7,13 @@ exactly dividing n, and the injective envelope is the sum of dim M[p]
 copies of Z/p^k, one character M -> Z/p^k per copy.  The structural test
 stays independent of the Baer scan, which tests compare it against.
 
-u-S-injectivity has no exact finite decision procedure here, so verdicts are
-three-tiered: "certified" (injective by exhaustive Baer scan, uniformly
-killed, or a finite sum of certified modules), "bounded-pass" (survived a
-catalogue of extension problems, which proves nothing), and "refuted"
-(a witness extension problem failed; always sound).  bounded-pass is never
-upgraded to certified.
+u-S-injectivity is not decided exactly yet, so verdicts are three-tiered:
+"certified" (injective by exhaustive Baer scan, uniformly killed, or a
+finite sum of certified modules), "bounded-pass" (survived a catalogue of
+extension problems, which proves nothing), and "refuted" (a witness
+extension problem failed; always sound).  bounded-pass is never upgraded
+to certified.  Every extension question is a lookup: the composites it
+allows (restrictions, g.f, s.f) are collected once into a set.
 
 The paper's statements about envelopes (uniqueness, summands of
 preenvelopes, the three characterizations, direct sums) are written once,
@@ -99,22 +100,15 @@ class EnvelopeCandidate:
 @lru_cache(maxsize=None)
 def is_injective_baer(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> InjectivityReport:
     """Exhaustive Baer scan: every map from every ideal into the module must
-    extend to the whole ring.  Exact for finite rings."""
-    ring = module.ring
-    reg = regular_module(ring)
-    for ideal in all_ideals(ring):
-        sub = Submodule(reg, ideal.members)
-        ideal_mod, incl = submodule_as_module(sub)
+    extend to the whole ring.  Exact for finite rings.  A map R -> M is
+    r -> r.m, so h: I -> M extends iff h is the restriction i -> i.m of
+    some m; the restrictions are collected once per ideal."""
+    reg = regular_module(module.ring)
+    for ideal in all_ideals(module.ring):
+        ideal_mod, incl = submodule_as_module(Submodule(reg, ideal.members))
+        restrictions = set(zip(*map(module.act.__getitem__, incl.map)))
         for h in hom_enumerate(ideal_mod, module, caps=caps):
-            extendable = False
-            for m in module.elements():
-                if all(
-                    module.act[incl.map[j]][m] == h.map[j]
-                    for j in ideal_mod.elements()
-                ):
-                    extendable = True
-                    break
-            if not extendable:
+            if h.map not in restrictions:
                 return InjectivityReport("not-injective", witness=(ideal, h))
     return InjectivityReport("injective", certificate="injective-baer")
 
@@ -349,8 +343,11 @@ def bounded_u_S_injective_test(
 def replay_refuted(module: FiniteModule, mset: MultiplicativeSet, witness: RefutedWitness,
                    caps: Caps = DEFAULT_CAPS) -> bool:
     """Re-verify a refutation: every s in S has its recorded h with no
-    extension g satisfying s.h = g.f (exhaustive g-scan)."""
+    extension g satisfying s.h = g.f (exhaustive g-scan).  f must be a
+    u-S-monomorphism, or it poses no extension problem at all."""
     f = witness.f
+    if not is_u_S_mono(f, mset):
+        return False
     target_homs = hom_enumerate(f.target, module, caps=caps)
     composed = {tuple(g.map[y] for y in f.map) for g in target_homs}
     seen = {s for s, _ in witness.failures}
@@ -418,14 +415,12 @@ def endomorphism_condition(
 
     Scans End(E), which raises ResourceExceededError past ``end_cap``."""
     env = f.target
-    for alpha in hom_enumerate(env, env, end_cap, caps):
-        for s in mset.members:
-            act_s = env.act[s]
-            if all(act_s[f.map[x]] == alpha.map[f.map[x]] for x in f.source.elements()):
-                if not is_u_S_iso(alpha, mset):
-                    return False
-                break
-    return True
+    scaled = {tuple(map(env.act[s].__getitem__, f.map)) for s in mset.members}
+    return all(
+        is_u_S_iso(alpha, mset)
+        for alpha in hom_enumerate(env, env, end_cap, caps)
+        if tuple(map(alpha.map.__getitem__, f.map)) in scaled
+    )
 
 
 def construct_u_S_envelope(

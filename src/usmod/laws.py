@@ -56,7 +56,6 @@ from .modules import (
     direct_sum,
     direct_sum_many,
     hom_enumerate,
-    hom_module,
     image,
     intersect_submodules,
     is_prime_module,
@@ -70,7 +69,6 @@ from .modules import (
 from .rings import is_regular_set, is_u_S_noetherian, spectrum
 from .storsion import (
     find_u_S_isomorphism,
-    is_u_S_epi,
     is_u_S_iso,
     is_u_S_mono,
     is_u_S_torsion,
@@ -471,17 +469,13 @@ def law_preenvelope_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
         for a2 in pool:
             if not certify_u_S_injective(a2, mset, caps, fallback=False).certified:
                 continue
-            hom_e, homs_e = hom_module(env, a2, cap=512, caps=caps)
-            hom_m, homs_m = hom_module(module, a2, cap=512, caps=caps)
-            index_m = {h.map: i for i, h in enumerate(homs_m)}
-            induced = Homomorphism(
-                hom_e,
-                hom_m,
-                tuple(
-                    index_m[tuple(h.map[v] for v in env_map.map)] for h in homs_e
-                ),
-            )
-            if not is_u_S_epi(induced, mset):
+            # Hom(i, A): Hom(E, A) -> Hom(M, A) is u-S-epi iff sigma.h is
+            # some g . i for every h: M -> A
+            homs_e = hom_enumerate(env, a2, cap=512, caps=caps)
+            homs_m = hom_enumerate(module, a2, cap=512, caps=caps)
+            restricted = {tuple(map(g.map.__getitem__, env_map.map)) for g in homs_e}
+            act_sigma = a2.act[mset.sigma]
+            if not all(tuple(map(act_sigma.__getitem__, h.map)) in restricted for h in homs_m):
                 return VIOLATED, {"pool_module": a2.label}, ""
             checked += 1
     except ResourceExceededError:

@@ -15,8 +15,7 @@ rows is a scaled row of M1's table combined with a row of M2's.  The
 submodule lattice is the closure of the cyclic submodules under joining each
 submodule found with every cyclic one.  These two builders and the coset
 projection of quotient_module are shared with rings.py, which uses them for
-products, ideals and quotient rings.  Hom(M, N) is tabulated on the tuples of
-generator images, which fix each map.
+products, ideals and quotient rings.
 
 Homomorphisms are enumerated from a greedily chosen generating set by
 backtracking over candidate images of each generator.  A derivation plan,
@@ -741,41 +740,6 @@ def hom_enumerate(
 
     backtrack(0)
     return out
-
-
-def hom_module(
-    source: FiniteModule,
-    target: FiniteModule,
-    cap: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> tuple[FiniteModule, list[Homomorphism]]:
-    """Hom(source, target) as a module under pointwise addition and action.
-
-    A map is fixed by its images of the source's generating set, so the
-    tables are built on those image tuples, added and scaled in the target;
-    element i of the module is homs[i].
-    """
-    homs = hom_enumerate(source, target, cap, caps)
-    gens = _source_plan(source)[0]
-    keys = [tuple(h.map[g] for g in gens) for h in homs]
-    index_of = {key: i for i, key in enumerate(keys)}
-    tadd = target.add
-    add = tuple(
-        tuple(index_of[tuple(tadd[a][b] for a, b in zip(kf, kg))] for kg in keys)
-        for kf in keys
-    )
-    act = tuple(
-        tuple(index_of[tuple(row[a] for a in key)] for key in keys) for row in target.act
-    )
-    module = FiniteModule(
-        ring=source.ring,
-        add=add,
-        zero=index_of[(target.zero,) * len(gens)],
-        act=act,
-        label=f"Hom({source.label},{target.label})",
-        names=tuple(str(h.map) for h in homs),
-    )
-    return module, homs
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,12 @@ def is_u_S_mono(f: Homomorphism, mset: MultiplicativeSet) -> bool:
 
 
 def is_u_S_epi(f: Homomorphism, mset: MultiplicativeSet) -> bool:
-    return is_u_S_torsion(cokernel(f)[0], mset)
+    """True iff sigma.target lies in f(M), that is, sigma kills the
+    cokernel; ``cokernel`` builds it only where a witness is shown."""
+    target = f.target
+    if target.ring is not mset.ring and target.ring != mset.ring:
+        raise DomainError("multiplicative set is over a different ring")
+    return set(target.act[mset.sigma]) <= set(f.map)
 
 
 def is_u_S_iso(f: Homomorphism, mset: MultiplicativeSet) -> bool:
@@ -82,16 +87,18 @@ def is_u_S_iso(f: Homomorphism, mset: MultiplicativeSet) -> bool:
 def is_u_S_split(
     f: Homomorphism, mset: MultiplicativeSet, cap: int | None = None, caps: Caps = DEFAULT_CAPS
 ) -> tuple[bool, Optional[tuple[int, Homomorphism]]]:
-    """Search a retraction f' with f' . f = s identity for some s in S."""
+    """Search a retraction f' with f' . f = s identity for some s in S:
+    each composite f' . f is kept with the first f' giving it, and the s
+    identities are looked up in S's order."""
     if not is_u_S_mono(f, mset):
         raise PreconditionViolatedError("splitting is only defined for u-S-monomorphisms")
-    src = f.source
-    retractions = hom_enumerate(f.target, src, cap, caps)
+    first: dict[tuple[int, ...], Homomorphism] = {}
+    for fp in hom_enumerate(f.target, f.source, cap, caps):
+        first.setdefault(tuple(map(fp.map.__getitem__, f.map)), fp)
     for s in mset.members:
-        s_id = src.act[s]
-        for fp in retractions:
-            if all(fp.map[f.map[x]] == s_id[x] for x in src.elements()):
-                return True, (s, fp)
+        fp = first.get(f.source.act[s])
+        if fp is not None:
+            return True, (s, fp)
     return False, None
 
 

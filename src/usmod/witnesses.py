@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .corpus import Instance, _ints, build_instance
-from .errors import DomainError, InvalidModuleError, ResourceExceededError
+from .errors import ConfigError, DomainError, InvalidModuleError, ResourceExceededError
 from .essential import is_essential, is_u_S_essential_fast, is_u_S_essential_oracle
 from .injective import RefutedWitness, certify_u_S_injective, replay_refuted
 from .modules import (
@@ -20,6 +20,7 @@ from .modules import (
     Submodule,
     check_homomorphism,
     check_module_axioms,
+    check_submodule,
 )
 
 
@@ -81,7 +82,6 @@ def collect_false_essential_witnesses(
             payload = {
                 "kind": "u-S-essential-false",
                 "instance": inst.to_json(),
-                "submodule": list(k.members),
                 "counterexample_L": list(verdict.counterexample_L.members),
                 "s1": verdict.witness_s_pair[0],
             }
@@ -94,7 +94,6 @@ def collect_false_essential_witnesses(
                 {
                     "kind": "essential-false",
                     "instance": inst.to_json(),
-                    "submodule": list(k.members),
                     "counterexample_L": list(ess.counterexample_L.members),
                 }
             )
@@ -102,20 +101,20 @@ def collect_false_essential_witnesses(
 
 
 def replay_essential_witness(payload: dict, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Re-check a false verdict from the payload alone."""
+    """Re-check a false verdict from the payload alone.  K is the
+    instance's submodule, rebuilt from its generators."""
     inst = Instance.from_json(payload["instance"])
+    if inst.submodule is None:
+        raise ConfigError("an essentiality witness needs an instance with a submodule")
     b = build_instance(inst, caps)
     module = b.module
-    kset = set(_ints(payload["submodule"], 1, "submodule", DomainError))
+    kset = b.submodule.member_set()
     lset = set(_ints(payload["counterexample_L"], 1, "counterexample_L", DomainError))
     if not lset <= set(module.elements()):
         return False
     # the counterexample must be a genuine submodule
-    sub = Submodule(module, tuple(sorted(lset)))
-    from .modules import check_submodule
-
     try:
-        check_submodule(sub)
+        check_submodule(Submodule(module, tuple(sorted(lset))))
     except DomainError:
         return False
     meet = kset & lset

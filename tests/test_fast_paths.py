@@ -1,9 +1,11 @@
 """Differential tests: the generator-driven closures, the mask-scanning
 essential deciders, the index-arithmetic table builders, the lattice
 (joined coset by coset) and its bitmasks, coset and pair-table helpers that
-rings and modules share, the table primitives (kernel, kills, compose) and
-the annihilator-narrowed hom candidates against the pairwise, set-based and
-unnarrowed formulations they replaced.
+rings and modules share, the table primitives (kernel, kills, compose), the
+annihilator-narrowed hom candidates and the extension questions answered by
+one lookup in a set of composites (u-S-epi, Baer, the endomorphism
+condition, splitting) against the pairwise, set-based, unnarrowed and
+per-map formulations they replaced.
 
 Each reference below is the earlier implementation, kept here verbatim in
 substance; the library versions must agree with them on seeded random
@@ -29,14 +31,12 @@ from usmod.modules import (
     FiniteModule,
     Homomorphism,
     Submodule,
-    add_homs,
     all_submodules,
     compose,
     cyclic_submodule,
     cyclic_zmod_module,
     direct_sum,
     hom_enumerate,
-    hom_module,
     image_of_submodule,
     intersect_submodules,
     kernel,
@@ -64,7 +64,17 @@ from usmod.rings import (
     quotient_ring,
     unit_mult_set,
 )
-from usmod.storsion import kills, s_torsion_submodule
+from usmod.injective import InjectivityReport, endomorphism_condition, is_injective_baer
+from usmod.storsion import (
+    cokernel,
+    is_u_S_epi,
+    is_u_S_iso,
+    is_u_S_mono,
+    is_u_S_split,
+    is_u_S_torsion,
+    kills,
+    s_torsion_submodule,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +273,6 @@ def pairwise_all_submodules(module, caps=DEFAULT_CAPS):
                 queue.append(zs)
     ordered = sorted(found, key=lambda t: (len(t), t))
     return tuple(Submodule(module, mem) for mem in ordered)
-
-
-def add_homs_hom_module(source, target, cap=None, caps=DEFAULT_CAPS):
-    homs = hom_enumerate(source, target, cap, caps)
-    index_of = {h.map: i for i, h in enumerate(homs)}
-    add = tuple(tuple(index_of[add_homs(f, g).map] for g in homs) for f in homs)
-    act = tuple(
-        tuple(index_of[tuple(target.act[r][v] for v in f.map)] for f in homs)
-        for r in source.ring.elements()
-    )
-    module = FiniteModule(
-        ring=source.ring,
-        add=add,
-        zero=index_of[zero_hom(source, target).map],
-        act=act,
-        label=f"Hom({source.label},{target.label})",
-        names=tuple(str(h.map) for h in homs),
-    )
-    return module, homs
 
 
 def pairwise_sum_lattice(add, act, cap):
@@ -693,25 +684,6 @@ def test_all_submodules_cap_boundary():
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
-def test_hom_module_matches_add_homs_tables(ring):
-    rng = random.Random(f"hom-module-{ring.label}")
-    pool = _table_pool(ring, rng, 12)
-    for source in pool:
-        for target in rng.sample(pool, min(3, len(pool))):
-            try:
-                want, want_homs = add_homs_hom_module(source, target, cap=512)
-            except ResourceExceededError as exc:
-                with pytest.raises(ResourceExceededError, match=f"^{exc}$"):
-                    hom_module(source, target, cap=512)
-                continue
-            got, got_homs = hom_module(source, target, cap=512)
-            _same_module(got, want)
-            assert [h.map for h in got_homs] == [h.map for h in want_homs]
-            for g, w in zip(got_homs, want_homs):
-                _same_hom(g, w)
-
-
-@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
 def test_hom_enumerate_matches_additive_order_candidates(ring):
     """Narrowing each generator's candidates by its annihilator keeps the
     same maps in the same order, and the same refusals word for word."""
@@ -916,3 +888,120 @@ def test_lattice_masks_match_literal_masks(ring):
         assert masks == tuple(literal_mask(l.members) for l in fresh), module.label
         assert fresh.masks() is masks
         assert fresh == all_submodules(module)
+
+
+# ---------------------------------------------------------------------------
+# references: extension questions answered map by map and element by element
+
+
+def cokernel_epi(f, mset):
+    return is_u_S_torsion(cokernel(f)[0], mset)
+
+
+def scan_baer(module, caps=DEFAULT_CAPS):
+    ring = module.ring
+    reg = regular_module(ring)
+    for ideal in all_ideals(ring):
+        sub = Submodule(reg, ideal.members)
+        ideal_mod, incl = submodule_as_module(sub)
+        for h in hom_enumerate(ideal_mod, module, caps=caps):
+            extendable = False
+            for m in module.elements():
+                if all(
+                    module.act[incl.map[j]][m] == h.map[j]
+                    for j in ideal_mod.elements()
+                ):
+                    extendable = True
+                    break
+            if not extendable:
+                return InjectivityReport("not-injective", witness=(ideal, h))
+    return InjectivityReport("injective", certificate="injective-baer")
+
+
+def per_s_endomorphism_condition(f, mset, caps=DEFAULT_CAPS, end_cap=None):
+    env = f.target
+    for alpha in hom_enumerate(env, env, end_cap, caps):
+        for s in mset.members:
+            act_s = env.act[s]
+            if all(act_s[f.map[x]] == alpha.map[f.map[x]] for x in f.source.elements()):
+                if not is_u_S_iso(alpha, mset):
+                    return False
+                break
+    return True
+
+
+def per_s_split(f, mset, cap=None, caps=DEFAULT_CAPS):
+    src = f.source
+    retractions = hom_enumerate(f.target, src, cap, caps)
+    for s in mset.members:
+        s_id = src.act[s]
+        for fp in retractions:
+            if all(fp.map[f.map[x]] == s_id[x] for x in src.elements()):
+                return True, (s, fp)
+    return False, None
+
+
+def _outcome(decide, *args, **kwargs):
+    try:
+        return decide(*args, **kwargs)
+    except ResourceExceededError as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_u_S_epi_matches_cokernel_torsion(ring):
+    """Every map between small module pairs, under every sampled S."""
+    rng = random.Random(f"epi-{ring.label}")
+    msets = list(_msets(ring, rng))
+    pool = _table_pool(ring, rng, 12)
+    seen = set()
+    for source in pool:
+        for target in rng.sample(pool, min(4, len(pool))):
+            for f in hom_enumerate(source, target, cap=512):
+                for mset in msets:
+                    got = is_u_S_epi(f, mset)
+                    assert got == cokernel_epi(f, mset), (f, mset.members)
+                    seen.add(got)
+    assert seen == {True, False}
+
+
+def test_u_S_epi_refuses_a_set_over_another_ring():
+    module = regular_module(make_zmod(6))
+    other = make_zmod(5)
+    with pytest.raises(DomainError, match="different ring"):
+        is_u_S_epi(scalar_hom(module, 1), mult_set_closure(other, [other.one]))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_baer_scan_matches_per_map_scan(ring):
+    """Same verdict and the same first non-extending (ideal, h)."""
+    rng = random.Random(f"baer-{ring.label}")
+    seen = set()
+    for module in _table_pool(ring, rng, 16):
+        got = is_injective_baer.__wrapped__(module)
+        assert got == scan_baer(module), module.label
+        seen.add(got.verdict)
+    assert "injective" in seen
+    if ring.zmod_n in (4, 8, 9, 12, 16):  # Z/p over Z/p^2 is in the pool
+        assert "not-injective" in seen
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_endomorphism_condition_and_split_match_per_s_loops(ring):
+    rng = random.Random(f"endo-{ring.label}")
+    msets = list(_msets(ring, rng))
+    pool = _table_pool(ring, rng, 12)
+    seen = set()
+    for source in pool:
+        for env in rng.sample(pool, min(3, len(pool))):
+            homs = hom_enumerate(source, env, cap=512)
+            for f in rng.sample(homs, min(6, len(homs))):
+                for mset in msets:
+                    where = (f, mset.members)
+                    got = _outcome(endomorphism_condition, f, mset, end_cap=256)
+                    assert got == _outcome(per_s_endomorphism_condition, f, mset, end_cap=256), where
+                    seen.add(got)
+                    if is_u_S_mono(f, mset):
+                        got = _outcome(is_u_S_split, f, mset, cap=256)
+                        assert got == _outcome(per_s_split, f, mset, cap=256), where
+    assert {True, False} <= seen

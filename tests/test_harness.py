@@ -28,6 +28,7 @@ from usmod.witnesses import (
     collect_refuted_reports,
     replay_essential_witness,
     replay_refuted_payload,
+    serialize_module,
 )
 
 
@@ -422,8 +423,8 @@ def test_false_essential_witnesses_replay(small_corpus):
 
 @pytest.mark.parametrize(
     "changes",
-    [{"s1": [4]}, {"submodule": 5}, {"counterexample_L": ["a"]}],
-    ids=["s1-list", "submodule-int", "counterexample-not-int"],
+    [{"s1": [4]}, {"counterexample_L": 5}, {"counterexample_L": ["a"]}],
+    ids=["s1-list", "counterexample-int", "counterexample-not-int"],
 )
 def test_essential_witness_replay_refuses_malformed_payloads(changes):
     payload = {
@@ -435,6 +436,37 @@ def test_essential_witness_replay_refuses_malformed_payloads(changes):
     }
     with pytest.raises(DomainError):
         replay_essential_witness({**payload, **changes})
+
+
+def _z6_json(submodule):
+    """Z/6 over itself with S = {1}."""
+    return {
+        "ring": ["zmod", 6], "mset": ["closure", [1]], "module": ["regular"],
+        "submodule": submodule, "seed": 0, "size_profile": [6, 6],
+    }
+
+
+def test_essential_witness_replay_takes_k_from_the_instance():
+    """K = <1> = Z/6 is essential; a payload claiming K = {0} must not
+    refute it, and an instance without K has nothing to refute."""
+    forged = {"instance": _z6_json([1]), "submodule": [0], "counterexample_L": list(range(6))}
+    assert not replay_essential_witness({**forged, "kind": "essential-false"})
+    assert not replay_essential_witness({**forged, "kind": "u-S-essential-false", "s1": 1})
+    with pytest.raises(ConfigError, match="needs an instance with a submodule"):
+        replay_essential_witness({**forged, "kind": "essential-false", "instance": _z6_json(None)})
+
+
+def test_refuted_replay_needs_a_u_S_monomorphism():
+    """The zero map Z/6 -> Z/6 is no u-S-mono at S = {1}, so id failing to
+    extend along it refutes nothing: Z/6 is self-injective."""
+    module = serialize_module(build_instance(Instance.from_json(_z6_json(None))).module)
+    payload = {
+        "kind": "u-S-injectivity-refuted",
+        "instance": _z6_json(None),
+        "f": {"source": module, "target": module, "map": [0] * 6},
+        "failures": [[1, list(range(6))]],
+    }
+    assert not replay_refuted_payload(json.loads(json.dumps(payload)))
 
 
 def test_false_essential_witnesses_are_distinct(small_corpus):

@@ -7,7 +7,10 @@ so no class defines __eq__ by hand and no @dataclass passes eq=False.
 
 Process-wide caches only shrink: the package holds at most
 MAX_PROCESS_CACHES functools cache decorators, so a new speedup keeps its
-memo in the call that needs it."""
+memo in the call that needs it.
+
+No library module but __init__.py (which re-exports) imports a name it
+never uses, so a deletion cannot leave a dead import behind."""
 import ast
 from pathlib import Path
 
@@ -65,3 +68,38 @@ def test_process_wide_caches_do_not_grow():
         if _name(deco) in CACHE_DECORATORS
     ]
     assert len(found) <= MAX_PROCESS_CACHES, found
+
+
+def _imported_names(tree: ast.AST):
+    """Each name an import binds, with its line; ``from __future__`` binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere, including inside quoted annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used |= _used_names(ast.parse(part.value, mode="eval"))
+    return used
+
+
+def test_library_modules_have_no_unused_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = _used_names(tree)
+        found += [f"{path.name}:{line}: {name}" for name, line in _imported_names(tree) if name not in used]
+    assert found == []

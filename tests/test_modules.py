@@ -23,7 +23,6 @@ from usmod.modules import (
     direct_sum_many,
     generating_set,
     hom_enumerate,
-    hom_module,
     identity_hom,
     image,
     image_of_submodule,
@@ -308,7 +307,7 @@ def test_generating_set_runs_once_per_source(monkeypatch):
     monkeypatch.setattr(modules, "generating_set", lambda m: calls.append(m) or generating_set(m))
     modules._source_plan.cache_clear()
     assert [[h.map for h in hom_enumerate(src, t)] for t in targets] == want
-    assert [h.map for h in hom_module(src, targets[0])[1]] == want[0]
+    assert [h.map for h in hom_enumerate(src, targets[0], cap=512)] == want[0]
     assert calls == [src]
     relabelled = dataclasses.replace(src, label="copy")
     assert [h.map for h in hom_enumerate(relabelled, targets[1])] == want[1]
