@@ -35,7 +35,6 @@ from .injective import (
     bounded_u_S_injective_test,
     certify_u_S_injective,
     construct_u_S_envelope,
-    default_catalogue,
 )
 from .laws import HOLDS, LAWS_BY_ID, SKIP_INAPPLICABLE, SKIP_RESOURCE, VIOLATED, run_laws, tally
 from .report import FORMATS, emit_report
@@ -226,8 +225,7 @@ def _cmd_injective(args, caps) -> int:
         if args.tier == "certify":
             report = certify_u_S_injective(module, mset, caps)
         else:
-            catalogue = default_catalogue(module, mset, (), caps)
-            report = bounded_u_S_injective_test(module, mset, catalogue, caps)
+            report = bounded_u_S_injective_test(module, mset, caps)
         payload = {
             "module": name,
             "mset": mset_name,

@@ -89,9 +89,7 @@ class Instance:
         """The instance a ``to_json`` payload describes.  A payload of any
         other shape is refused with ConfigError; element indices and ring
         sizes are checked when the instance is built."""
-        if not isinstance(payload, dict) or not _INSTANCE_FIELDS <= payload.keys():
-            raise ConfigError(f"an instance payload needs the fields {sorted(_INSTANCE_FIELDS)}")
-        sub = payload["submodule"]
+        sub = _fields(payload, _INSTANCE_FIELDS, "an instance payload")["submodule"]
         return Instance(
             ring=_tuplize(payload["ring"]),
             mset=_tuplize(payload["mset"]),
@@ -103,6 +101,15 @@ class Instance:
 
 
 _INSTANCE_FIELDS = {"ring", "mset", "module", "submodule", "seed", "size_profile"}
+
+
+def _fields(payload, names: set, what: str) -> dict:
+    """*payload* itself when it is a dict holding every field in *names*.
+    Any other payload is refused with ConfigError before a field is read,
+    so a replayer never leaks a KeyError or TypeError."""
+    if not isinstance(payload, dict) or not names <= payload.keys():
+        raise ConfigError(f"{what} needs the fields {sorted(names)}")
+    return payload
 
 
 def _tuplize(x):

@@ -300,6 +300,14 @@ def _killer_name(mset: MultiplicativeSet, target) -> Optional[str]:
     return _name_of(mset.ring, smallest_killer(module, mset, members))
 
 
+# each assertion function's argument count, checked before it is evaluated
+_ARITY = {
+    "essential": 1, "u_s_essential": 2, "u_s_torsion": 2, "u_s_mono": 2, "u_s_epi": 2,
+    "u_s_iso": 2, "u_s_split": 2, "u_s_iso_exists": 3, "injective": 1, "u_s_injective": 2,
+    "u_s_preenvelope": 2, "u_s_envelope": 2,
+}
+
+
 def _evaluate_one(env: Environment, a: Assertion, caps: Caps) -> AssertionResult:
     def sub(i: int) -> Submodule:
         return env.lookup("subs", a.args[i], a.line)
@@ -328,6 +336,14 @@ def _evaluate_one(env: Environment, a: Assertion, caps: Caps) -> AssertionResult
     method = ""
     counterexample: Optional[list[int]] = None
     try:
+        if a.func not in _ARITY:
+            raise ConfigError(f"line {a.line}: unknown assertion {a.func!r}")
+        arity = _ARITY[a.func]
+        if len(a.args) != arity:
+            raise ConfigError(
+                f"line {a.line}: {a.func} takes {arity} argument{'s' * (arity > 1)}, "
+                f"got {len(a.args)}"
+            )
         if a.func == "essential":
             k = sub(0)
             res = is_essential(k, k.parent, caps)
@@ -373,12 +389,10 @@ def _evaluate_one(env: Environment, a: Assertion, caps: Caps) -> AssertionResult
             report = check_u_S_preenvelope(hom(0), mset(1), caps)
             verdict = report.holds
             detail = report.level
-        elif a.func == "u_s_envelope":
+        else:  # u_s_envelope
             cand = check_u_S_envelope(hom(0), mset(1), caps)
             verdict = cand.is_envelope
             detail = cand.e_certificate
-        else:
-            raise ConfigError(f"line {a.line}: unknown assertion {a.func!r}")
     except ResourceExceededError as exc:
         complete = False
         detail = f"resource-exceeded: {exc}"

@@ -13,7 +13,11 @@ finite sum of certified modules), "bounded-pass" (survived a catalogue of
 extension problems, which proves nothing), and "refuted" (a witness
 extension problem failed; always sound).  bounded-pass is never upgraded
 to certified.  Every extension question is a lookup: the composites it
-allows (restrictions, g.f, s.f) are collected once into a set.
+allows (restrictions, g.f, s.f) are collected once into a set.  A uniform
+one is asked at sigma alone: each s in S divides sigma = t.s, so s.h = g.f
+gives sigma.h = (t.g).f, and an h with sigma.h outside {g.f} fails for
+every s at once.  A refutation is one pair (f, h), as a Baer witness is
+(ideal, h).
 
 The paper's statements about envelopes (uniqueness, summands of
 preenvelopes, the three characterizations, direct sums) are written once,
@@ -64,19 +68,10 @@ from .storsion import (
 
 
 @dataclass(frozen=True)
-class RefutedWitness:
-    """One catalogue map plus, for every s in S, a source map with no
-    s-uniform extension.  Re-checkable by exhaustive g-scan per entry."""
-
-    f: Homomorphism
-    failures: tuple[tuple[int, Homomorphism], ...]  # (s, h) pairs covering all of S
-
-
-@dataclass(frozen=True)
 class InjectivityReport:
     verdict: str  # injective | not-injective | u-S-injective-certified | bounded-pass | refuted
     certificate: Optional[str] = None  # injective-baer | u-S-torsion | closure | bounded-pass
-    witness: object = None  # (Ideal, Homomorphism) for not-injective, RefutedWitness for refuted
+    witness: object = None  # (Ideal, h) for not-injective, (f, h) for refuted
     catalogue_size: Optional[int] = None
 
     @property
@@ -240,22 +235,16 @@ def certify_u_S_injective(
         return InjectivityReport("u-S-injective-certified", certificate="injective-baer")
     if not fallback:
         return InjectivityReport("bounded-pass", certificate=None, catalogue_size=0)
-    catalogue = default_catalogue(module, mset, extra_modules, caps)
-    return bounded_u_S_injective_test(module, mset, catalogue, caps)
+    return bounded_u_S_injective_test(module, mset, caps, extra_modules)
 
 
-def default_catalogue(
-    module: FiniteModule,
-    mset: MultiplicativeSet,
-    extra_modules: Sequence[FiniteModule] = (),
-    caps: Caps = DEFAULT_CAPS,
-    max_entries: int = 48,
+def _default_catalogue(
+    module: FiniteModule, extra_modules: Sequence[FiniteModule], caps: Caps, max_entries: int
 ) -> list[Homomorphism]:
     """Submodule inclusions of a small pool: the regular module, the module
     under test, the supplied extras, their pairwise direct sums, and the
     quotients of each pool member.  These are the maps the extension
     arguments actually instantiate (ideal inclusions and natural maps)."""
-    ring = module.ring
     pool: list[FiniteModule] = []
     seen: set[tuple] = set()
 
@@ -267,7 +256,7 @@ def default_catalogue(
             seen.add(key)
             pool.append(m)
 
-    admit(regular_module(ring))
+    admit(regular_module(module.ring))
     admit(module)
     for m in extra_modules:
         admit(m)
@@ -299,66 +288,47 @@ def default_catalogue(
 
 
 def bounded_u_S_injective_test(
-    module: FiniteModule,
-    mset: MultiplicativeSet,
-    catalogue: Sequence[Homomorphism],
-    caps: Caps = DEFAULT_CAPS,
+    module: FiniteModule, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS,
+    extra_modules: Sequence[FiniteModule] = (), max_entries: int = 48,
 ) -> InjectivityReport:
-    """For each catalogue monomorphism f: A -> B, search an s in S such that
-    every h: A -> E extends to g: B -> E with s.h = g.f.  Any f with no such
-    s refutes u-S-injectivity (sound); passing everything is only
-    "bounded-pass"."""
-    for f in catalogue:
-        if not is_u_S_mono(f, mset):
-            raise PreconditionViolatedError("catalogue entry is not a u-S-monomorphism")
+    """Each inclusion f: A -> B of a catalogue built from a small pool (R,
+    the module E under test, *extra_modules*, their sums and quotients; at
+    most *max_entries* maps) must give every h: A -> E some g: B -> E with
+    sigma.h = g.f.  {g.f} is built once per f and Hom(A, E) scanned once:
+    the first h outside it fails for every s in S, so (f, h) refutes
+    u-S-injectivity (sound).  Passing everything is only "bounded-pass"."""
+    catalogue = _default_catalogue(module, extra_modules, caps, max_entries)
+    size = len(catalogue)
+    if not all(is_u_S_mono(f, mset) for f in catalogue):
+        raise InternalError("catalogue inclusion is not a u-S-monomorphism")
+    act_sigma = module.act[mset.sigma]
     for f in catalogue:
         source_homs = hom_enumerate(f.source, module, caps=caps)
-        target_homs = hom_enumerate(f.target, module, caps=caps)
-        composed = {tuple(g.map[y] for y in f.map) for g in target_homs}
-        failures: list[tuple[int, Homomorphism]] = []
-        ok = False
-        for s in mset.members:
-            act_s = module.act[s]
-            bad = None
-            for h in source_homs:
-                sh = tuple(act_s[v] for v in h.map)
-                if sh not in composed:
-                    bad = h
-                    break
-            if bad is None:
-                ok = True
-                break
-            failures.append((s, bad))
-        if not ok:
-            return InjectivityReport(
-                "refuted",
-                witness=RefutedWitness(f, tuple(failures)),
-                catalogue_size=len(catalogue),
-            )
-    return InjectivityReport(
-        "bounded-pass", certificate="bounded-pass", catalogue_size=len(catalogue)
-    )
+        composed = {
+            tuple(map(g.map.__getitem__, f.map))
+            for g in hom_enumerate(f.target, module, caps=caps)
+        }
+        for h in source_homs:
+            if tuple(map(act_sigma.__getitem__, h.map)) not in composed:
+                return InjectivityReport("refuted", witness=(f, h), catalogue_size=size)
+    return InjectivityReport("bounded-pass", certificate="bounded-pass", catalogue_size=size)
 
 
-def replay_refuted(module: FiniteModule, mset: MultiplicativeSet, witness: RefutedWitness,
-                   caps: Caps = DEFAULT_CAPS) -> bool:
-    """Re-verify a refutation: every s in S has its recorded h with no
-    extension g satisfying s.h = g.f (exhaustive g-scan).  f must be a
+def replay_refuted(module: FiniteModule, mset: MultiplicativeSet,
+                   witness: tuple[Homomorphism, Homomorphism], caps: Caps = DEFAULT_CAPS) -> bool:
+    """Re-verify a refutation (f, h) by definition: for every s in S, no
+    g: B -> E has s.h = g.f (exhaustive g-scan).  f must be a
     u-S-monomorphism, or it poses no extension problem at all."""
-    f = witness.f
+    f, h = witness
     if not is_u_S_mono(f, mset):
         return False
-    target_homs = hom_enumerate(f.target, module, caps=caps)
-    composed = {tuple(g.map[y] for y in f.map) for g in target_homs}
-    seen = {s for s, _ in witness.failures}
-    if seen != set(mset.members):
-        return False
-    for s, h in witness.failures:
-        act_s = module.act[s]
-        sh = tuple(act_s[v] for v in h.map)
-        if sh in composed:
-            return False
-    return True
+    composed = {
+        tuple(map(g.map.__getitem__, f.map))
+        for g in hom_enumerate(f.target, module, caps=caps)
+    }
+    return all(
+        tuple(map(module.act[s].__getitem__, h.map)) not in composed for s in mset.members
+    )
 
 
 # ---------------------------------------------------------------------------

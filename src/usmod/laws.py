@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .corpus import BuiltInstance, Instance, build_instance
+from .corpus import BuiltInstance, Instance, _fields, build_instance
 from .errors import ConfigError, ResourceExceededError
 from .essential import (
     is_essential,
@@ -40,7 +40,6 @@ from .injective import (
     check_u_S_envelope,
     check_u_S_preenvelope,
     construct_u_S_envelope,
-    default_catalogue,
     endomorphism_condition,
     injective_envelope_zmod,
     is_injective_baer,
@@ -562,14 +561,16 @@ def _complement_of_summand(
 def _factors(
     left: Homomorphism, right_homs: Sequence[Homomorphism], via: Homomorphism, mset
 ) -> bool:
-    """Some u-S-monic g in right_homs and s in S have s.left = g.via."""
-    act = left.target.act
-    for s in mset.members:
-        want = tuple(act[s][v] for v in left.map)
-        for g in right_homs:
-            if tuple(g.map[v] for v in via.map) == want and is_u_S_mono(g, mset):
-                return True
-    return False
+    """Some u-S-monic g in right_homs and s in S have s.left = g.via.
+
+    Asked at sigma = t.s alone: right_homs is all of Hom, so it holds t.g
+    along with g, and t.g is u-S-monic too (s'.t kills its kernel when s'
+    kills g's)."""
+    want = tuple(map(left.target.act[mset.sigma].__getitem__, left.map))
+    return any(
+        tuple(map(g.map.__getitem__, via.map)) == want and is_u_S_mono(g, mset)
+        for g in right_homs
+    )
 
 
 def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
@@ -734,9 +735,8 @@ def law_prime_classical_envelope_sum(b: BuiltInstance, caps: Caps) -> Outcome:
 def law_uniform_extension_bounded(b: BuiltInstance, caps: Caps) -> Outcome:
     module, mset = b.module, b.mset
     report = certify_u_S_injective(module, mset, caps, fallback=False)
-    catalogue = default_catalogue(module, mset, (), caps, max_entries=24)
     try:
-        bounded = bounded_u_S_injective_test(module, mset, catalogue, caps)
+        bounded = bounded_u_S_injective_test(module, mset, caps, max_entries=24)
     except ResourceExceededError:
         return SKIP_RESOURCE, None, "catalogue scan over budget"
     if report.certified and bounded.verdict == "refuted":
@@ -910,7 +910,7 @@ def run_laws(
 
 def replay_result(payload: dict, caps: Caps = DEFAULT_CAPS) -> str:
     """Re-run a law on its serialized instance; returns the fresh verdict."""
-    law_id = payload["law_id"]
+    law_id = _fields(payload, {"law_id", "instance"}, "a law result payload")["law_id"]
     law = LAWS_BY_ID.get(law_id) if isinstance(law_id, str) else None
     if law is None:
         raise ConfigError(f"unknown law {law_id!r}")

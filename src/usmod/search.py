@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .caps import DEFAULT_CAPS, Caps
-from .corpus import Bounds, BuiltInstance, Instance, build_instance, generate_corpus
+from .corpus import Bounds, BuiltInstance, Instance, _fields, build_instance, generate_corpus
 from .errors import (
     ConfigError,
     InternalError,
@@ -350,7 +350,7 @@ def search_counterexamples(
 
 def replay_hit(hit_json: dict, caps: Caps = DEFAULT_CAPS) -> bool:
     """Re-verify a serialized search hit from its instance alone."""
-    claim_id = hit_json["claim_id"]
+    claim_id = _fields(hit_json, {"claim_id", "instance"}, "a search hit payload")["claim_id"]
     claim = CLAIMS.get(claim_id) if isinstance(claim_id, str) else None
     if claim is None:
         raise ConfigError(f"unknown claim {claim_id!r}")

@@ -10,10 +10,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .corpus import Instance, _ints, build_instance
+from .corpus import Instance, _fields, _ints, build_instance
 from .errors import ConfigError, DomainError, InvalidModuleError, ResourceExceededError
 from .essential import is_essential, is_u_S_essential_fast, is_u_S_essential_oracle
-from .injective import RefutedWitness, certify_u_S_injective, replay_refuted
+from .injective import certify_u_S_injective, replay_refuted
 from .modules import (
     FiniteModule,
     Homomorphism,
@@ -34,6 +34,7 @@ def serialize_module(module: FiniteModule) -> dict:
 
 
 def deserialize_module(ring, payload: dict) -> FiniteModule:
+    payload = _fields(payload, {"add", "act", "zero", "label"}, "a module payload")
     add = _ints(payload["add"], 2, "add", InvalidModuleError)
     module = FiniteModule(
         ring=ring,
@@ -102,7 +103,13 @@ def collect_false_essential_witnesses(
 
 def replay_essential_witness(payload: dict, caps: Caps = DEFAULT_CAPS) -> bool:
     """Re-check a false verdict from the payload alone.  K is the
-    instance's submodule, rebuilt from its generators."""
+    instance's submodule, rebuilt from its generators.  A payload of another
+    kind, or missing a field its kind needs, is refused with ConfigError."""
+    kind = _fields(payload, {"kind"}, "an essentiality witness")["kind"]
+    if kind not in ("essential-false", "u-S-essential-false"):
+        raise ConfigError(f"an essentiality witness cannot have kind {kind!r}")
+    needed = {"instance", "counterexample_L"} | ({"s1"} if kind == "u-S-essential-false" else set())
+    _fields(payload, needed, f"a {kind} witness")
     inst = Instance.from_json(payload["instance"])
     if inst.submodule is None:
         raise ConfigError("an essentiality witness needs an instance with a submodule")
@@ -118,7 +125,7 @@ def replay_essential_witness(payload: dict, caps: Caps = DEFAULT_CAPS) -> bool:
     except DomainError:
         return False
     meet = kset & lset
-    if payload["kind"] == "essential-false":
+    if kind == "essential-false":
         return meet == {module.zero} and lset != {module.zero}
     s1 = _ints(payload["s1"], 0, "s1", DomainError)
     if s1 not in set(b.mset.members):
@@ -163,40 +170,40 @@ def collect_refuted_reports(
             continue
         if report.verdict != "refuted":
             continue
-        witness: RefutedWitness = report.witness
+        f, h = report.witness
         out.append(
             {
                 "kind": "u-S-injectivity-refuted",
                 "instance": inst.to_json(),
                 "f": {
-                    "source": serialize_module(witness.f.source),
-                    "target": serialize_module(witness.f.target),
-                    "map": list(witness.f.map),
+                    "source": serialize_module(f.source),
+                    "target": serialize_module(f.target),
+                    "map": list(f.map),
                 },
-                "failures": [[s, list(h.map)] for s, h in witness.failures],
+                "h": list(h.map),
             }
         )
     return out
 
 
 def replay_refuted_payload(payload: dict, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Re-verify a refutation from the payload alone: for every member s of
-    the set, the recorded h: A -> E admits no g: B -> E with s.h = g.f
-    (exhaustive g-scan on freshly rebuilt modules)."""
-    fmap = _ints(payload["f"]["map"], 1, "map", DomainError)
-    failures = {
-        _ints(s, 0, "failures", DomainError): _ints(hmap, 1, "failures", DomainError)
-        for s, hmap in payload["failures"]
-    }
+    """Re-verify a refutation (f, h) from the payload alone: for every member
+    s of the set, h: A -> E admits no g: B -> E with s.h = g.f (exhaustive
+    g-scan on freshly rebuilt modules).  A payload of another kind, or
+    missing a field, is refused with ConfigError."""
+    kind = _fields(payload, {"kind", "instance", "f", "h"}, "a refutation")["kind"]
+    if kind != "u-S-injectivity-refuted":
+        raise ConfigError(f"a refutation cannot have kind {kind!r}")
+    fpayload = _fields(payload["f"], {"source", "target", "map"}, "a refuted map")
+    fmap = _ints(fpayload["map"], 1, "map", DomainError)
+    hmap = _ints(payload["h"], 1, "h", DomainError)
     b = build_instance(Instance.from_json(payload["instance"]), caps)
-    source = deserialize_module(b.ring, payload["f"]["source"])
-    target = deserialize_module(b.ring, payload["f"]["target"])
-    f = Homomorphism(source, target, fmap)
+    source = deserialize_module(b.ring, fpayload["source"])
+    target = deserialize_module(b.ring, fpayload["target"])
+    f, h = Homomorphism(source, target, fmap), Homomorphism(source, b.module, hmap)
     check_homomorphism(f)
-    hs = tuple((s, Homomorphism(source, b.module, hmap)) for s, hmap in failures.items())
-    for _, h in hs:
-        check_homomorphism(h)
+    check_homomorphism(h)
     try:
-        return replay_refuted(b.module, b.mset, RefutedWitness(f, hs), caps)
+        return replay_refuted(b.module, b.mset, (f, h), caps)
     except ResourceExceededError:
         return False

@@ -561,7 +561,7 @@ def test_refuted_payload_with_out_of_range_map_is_refused():
         "kind": "u-S-injectivity-refuted",
         "instance": inst.to_json(),
         "f": {"source": module, "target": module, "map": [99] * ring.size},
-        "failures": [],
+        "h": list(range(ring.size)),
     }
     with pytest.raises(DomainError, match="map entry outside the target"):
         replay_refuted_payload(json.loads(json.dumps(payload)))
@@ -583,30 +583,30 @@ def test_deserialize_module_refuses_non_integers(changes):
         deserialize_module(Z6, _payload(regular_module(Z6), **changes))
 
 
-def _refuted_payload(fmap, failures):
+def _refuted_payload(fmap, hmap):
     inst = generate_corpus(5, Bounds(max_ring=6, max_instances=5))[0]
     module = serialize_module(build_instance(inst).module)
     return {
         "kind": "u-S-injectivity-refuted",
         "instance": inst.to_json(),
         "f": {"source": module, "target": module, "map": fmap},
-        "failures": failures,
+        "h": hmap,
     }
 
 
 @pytest.mark.parametrize(
-    "fmap,failures",
+    "fmap,hmap",
     [
-        ([0, 1.0, 2, 3, 4, 5], []),
-        ([0, 1, 2, 3, 4, True], []),
-        (list(range(6)), [[1.0, list(range(6))], [4, list(range(6))]]),
-        (list(range(6)), [[1, [0, 1, 2, 3.0, 4, 5]], [4, list(range(6))]]),
+        ([0, 1.0, 2, 3, 4, 5], list(range(6))),
+        ([0, 1, 2, 3, 4, True], list(range(6))),
+        (list(range(6)), [0, 1, 2, 3, 4, False]),
+        (list(range(6)), [0, 1, 2, 3.0, 4, 5]),
     ],
-    ids=["map-float", "map-bool", "failures-scalar", "failures-map"],
+    ids=["map-float", "map-bool", "h-bool", "h-float"],
 )
-def test_refuted_payload_refuses_non_integers(fmap, failures):
+def test_refuted_payload_refuses_non_integers(fmap, hmap):
     """The instance is Z/6 over itself with S = {1, 4}, so every payload
     here would reach the tables with a non-integer index."""
-    payload = json.loads(json.dumps(_refuted_payload(fmap, failures)))
+    payload = json.loads(json.dumps(_refuted_payload(fmap, hmap)))
     with pytest.raises(DomainError, match="non-integer value"):
         replay_refuted_payload(payload)

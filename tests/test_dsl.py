@@ -246,3 +246,18 @@ assert u_s_epi(z, S) == false
     results = evaluate_assertions(env)
     assert all(r.ok for r in results), [r.to_json() for r in results]
     assert [r.witness_s for r in results] == ["4", "4", "1", "4", None, None]
+
+
+@pytest.mark.parametrize(
+    "line,count",
+    [("assert u_s_essential(K)", "got 1"), ("assert essential(K, S)", "got 2")],
+    ids=["too-few", "too-many"],
+)
+def test_assert_argument_count_is_checked(line, count):
+    """A miscounted assertion is a config-error result on its line, not a
+    crash, and the other lines are still evaluated."""
+    env = parse_program(RUNNING_EXAMPLE + line + "\n")
+    *others, bad = evaluate_assertions(env)
+    assert all(r.ok for r in others)
+    assert bad.verdict is None and not bad.ok
+    assert bad.detail.startswith("config-error: line ") and count in bad.detail

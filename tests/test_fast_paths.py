@@ -2,10 +2,12 @@
 essential deciders, the index-arithmetic table builders, the lattice
 (joined coset by coset) and its bitmasks, coset and pair-table helpers that
 rings and modules share, the table primitives (kernel, kills, compose), the
-annihilator-narrowed hom candidates and the extension questions answered by
+annihilator-narrowed hom candidates, the extension questions answered by
 one lookup in a set of composites (u-S-epi, Baer, the endomorphism
-condition, splitting) against the pairwise, set-based, unnarrowed and
-per-map formulations they replaced.
+condition, splitting) and the uniform ones asked at sigma alone (the
+bounded catalogue test, the factoring of the three-way law) against the
+pairwise, set-based, unnarrowed, per-map and per-s formulations they
+replaced.
 
 Each reference below is the earlier implementation, kept here verbatim in
 substance; the library versions must agree with them on seeded random
@@ -18,7 +20,7 @@ import random
 import pytest
 
 from usmod.caps import DEFAULT_CAPS, Caps
-from usmod.corpus import Bounds, _ring_specs, build_module, build_ring
+from usmod.corpus import Bounds, _ring_specs, build_instance, build_module, build_ring, generate_corpus
 from usmod.errors import DomainError, InvalidMultiplicativeSetError, ResourceExceededError
 from usmod.essential import (
     is_essential,
@@ -64,7 +66,15 @@ from usmod.rings import (
     quotient_ring,
     unit_mult_set,
 )
-from usmod.injective import InjectivityReport, endomorphism_condition, is_injective_baer
+from usmod.injective import (
+    InjectivityReport,
+    _default_catalogue,
+    bounded_u_S_injective_test,
+    endomorphism_condition,
+    is_injective_baer,
+    replay_refuted,
+)
+from usmod.laws import _factors
 from usmod.storsion import (
     cokernel,
     is_u_S_epi,
@@ -1005,3 +1015,108 @@ def test_endomorphism_condition_and_split_match_per_s_loops(ring):
                         got = _outcome(is_u_S_split, f, mset, cap=256)
                         assert got == _outcome(per_s_split, f, mset, cap=256), where
     assert {True, False} <= seen
+
+
+# ---------------------------------------------------------------------------
+# references: the uniform extension questions asked once per member of S
+
+
+def per_s_bounded_test(module, mset, caps=DEFAULT_CAPS, max_entries=48):
+    """(verdict, first refuting f, catalogue size) of the catalogue scan
+    that looked, per entry, for one s in S working for every h."""
+    catalogue = _default_catalogue(module, (), caps, max_entries)
+    for f in catalogue:
+        source_homs = hom_enumerate(f.source, module, caps=caps)
+        target_homs = hom_enumerate(f.target, module, caps=caps)
+        composed = {tuple(g.map[y] for y in f.map) for g in target_homs}
+        ok = False
+        for s in mset.members:
+            act_s = module.act[s]
+            if all(tuple(act_s[v] for v in h.map) in composed for h in source_homs):
+                ok = True
+                break
+        if not ok:
+            return "refuted", f, len(catalogue)
+    return "bounded-pass", None, len(catalogue)
+
+
+def per_s_factors(left, right_homs, via, mset):
+    act = left.target.act
+    for s in mset.members:
+        want = tuple(act[s][v] for v in left.map)
+        for g in right_homs:
+            if tuple(g.map[v] for v in via.map) == want and is_u_S_mono(g, mset):
+                return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def corpus_triples():
+    """One built instance per distinct (ring, S, module) of the seed-42
+    corpus with rings and modules of at most 16 elements."""
+    triples = {}
+    for inst in generate_corpus(42, Bounds(max_ring=16, max_module=16)):
+        triples.setdefault((inst.ring, inst.mset, inst.module), inst)
+    return [build_instance(inst) for inst in triples.values()]
+
+
+def test_bounded_test_at_sigma_matches_per_s_loop(corpus_triples):
+    """Same verdict, refuting f, catalogue size and cap refusal."""
+    seen = set()
+    for b in corpus_triples:
+        got = _outcome(bounded_u_S_injective_test, b.module, b.mset)
+        if isinstance(got, InjectivityReport):
+            f = got.witness[0] if got.verdict == "refuted" else None
+            got = (got.verdict, f, got.catalogue_size)
+        assert got == _outcome(per_s_bounded_test, b.module, b.mset), b.instance.key()
+        seen.add(got[0])
+    assert seen == {"bounded-pass", "refuted", "refused"}
+
+
+def test_each_refutation_fails_for_every_s(corpus_triples):
+    """The one h of a refutation has no g with s.h = g.f, for each s in S
+    (a literal scan over Hom(B, E)), and the pair replays."""
+    refuted = 0
+    for b in corpus_triples:
+        try:
+            report = bounded_u_S_injective_test(b.module, b.mset)
+        except ResourceExceededError:
+            continue
+        if report.verdict != "refuted":
+            continue
+        f, h = report.witness
+        act = b.module.act
+        for s in b.mset.members:
+            assert not any(
+                all(act[s][h.map[a]] == g.map[f.map[a]] for a in f.source.elements())
+                for g in hom_enumerate(f.target, b.module)
+            ), (b.instance.key(), s)
+        assert replay_refuted(b.module, b.mset, report.witness)
+        refuted += 1
+    assert refuted
+
+
+def test_factors_at_sigma_matches_per_s_loop(corpus_triples):
+    """Every left map and a sample of via maps among M and R, with right
+    maps all of Hom, as the three-way law passes them."""
+    rng = random.Random("factors")
+    seen = set()
+    for b in corpus_triples:
+        module, mset = b.module, b.mset
+        if module.size > 8:
+            continue
+        pool = [module, regular_module(module.ring)]
+        for q in pool:
+            for e in pool:
+                try:
+                    lefts = hom_enumerate(module, q, cap=256)
+                    vias = hom_enumerate(module, e, cap=256)
+                    right = hom_enumerate(e, q, cap=256)
+                except ResourceExceededError:
+                    continue
+                for via in rng.sample(vias, min(3, len(vias))):
+                    for left in lefts:
+                        got = _factors(left, right, via, mset)
+                        assert got == per_s_factors(left, right, via, mset), b.instance.key()
+                        seen.add(got)
+    assert seen == {True, False}

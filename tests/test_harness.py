@@ -464,9 +464,57 @@ def test_refuted_replay_needs_a_u_S_monomorphism():
         "kind": "u-S-injectivity-refuted",
         "instance": _z6_json(None),
         "f": {"source": module, "target": module, "map": [0] * 6},
-        "failures": [[1, list(range(6))]],
+        "h": list(range(6)),
     }
     assert not replay_refuted_payload(json.loads(json.dumps(payload)))
+
+
+def test_result_replay_refuses_payloads_missing_a_field():
+    for payload in ({}, {"law_id": "complement"}, {"instance": _example_json()}):
+        with pytest.raises(ConfigError, match="a law result payload needs the fields"):
+            replay_result(payload)
+
+
+def test_hit_replay_refuses_payloads_of_another_shape():
+    for payload in ([], {"claim_id": "u-S-essential-not-essential"}):
+        with pytest.raises(ConfigError, match="a search hit payload needs the fields"):
+            replay_hit(payload)
+
+
+def test_essential_witness_replay_refuses_missing_fields_and_other_kinds():
+    """Z/6, S = {1}, K = <2>, L = {0, 3}: the kind decides the check, so an
+    unknown kind is refused rather than read as the u-S one."""
+    payload = {
+        "kind": "u-S-essential-false", "instance": _z6_json([2]),
+        "counterexample_L": [0, 3], "s1": 1,
+    }
+    for missing in ("kind", "instance", "counterexample_L", "s1"):
+        partial = {k: v for k, v in payload.items() if k != missing}
+        with pytest.raises(ConfigError, match="needs the fields"):
+            replay_essential_witness(partial)
+    for kind in ("no-such-kind", "u-S-injectivity-refuted", ["essential-false"]):
+        with pytest.raises(ConfigError, match="cannot have kind"):
+            replay_essential_witness({**payload, "kind": kind})
+
+
+def test_refuted_replay_refuses_missing_fields_and_other_kinds():
+    module = serialize_module(build_instance(Instance.from_json(_z6_json(None))).module)
+    payload = {
+        "kind": "u-S-injectivity-refuted",
+        "instance": _z6_json(None),
+        "f": {"source": module, "target": module, "map": list(range(6))},
+        "h": list(range(6)),
+    }
+    for missing in ("kind", "instance", "f", "h"):
+        partial = {k: v for k, v in payload.items() if k != missing}
+        with pytest.raises(ConfigError, match="a refutation needs the fields"):
+            replay_refuted_payload(partial)
+    with pytest.raises(ConfigError, match="a refuted map needs the fields"):
+        replay_refuted_payload({**payload, "f": {"source": module, "map": list(range(6))}})
+    with pytest.raises(ConfigError, match="a module payload needs the fields"):
+        replay_refuted_payload({**payload, "f": {**payload["f"], "target": {"add": module["add"]}}})
+    with pytest.raises(ConfigError, match="cannot have kind"):
+        replay_refuted_payload({**payload, "kind": "essential-false"})
 
 
 def test_false_essential_witnesses_are_distinct(small_corpus):

@@ -10,11 +10,22 @@ MAX_PROCESS_CACHES functools cache decorators, so a new speedup keeps its
 memo in the call that needs it.
 
 No library module but __init__.py (which re-exports) imports a name it
-never uses, so a deletion cannot leave a dead import behind."""
+never uses, so a deletion cannot leave a dead import behind.
+
+Every payload replayer (a library function named replay* whose one
+required parameter is the payload) refuses an empty or non-dict payload
+with ConfigError, so no KeyError or TypeError leaks past the trust
+boundary."""
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
+import pytest
+
 import usmod
+from usmod.errors import ConfigError
 
 PACKAGE = Path(usmod.__file__).resolve().parent
 BROAD = {"Exception", "BaseException"}
@@ -103,3 +114,35 @@ def test_library_modules_have_no_unused_imports():
         used = _used_names(tree)
         found += [f"{path.name}:{line}: {name}" for name, line in _imported_names(tree) if name not in used]
     assert found == []
+
+
+def _payload_replayers():
+    for info in pkgutil.iter_modules(usmod.__path__):
+        module = importlib.import_module(f"usmod.{info.name}")
+        for name, fn in sorted(vars(module).items()):
+            if not (name.startswith("replay") and inspect.isfunction(fn)):
+                continue
+            if fn.__module__ != module.__name__:
+                continue
+            params = inspect.signature(fn).parameters.values()
+            if sum(p.default is p.empty for p in params) == 1:
+                yield f"{info.name}.{name}", fn
+
+
+PAYLOAD_REPLAYERS = dict(_payload_replayers())
+
+
+def test_payload_replayers_are_found():
+    assert set(PAYLOAD_REPLAYERS) >= {
+        "laws.replay_result",
+        "search.replay_hit",
+        "witnesses.replay_essential_witness",
+        "witnesses.replay_refuted_payload",
+    }
+
+
+@pytest.mark.parametrize("payload", [{}, [], None, "payload", 3], ids=repr)
+@pytest.mark.parametrize("name", sorted(PAYLOAD_REPLAYERS))
+def test_payload_replayers_refuse_malformed_payloads(name, payload):
+    with pytest.raises(ConfigError):
+        PAYLOAD_REPLAYERS[name](payload)

@@ -14,7 +14,6 @@ from usmod.injective import (
     check_u_S_preenvelope,
     classify_injective_zmod,
     construct_u_S_envelope,
-    default_catalogue,
     endomorphism_condition,
     injective_envelope_zmod,
     is_injective_baer,
@@ -199,18 +198,18 @@ def test_certification_tiers(z6, m6, s14):
 
 
 def test_bounded_test_examples(z6, m6, s14):
-    cat = default_catalogue(m6, s14)
-    assert bounded_u_S_injective_test(m6, s14, cat).verdict == "bounded-pass"
+    assert bounded_u_S_injective_test(m6, s14).verdict == "bounded-pass"
 
     k, _ = submodule_as_module(submodule(m6, [0, 2, 4]))
-    cat_k = default_catalogue(k, s14)
-    assert bounded_u_S_injective_test(k, s14, cat_k).verdict == "bounded-pass"
+    assert bounded_u_S_injective_test(k, s14).verdict == "bounded-pass"
 
     m4 = regular_module(make_zmod(4))
     s13 = mult_set_closure(m4.ring, [3])
     sub2, _ = submodule_as_module(submodule(m4, [0, 2]))
-    report = bounded_u_S_injective_test(sub2, s13, default_catalogue(sub2, s13))
+    report = bounded_u_S_injective_test(sub2, s13)
     assert report.verdict == "refuted"
+    f, h = report.witness
+    assert (h.source, h.target) == (f.source, sub2)
     assert replay_refuted(sub2, s13, report.witness)
 
 
