@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import ConfigError, InvalidMultiplicativeSetError, ResourceExceededError
+from .errors import ConfigError, InternalError, InvalidMultiplicativeSetError, ResourceExceededError
 from .modules import (
     FiniteModule,
     Submodule,
@@ -60,6 +60,8 @@ class Bounds:
             raise ConfigError("bounds exceed the global caps")
         if self.max_ring < 2:
             raise ConfigError("max_ring must be at least 2")
+        if self.max_instances < 0:
+            raise ConfigError("max_instances must be 0 (no limit) or positive")
 
 
 @dataclass(frozen=True)
@@ -142,13 +144,19 @@ def _ints(value, depth: int, where: str, error: type[Exception]):
     return tuple(_ints(v, depth - 1, where, error) for v in value)
 
 
-def _submodule(module: FiniteModule, gens, where: str) -> Submodule:
-    """The submodule spanned by *gens*, refused with ConfigError unless they
-    are elements of *module*."""
+def _elements(module: FiniteModule, gens, where: str) -> tuple[int, ...]:
+    """*gens* as a tuple of ints, refused with ConfigError unless they are
+    elements of *module*."""
     gens = _ints(gens, 1, where, ConfigError)
     if gens and (min(gens) < 0 or max(gens) >= module.size):
         raise ConfigError(f"{where} names an element outside {module.label}")
-    return Submodule(module, span(module, gens))
+    return gens
+
+
+def _submodule(module: FiniteModule, gens, where: str) -> Submodule:
+    """The submodule spanned by *gens*, refused with ConfigError unless they
+    are elements of *module*."""
+    return Submodule(module, span(module, _elements(module, gens, where)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +216,37 @@ class BuiltInstance:
     submodule: Optional[Submodule]
 
 
+def _lattice_submodule(module: FiniteModule, gens: tuple[int, ...], caps: Caps) -> Submodule:
+    """The member of the cached lattice all_submodules(module, caps) that
+    *gens* span: found by *gens* itself when they list its members, as the
+    generated instances' do (bar three Z/6 anchors), else by their ``span``.
+    A lattice over *caps* leaves the span as a fresh Submodule."""
+    try:
+        lattice = all_submodules(module, caps)
+    except ResourceExceededError:
+        return Submodule(module, span(module, gens))
+    sub = lattice.member(gens) or lattice.member(span(module, gens))
+    if sub is None:
+        raise InternalError(f"the span of {gens} is missing from the lattice of {module.label}")
+    return sub
+
+
 def build_instance(inst: Instance, caps: Caps = DEFAULT_CAPS) -> BuiltInstance:
+    """The ring, set, module and submodule K that *inst* names, under *caps*.
+
+    K's generators are checked first: ints naming elements of the module.
+    A lattice key compares as a tuple, so an unchecked (False,) would find
+    the entry of (0,).  K is then the lattice's own Submodule object (see
+    ``_lattice_submodule``), the one the deciders scan anyway, so their
+    parent checks and cache keys match by identity and a full member list
+    is never re-spanned.
+    """
     ring = build_ring(inst.ring, caps)
     mset = build_mset(ring, inst.mset)
     module = build_module(ring, inst.module, caps)
-    sub = None if inst.submodule is None else _submodule(module, inst.submodule, "submodule")
+    sub = None
+    if inst.submodule is not None:
+        sub = _lattice_submodule(module, _elements(module, inst.submodule, "submodule"), caps)
     return BuiltInstance(inst, ring, mset, module, sub)
 
 
@@ -315,9 +349,12 @@ def _submodule_gens(module: FiniteModule, rng: random.Random, caps: Caps) -> lis
 def generate_corpus(
     seed: int, bounds: Bounds = Bounds(), caps: Caps = DEFAULT_CAPS
 ) -> list[Instance]:
-    """Deterministic corpus: same (seed, bounds) gives a byte-identical list.
+    """Deterministic corpus: same (seed, bounds) gives a byte-identical list
+    of at most ``bounds.max_instances`` instances (0: no limit).
 
-    The (Z/6, {1,4}) family is pinned at the front as the regression anchor.
+    The (Z/6, {1,4}) family is pinned at the front as the regression anchor
+    when Z/6 fits the bounds, and kept by the stride sample that enforces
+    ``max_instances`` as far as that limit allows.
     """
     bounds.check(caps)
     rng = random.Random(seed)
@@ -332,9 +369,9 @@ def generate_corpus(
             out.append(inst)
 
     # pinned anchors: the running example and its whole lattice
-    if bounds.max_ring >= 6:
-        for gens in ((0,), (3,), (2,), (1,)):
-            emit(("zmod", 6), ("closure", (4,)), ("regular",), gens)
+    anchors = ((0,), (3,), (2,), (1,)) if min(bounds.max_ring, bounds.max_module) >= 6 else ()
+    for gens in anchors:
+        emit(("zmod", 6), ("closure", (4,)), ("regular",), gens)
 
     for ring_spec in _ring_specs(bounds):
         try:
@@ -353,10 +390,10 @@ def generate_corpus(
                     emit(ring_spec, mset_spec, module_spec, gens)
 
     if bounds.max_instances and len(out) > bounds.max_instances:
-        # stride-sample for variety but always keep the pinned anchors
-        pinned = out[:4] if bounds.max_ring >= 6 else []
-        rest = out[len(pinned):]
-        budget = max(bounds.max_instances - len(pinned), 1)
-        step = len(rest) / budget
+        # stride-sample for variety but keep the pinned anchors first
+        pinned = out[: min(len(anchors), bounds.max_instances)]
+        rest = out[len(anchors):]
+        budget = bounds.max_instances - len(pinned)
+        step = len(rest) / max(budget, 1)
         out = pinned + [rest[int(i * step)] for i in range(min(budget, len(rest)))]
     return out

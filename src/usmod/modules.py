@@ -328,7 +328,7 @@ def cyclic_submodule(module: FiniteModule, x: int) -> Submodule:
 
 
 def sum_submodules(a: Submodule, b: Submodule) -> Submodule:
-    if a.parent != b.parent:
+    if a.parent is not b.parent and a.parent != b.parent:
         raise DomainError("submodules have different parents")
     parent = a.parent
     mem = {parent.add[x][y] for x in a.members for y in b.members}
@@ -336,7 +336,7 @@ def sum_submodules(a: Submodule, b: Submodule) -> Submodule:
 
 
 def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:
-    if a.parent != b.parent:
+    if a.parent is not b.parent and a.parent != b.parent:
         raise DomainError("submodules have different parents")
     return Submodule(a.parent, tuple(sorted(set(a.members) & set(b.members))))
 
@@ -349,7 +349,13 @@ def _mask(members: Iterable[int]) -> int:
 class SubmoduleLattice(tuple):
     """The submodules of one module, ordered by (size, members), with the
     bitmask of each (see ``_mask``) filled in on the first call of ``masks``,
-    so a lattice only ever scanned as submodules never builds them."""
+    so a lattice only ever scanned as submodules never builds them.
+
+    ``member(members)`` is the lattice's own Submodule whose sorted member
+    tuple is *members*, or None; its index is likewise built on first use
+    and kept on the lattice.  Keys compare as tuples, so True and 0.0 find
+    the entries of 1 and 0: a caller checks that *members* holds ints first.
+    """
 
     def masks(self) -> tuple[int, ...]:
         masks = self.__dict__.get("_masks")
@@ -357,11 +363,18 @@ class SubmoduleLattice(tuple):
             masks = self.__dict__["_masks"] = tuple(_mask(l.members) for l in self)
         return masks
 
+    def member(self, members: tuple[int, ...]) -> Optional[Submodule]:
+        index = self.__dict__.get("_index")
+        if index is None:
+            index = self.__dict__["_index"] = {l.members: l for l in self}
+        return index.get(members)
+
 
 @lru_cache(maxsize=None)
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> SubmoduleLattice:
     """The full submodule lattice, ordered by (size, members); its
-    ``masks()`` are the members' bitmasks, built on first use.
+    ``masks()`` are the members' bitmasks and ``member()`` finds a member
+    by its member tuple, both built on first use.
 
     Built by rings._lattice, the closure of the cyclic submodules under
     joins.  More than max(caps.max_lattice, #cyclics) submodules raise
@@ -516,14 +529,14 @@ def image(f: Homomorphism) -> Submodule:
 
 
 def preimage(f: Homomorphism, q: Submodule) -> Submodule:
-    if q.parent != f.target:
+    if q.parent is not f.target and q.parent != f.target:
         raise DomainError("submodule not in the target of the map")
     qset = q.member_set()
     return Submodule(f.source, tuple(x for x in f.source.elements() if f.map[x] in qset))
 
 
 def image_of_submodule(f: Homomorphism, k: Submodule) -> Submodule:
-    if k.parent != f.source:
+    if k.parent is not f.source and k.parent != f.source:
         raise DomainError("submodule not in the source of the map")
     return Submodule(f.target, tuple(sorted({f.map[x] for x in k.members})))
 

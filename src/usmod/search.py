@@ -320,9 +320,15 @@ def search_counterexamples(
     time_budget: float = 120.0,
 ) -> list[SearchHit]:
     """Scan a seeded instance stream for claim witnesses, shrink each one,
-    and return up to *limit* distinct minimized hits."""
+    and return up to *limit* distinct minimized hits.  A *limit* below 1 or a
+    *time_budget* that is not positive is refused with ConfigError: either
+    would scan nothing and pass for an empty hunt."""
     if claim_id not in CLAIMS:
         raise ConfigError(f"unknown claim {claim_id!r}")
+    if limit < 1:
+        raise ConfigError(f"limit must be at least 1, not {limit}")
+    if not time_budget > 0:
+        raise ConfigError(f"time_budget must be positive, not {time_budget}")
     claim = CLAIMS[claim_id]
     hits: list[SearchHit] = []
     seen: set[Instance] = set()

@@ -20,7 +20,15 @@ import random
 import pytest
 
 from usmod.caps import DEFAULT_CAPS, Caps
-from usmod.corpus import Bounds, _ring_specs, build_instance, build_module, build_ring, generate_corpus
+from usmod.corpus import (
+    Bounds,
+    Instance,
+    _ring_specs,
+    build_instance,
+    build_module,
+    build_ring,
+    generate_corpus,
+)
 from usmod.errors import DomainError, InvalidMultiplicativeSetError, ResourceExceededError
 from usmod.essential import (
     is_essential,
@@ -1120,3 +1128,53 @@ def test_factors_at_sigma_matches_per_s_loop(corpus_triples):
                         assert got == per_s_factors(left, right, via, mset), b.instance.key()
                         seen.add(got)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# build_instance resolves K to the cached lattice's own member, not a re-span
+
+LOOKUP_CORPORA = {
+    "decide-search-seed-0": (0, Bounds(max_ring=48, max_module=96)),
+    "acceptance-seed-42": (42, Bounds(max_ring=36, max_module=64, max_instances=600)),
+}
+
+
+@pytest.mark.parametrize("seed, bounds", LOOKUP_CORPORA.values(), ids=LOOKUP_CORPORA)
+def test_built_submodule_is_the_lattice_member(seed, bounds):
+    """On every generated instance K equals the span of its generators and
+    is the very object the module's cached lattice holds."""
+    looked_up = 0
+    for inst in generate_corpus(seed, bounds):
+        built = build_instance(inst)
+        if inst.submodule is None:
+            assert built.submodule is None
+            continue
+        k, module = built.submodule, built.module
+        assert k == Submodule(module, span(module, inst.submodule)), inst.key()
+        lattice = all_submodules(module, DEFAULT_CAPS)  # the deciders' cache key
+        assert lattice[lattice.index(k)] is k, inst.key()
+        looked_up += 1
+    assert looked_up
+
+
+def test_built_submodule_falls_back_to_span():
+    """Generators that are not a full member list are spanned, and the span
+    is still the lattice's member; a module whose lattice is over the caps
+    keeps the span as a fresh Submodule."""
+    inst = Instance(("zmod", 6), ("units",), ("regular",), (2,), 0, (6, 6))
+    built = build_instance(inst)
+    lattice = all_submodules(built.module, DEFAULT_CAPS)
+    assert built.submodule == Submodule(built.module, (0, 2, 4))
+    assert lattice[lattice.index(built.submodule)] is built.submodule
+
+    v3 = ("dsum", ("dsum", ("regular",), ("regular",)), ("regular",))  # (Z/2)^3, 16 submodules
+    caps = Caps(max_lattice=4)
+    module = build_module(build_ring(("zmod", 2)), v3, caps)
+    with pytest.raises(ResourceExceededError):
+        all_submodules(module, caps)
+    inst = dataclasses.replace(inst, ring=("zmod", 2), module=v3)
+    for member in all_submodules(module, DEFAULT_CAPS):
+        for gens in (member.members, member.members[-1:]):
+            built = build_instance(dataclasses.replace(inst, submodule=gens), caps)
+            assert built.submodule.members == span(module, gens)
+            assert built.submodule is not member

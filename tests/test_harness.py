@@ -374,6 +374,21 @@ def test_submodule_lists_refuse_bools_and_floats(entry):
     assert corpus._ints([0, 1, 2], 1, "submodule", ConfigError) == (0, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [(False,), (0.0, 3.0), (0, 6), (-1,)],
+    ids=["bool", "floats", "past-the-end", "negative"],
+)
+def test_submodule_generators_are_checked_before_the_lattice_lookup(gens):
+    """(False,) and (0.0, 3.0) compare equal to the member tuples (0,) and
+    (0, 3) of Z/6's lattice, and an out-of-range index is no element: each
+    is refused, whether built directly or read from JSON."""
+    with pytest.raises(ConfigError):
+        build_instance(dataclasses.replace(RUNNING_EXAMPLE, submodule=gens))
+    with pytest.raises(ConfigError):
+        build_instance(Instance.from_json(_example_json(submodule=list(gens))))
+
+
 def test_replay_refuses_unknown_ids_and_instance_laws_without_submodule():
     instance = _example_json()
     for unknown in ("no-such-id", ["a", "list"]):
@@ -412,6 +427,42 @@ def test_law_violation_hunts_empty():
 def test_unknown_claim():
     with pytest.raises(ConfigError):
         search_counterexamples("no-such-claim")
+
+
+@pytest.mark.parametrize(
+    "limit, budget", [(0, 60.0), (-2, 60.0), (1, 0.0), (1, -1.0), (1, float("nan"))]
+)
+def test_search_refuses_an_empty_hunt(limit, budget):
+    """A limit below 1 or a budget that is not positive would scan nothing
+    and return [], which reads as a hunt that came back empty."""
+    with pytest.raises(ConfigError):
+        search_counterexamples("paper-law-complement", limit=limit, time_budget=budget)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--count", "0"], ["--count", "-2"], ["--time-budget", "0"]], ids=" ".join
+)
+def test_cli_search_refuses_an_empty_hunt(capsys, flags):
+    assert main(["search", "--claim", "paper-law-complement", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error [config-error]: ")
+
+
+def test_corpus_anchors_and_max_instances_respect_bounds():
+    """The Z/6 anchors appear only when a 6-element module fits, and the
+    sample never exceeds max_instances, even below the four anchors."""
+    small = generate_corpus(42, Bounds(max_ring=8, max_module=3))
+    assert small and all(build_instance(i).module.size <= 3 for i in small)
+    anchors = generate_corpus(42, Bounds(max_ring=8))[:4]
+    for n in range(1, 7):
+        got = generate_corpus(42, Bounds(max_ring=8, max_instances=n))
+        assert len(got) == n and got[: min(n, 4)] == anchors[:n]
+    with pytest.raises(ConfigError, match="max_instances"):
+        generate_corpus(42, Bounds(max_ring=8, max_instances=-3))
+
+
+def test_cli_laws_refuses_negative_max_instances(capsys):
+    assert main(["laws", "--max-ring", "8", "--max-instances", "-3"]) == 2
+    assert capsys.readouterr().err.startswith("error [config-error]: ")
 
 
 def test_false_essential_witnesses_replay(small_corpus):

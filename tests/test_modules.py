@@ -369,6 +369,28 @@ def test_kernel_image_preimage(m6):
     assert preimage(f2, submodule(m6, [0, 3])).members == (0, 3)
 
 
+def test_parent_checks_accept_equal_copies_and_refuse_other_modules(m6):
+    """sum, meet, preimage and image compare parents by identity first and
+    by value after, so an equal copy of the parent is still accepted."""
+    copy = dataclasses.replace(m6)
+    assert copy == m6 and copy is not m6
+    a, b = submodule(m6, [0, 3]), submodule(copy, [0, 2, 4])
+    assert sum_submodules(a, b).members == tuple(range(6))
+    assert intersect_submodules(a, b).members == (0,)
+    f = scalar_hom(m6, 2)
+    assert preimage(f, b).members == tuple(range(6))
+    assert image_of_submodule(f, submodule(copy, [0, 3])).members == (0,)
+    other = submodule(regular_module(make_zmod(4)), [0, 2])
+    with pytest.raises(DomainError, match="different parents"):
+        sum_submodules(a, other)
+    with pytest.raises(DomainError, match="different parents"):
+        intersect_submodules(other, a)
+    with pytest.raises(DomainError, match="target of the map"):
+        preimage(f, other)
+    with pytest.raises(DomainError, match="source of the map"):
+        image_of_submodule(f, other)
+
+
 def test_first_isomorphism_counts(m6):
     for f in hom_enumerate(m6, m6):
         assert image(f).size * kernel(f).size == m6.size
