@@ -57,6 +57,7 @@ from .injective import (
     construct_u_S_envelope,
     injective_envelope_zmod,
     is_injective_baer,
+    u_S_injectivity_certificate,
 )
 from .corpus import Bounds, Instance, build_instance, generate_corpus
 from .laws import LawResult, REGISTRY, run_laws

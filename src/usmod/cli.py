@@ -193,26 +193,24 @@ def _cmd_envelope(args, caps) -> int:
         env = parse_program(fh.read(), caps)
     mod_name, module = _pick(env, "modules", args.module, args.file)
     mset_name, mset = _pick(env, "msets", args.mset, args.file)
-    out = construct_u_S_envelope(module, mset, caps)
-    if out is None:
+    cand = construct_u_S_envelope(module, mset, caps)
+    if cand is None:
         print(json.dumps({"module": mod_name, "mset": mset_name, "verdict": "unknown"}))
         return 1
-    f, cand = out
+    essential = cand.essential_verdict
     certificate = {
         "module": mod_name,
         "mset": mset_name,
-        "candidate_E": serialize_module(f.target),
-        "embedding": list(f.map),
+        "candidate_E": serialize_module(cand.map.target),
+        "embedding": list(cand.map.map),
         "certificate_tier": cand.e_certificate,
         "preenvelope_level": cand.preenvelope_level,
-        "essential_verdict": cand.essential_verdict.verdict,
-        "is_envelope": cand.is_envelope,
-        "witnesses": {
-            "essential_pair": cand.essential_verdict.witness_s_pair,
-        },
+        "essential_verdict": essential.verdict,
+        "is_envelope": essential.verdict,
+        "witnesses": {"essential_pair": essential.witness_s_pair},
     }
     print(json.dumps(certificate, indent=2))
-    return 0 if cand.is_envelope else 1
+    return 0 if essential.verdict else 1
 
 
 def _cmd_injective(args, caps) -> int:

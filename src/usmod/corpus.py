@@ -58,8 +58,9 @@ class Bounds:
     def check(self, caps: Caps) -> None:
         if self.max_ring > caps.max_ring or self.max_module > caps.max_module:
             raise ConfigError("bounds exceed the global caps")
-        if self.max_ring < 2:
-            raise ConfigError("max_ring must be at least 2")
+        if self.max_ring < 2 or self.max_module < 2:
+            # every corpus ring and module has at least 2 elements
+            raise ConfigError("max_ring and max_module must be at least 2")
         if self.max_instances < 0:
             raise ConfigError("max_instances must be 0 (no limit) or positive")
 

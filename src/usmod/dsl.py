@@ -140,10 +140,12 @@ def _parse_intmap(raw: str, line: int) -> dict[int, int]:
         return out
     for piece in inner.split(","):
         try:
-            k, v = piece.split(":")
-            out[int(k.strip())] = int(v.strip())
+            k, v = (int(tok) for tok in piece.split(":"))
         except ValueError:
             raise ConfigError(f"line {line}: bad map literal {raw!r}") from None
+        if k in out:
+            raise ConfigError(f"line {line}: element {k} is given two images")
+        out[k] = v
     return out
 
 
@@ -391,7 +393,7 @@ def _evaluate_one(env: Environment, a: Assertion, caps: Caps) -> AssertionResult
             detail = report.level
         else:  # u_s_envelope
             cand = check_u_S_envelope(hom(0), mset(1), caps)
-            verdict = cand.is_envelope
+            verdict = cand.essential_verdict.verdict
             detail = cand.e_certificate
     except ResourceExceededError as exc:
         complete = False

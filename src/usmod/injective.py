@@ -11,17 +11,21 @@ u-S-injectivity is not decided exactly yet, so verdicts are three-tiered:
 "certified" (injective by exhaustive Baer scan, uniformly killed, or a
 finite sum of certified modules), "bounded-pass" (survived a catalogue of
 extension problems, which proves nothing), and "refuted" (a witness
-extension problem failed; always sound).  bounded-pass is never upgraded
-to certified.  Every extension question is a lookup: the composites it
-allows (restrictions, g.f, s.f) are collected once into a set.  A uniform
-one is asked at sigma alone: each s in S divides sigma = t.s, so s.h = g.f
-gives sigma.h = (t.g).f, and an h with sigma.h outside {g.f} fails for
-every s at once.  A refutation is one pair (f, h), as a Baer witness is
-(ideal, h).
+extension problem failed; always sound).  ``u_S_injectivity_certificate``
+names the certificate that lands, or None; ``certify_u_S_injective`` is
+that certificate or else the catalogue test, so only a catalogue reports
+bounded-pass, and it is never upgraded to certified.  Every extension
+question is a lookup: the composites it allows (restrictions, g.f, s.f)
+are collected once into a set.  A uniform one is asked at sigma alone:
+each s in S divides sigma = t.s, so s.h = g.f gives sigma.h = (t.g).f,
+and an h with sigma.h outside {g.f} fails for every s at once.  A
+refutation is one pair (f, h), as a Baer witness is (ideal, h).
 
-The paper's statements about envelopes (uniqueness, summands of
-preenvelopes, the three characterizations, direct sums) are written once,
-in their laws; this module keeps the deciders and the construction.
+``injective_envelope_zmod`` returns the embedding M -> E(M), and
+``construct_u_S_envelope`` one checked ``EnvelopeCandidate`` or None.  The
+paper's statements about envelopes (uniqueness, summands of preenvelopes,
+the three characterizations, direct sums) are written once, in their laws;
+this module keeps the deciders and the construction.
 """
 from __future__ import annotations
 
@@ -83,9 +87,11 @@ class InjectivityReport:
 class EnvelopeCandidate:
     map: Homomorphism
     e_certificate: str  # injective-baer | u-S-torsion | closure | bounded-pass
-    essential_verdict: EssentialVerdict
-    is_envelope: bool
-    preenvelope_level: str  # certified | bounded
+    essential_verdict: EssentialVerdict  # its verdict is "is an envelope"
+
+    @property
+    def preenvelope_level(self) -> str:  # check_u_S_preenvelope's level for the map
+        return "bounded" if self.e_certificate == "bounded-pass" else "certified"
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +150,7 @@ def classify_injective_zmod(module: FiniteModule) -> bool:
     )
 
 
-def injective_envelope_zmod(
-    module: FiniteModule, caps: Caps = DEFAULT_CAPS
-) -> tuple[FiniteModule, Homomorphism]:
+def injective_envelope_zmod(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> Homomorphism:
     """Classical injective envelope over Z/n from p-socles (Matlis):
     E(M) is the sum, over each p^k exactly dividing n, of r_p copies of
     Z/p^k, where p^r_p = |M[p]|.  Copy j receives a character M -> Z/p^k,
@@ -154,8 +158,8 @@ def injective_envelope_zmod(
     that the characters taken so far all kill.  On M[p] a character is an
     F_p-linear functional, and every functional extends because Z/p^k is
     injective over Z/n, so exactly r_p characters are taken and together
-    they are injective on every socle.  The returned map is re-verified
-    three ways: monomorphism, Baer-injective target, essential image."""
+    they are injective on every socle.  The embedding M -> E(M) it returns
+    is re-verified: monomorphism, Baer-injective target, essential image."""
     ring = module.ring
     n = ring.zmod_n
     if n is None:
@@ -170,8 +174,7 @@ def injective_envelope_zmod(
         hull_mods += [cyclic] * prime_power_factorization(len(socle)).get(p, 0)
 
     if not hull_mods:
-        env = zero_module(ring)
-        return env, zero_hom(module, env)
+        return zero_hom(module, zero_module(ring))
 
     total_size = prod(m.size for m in hull_mods)
     if total_size > caps.max_module:
@@ -203,39 +206,42 @@ def injective_envelope_zmod(
     # essential is u-S-essential at S={1}; the element criterion needs no lattice
     if not is_u_S_essential_fast(image(i), env, mult_set_closure(ring, [ring.one])).verdict:
         raise InternalError("envelope image is not essential")
-    return env, i
+    return i
 
 
 # ---------------------------------------------------------------------------
 # u-S-injectivity certification
 
 
-def certify_u_S_injective(
-    module: FiniteModule,
-    mset: MultiplicativeSet,
-    caps: Caps = DEFAULT_CAPS,
-    fallback: bool = True,
-    extra_modules: Sequence[FiniteModule] = (),
-) -> InjectivityReport:
-    """Three certification routes, cheapest first: uniformly killed by sigma;
-    finite direct sum of certified modules; Baer-injective.  If none lands
-    and *fallback* is set, falls through to the bounded catalogue test."""
+def u_S_injectivity_certificate(
+    module: FiniteModule, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS
+) -> Optional[str]:
+    """The first certificate that lands, cheapest first: "u-S-torsion"
+    (uniformly killed by sigma), "closure" (every summand certified; each
+    is asked, so a cap refusal on any of them surfaces), "injective-baer";
+    None when none does."""
     if module.ring != mset.ring:
         raise DomainError("multiplicative set over a different ring")
     if kills(module, mset.sigma, module.elements()):
-        return InjectivityReport("u-S-injective-certified", certificate="u-S-torsion")
-    if module.summands is not None:
-        parts = [
-            certify_u_S_injective(part, mset, caps, fallback=False)
-            for part in module.summands
-        ]
-        if all(p.certified for p in parts):
-            return InjectivityReport("u-S-injective-certified", certificate="closure")
+        return "u-S-torsion"
+    if module.summands is not None and all(
+        [u_S_injectivity_certificate(part, mset, caps) for part in module.summands]
+    ):
+        return "closure"
     if is_injective_baer(module, caps).verdict == "injective":
-        return InjectivityReport("u-S-injective-certified", certificate="injective-baer")
-    if not fallback:
-        return InjectivityReport("bounded-pass", certificate=None, catalogue_size=0)
-    return bounded_u_S_injective_test(module, mset, caps, extra_modules)
+        return "injective-baer"
+    return None
+
+
+def certify_u_S_injective(
+    module: FiniteModule, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS,
+    extra_modules: Sequence[FiniteModule] = (),
+) -> InjectivityReport:
+    """The certificate that lands, else the bounded catalogue test."""
+    certificate = u_S_injectivity_certificate(module, mset, caps)
+    if certificate is None:
+        return bounded_u_S_injective_test(module, mset, caps, extra_modules)
+    return InjectivityReport("u-S-injective-certified", certificate=certificate)
 
 
 def _default_catalogue(
@@ -304,14 +310,17 @@ def bounded_u_S_injective_test(
     act_sigma = module.act[mset.sigma]
     for f in catalogue:
         source_homs = hom_enumerate(f.source, module, caps=caps)
-        composed = {
-            tuple(map(g.map.__getitem__, f.map))
-            for g in hom_enumerate(f.target, module, caps=caps)
-        }
+        composed = _composites(f, module, caps)
         for h in source_homs:
             if tuple(map(act_sigma.__getitem__, h.map)) not in composed:
                 return InjectivityReport("refuted", witness=(f, h), catalogue_size=size)
     return InjectivityReport("bounded-pass", certificate="bounded-pass", catalogue_size=size)
+
+
+def _composites(f: Homomorphism, module: FiniteModule, caps: Caps) -> set[tuple]:
+    """{g.f : g in Hom(B, E)} for f: A -> B, each composite as its map."""
+    homs = hom_enumerate(f.target, module, caps=caps)
+    return {tuple(map(g.map.__getitem__, f.map)) for g in homs}
 
 
 def replay_refuted(module: FiniteModule, mset: MultiplicativeSet,
@@ -322,10 +331,7 @@ def replay_refuted(module: FiniteModule, mset: MultiplicativeSet,
     f, h = witness
     if not is_u_S_mono(f, mset):
         return False
-    composed = {
-        tuple(map(g.map.__getitem__, f.map))
-        for g in hom_enumerate(f.target, module, caps=caps)
-    }
+    composed = _composites(f, module, caps)
     return all(
         tuple(map(module.act[s].__getitem__, h.map)) not in composed for s in mset.members
     )
@@ -339,17 +345,17 @@ def replay_refuted(module: FiniteModule, mset: MultiplicativeSet,
 class PreenvelopeReport:
     holds: bool
     level: str  # certified | bounded | refuted | not-mono
-    injectivity: InjectivityReport
+    injectivity: Optional[InjectivityReport]  # None at not-mono: E is not asked
 
 
 def check_u_S_preenvelope(
     f: Homomorphism, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS
 ) -> PreenvelopeReport:
-    """A u-S-monomorphism into a u-S-injective module."""
-    mono = is_u_S_mono(f, mset)
+    """A u-S-monomorphism into a u-S-injective module; the target is
+    certified only once f is known to be a u-S-mono."""
+    if not is_u_S_mono(f, mset):
+        return PreenvelopeReport(False, "not-mono", None)
     report = certify_u_S_injective(f.target, mset, caps, extra_modules=(f.source,))
-    if not mono:
-        return PreenvelopeReport(False, "not-mono", report)
     if report.certified:
         return PreenvelopeReport(True, "certified", report)
     if report.verdict == "bounded-pass":
@@ -367,14 +373,8 @@ def check_u_S_envelope(
     pre = check_u_S_preenvelope(f, mset, caps)
     if not pre.holds:
         raise PreconditionViolatedError(f"not a u-S-preenvelope ({pre.level})")
-    essential_verdict = is_u_S_essential_fast(image(f), f.target, mset)
-    return EnvelopeCandidate(
-        map=f,
-        e_certificate=pre.injectivity.certificate or "bounded-pass",
-        essential_verdict=essential_verdict,
-        is_envelope=essential_verdict.verdict,
-        preenvelope_level=pre.level,
-    )
+    essential = is_u_S_essential_fast(image(f), f.target, mset)
+    return EnvelopeCandidate(f, pre.injectivity.certificate, essential)
 
 
 def endomorphism_condition(
@@ -395,21 +395,21 @@ def endomorphism_condition(
 
 def construct_u_S_envelope(
     module: FiniteModule, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS
-) -> Optional[tuple[Homomorphism, EnvelopeCandidate]]:
+) -> Optional[EnvelopeCandidate]:
     """Best-effort construction.  Candidates in order: the identity when the
     module itself is certified u-S-injective (covers the uniformly-killed
-    case), the classical injective envelope when the base ring is Z/n, and a
-    bounded search over certified pool targets.  Every target returned is
-    certified u-S-injective.  Returns None (unknown) rather than guessing."""
-    cert = certify_u_S_injective(module, mset, caps, fallback=False)
-    if cert.certified:
-        ident = identity_hom(module)
-        return ident, check_u_S_envelope(ident, mset, caps)
+    case), the classical injective envelope when the base ring is Z/n (a
+    Baer-injective target with an essential image is always a u-S-envelope),
+    and otherwise a bounded search over certified pool targets.  Every
+    target returned is certified u-S-injective.  Returns None (unknown)
+    rather than guessing."""
+    if u_S_injectivity_certificate(module, mset, caps):
+        return check_u_S_envelope(identity_hom(module), mset, caps)
     if module.ring.zmod_n is not None:
-        env, i = injective_envelope_zmod(module, caps)
-        cand = check_u_S_envelope(i, mset, caps)
-        if cand.is_envelope:
-            return i, cand
+        cand = check_u_S_envelope(injective_envelope_zmod(module, caps), mset, caps)
+        if not cand.essential_verdict.verdict:
+            raise InternalError("the Z/n injective envelope is not a u-S-envelope")
+        return cand
     # bounded pool search over certified targets built from the module
     reg = regular_module(module.ring)
     pool: list[FiniteModule] = [reg]
@@ -420,15 +420,15 @@ def construct_u_S_envelope(
         if base.size * module.size <= caps.max_module:
             pool.append(direct_sum(base, module, caps)[0])
     for target in pool:
-        if not certify_u_S_injective(target, mset, caps, fallback=False).certified:
+        if not u_S_injectivity_certificate(target, mset, caps):
             continue
         try:
             for f in hom_enumerate(module, target, cap=min(2048, caps.max_hom), caps=caps):
                 if not is_u_S_mono(f, mset):
                     continue
                 cand = check_u_S_envelope(f, mset, caps)
-                if cand.is_envelope:
-                    return f, cand
+                if cand.essential_verdict.verdict:
+                    return cand
         except ResourceExceededError:
             continue
     return None

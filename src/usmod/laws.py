@@ -44,6 +44,7 @@ from .injective import (
     injective_envelope_zmod,
     is_injective_baer,
     replay_refuted,
+    u_S_injectivity_certificate,
 )
 from .modules import (
     FiniteModule,
@@ -440,33 +441,33 @@ def law_twisted_transfer(b: BuiltInstance, caps: Caps) -> Outcome:
 
 
 def law_envelope_essential_image(b: BuiltInstance, caps: Caps) -> Outcome:
-    out = construct_u_S_envelope(b.module, b.mset, caps)
-    if out is None:
+    cand = construct_u_S_envelope(b.module, b.mset, caps)
+    if cand is None:
         return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    f, cand = out
+    f = cand.map
     try:
         definitional = endomorphism_condition(f, b.mset, caps, end_cap=2048)
     except ResourceExceededError:
         return SKIP_RESOURCE, None, "endomorphism enumeration skipped"
-    if definitional != cand.is_envelope:
+    if definitional != cand.essential_verdict.verdict:
         return VIOLATED, {"map": list(f.map)}, ""
-    if not cand.is_envelope:
+    if not cand.essential_verdict.verdict:
         return VIOLATED, {"map": list(f.map), "part": "constructed-map-not-envelope"}, ""
     return HOLDS, None, f"certificate {cand.e_certificate}"
 
 
 def law_preenvelope_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
     module, mset = b.module, b.mset
-    out = construct_u_S_envelope(module, mset, caps)
-    if out is None:
+    cand = construct_u_S_envelope(module, mset, caps)
+    if cand is None:
         return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    env_map = out[0]
+    env_map = cand.map
     env = env_map.target
     pool = [module, env]
     try:
         checked = 0
         for a2 in pool:
-            if not certify_u_S_injective(a2, mset, caps, fallback=False).certified:
+            if not u_S_injectivity_certificate(a2, mset, caps):
                 continue
             # Hom(i, A): Hom(E, A) -> Hom(M, A) is u-S-epi iff sigma.h is
             # some g . i for every h: M -> A
@@ -489,15 +490,15 @@ def law_preenvelope_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
 
 def law_envelope_uniqueness(b: BuiltInstance, caps: Caps) -> Outcome:
     module, mset = b.module, b.mset
-    out = construct_u_S_envelope(module, mset, caps)
-    if out is None:
+    cand = construct_u_S_envelope(module, mset, caps)
+    if cand is None:
         return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    first = out[0]
+    first = cand.map
     second: Optional[Homomorphism] = None
     if b.ring.zmod_n is not None:
         try:
-            _, classical = injective_envelope_zmod(module, caps)
-            if check_u_S_envelope(classical, mset, caps).is_envelope:
+            classical = injective_envelope_zmod(module, caps)
+            if check_u_S_envelope(classical, mset, caps).essential_verdict.verdict:
                 second = classical
         except ResourceExceededError:
             second = None
@@ -516,10 +517,10 @@ def law_preenvelope_summand(b: BuiltInstance, caps: Caps) -> Outcome:
     """For the envelope f: M -> E and the preenvelope g: M -> E + tor_S(E),
     the target of g is u-S-isomorphic to E + B for a submodule B of it."""
     module, mset = b.module, b.mset
-    out = construct_u_S_envelope(module, mset, caps)
-    if out is None:
+    cand = construct_u_S_envelope(module, mset, caps)
+    if cand is None:
         return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    f = out[0]
+    f = cand.map
     env = f.target
     tor = s_torsion_submodule(env, mset)
     t_mod, _ = submodule_as_module(tor)
@@ -581,10 +582,10 @@ def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
     mono and i factors, up to some s, through every u-S-essential mono out
     of M into a pool module."""
     module, mset = b.module, b.mset
-    out = construct_u_S_envelope(module, mset, caps)
-    if out is None:
+    cand = construct_u_S_envelope(module, mset, caps)
+    if cand is None:
         return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    i, cand = out
+    i = cand.map
     env = i.target
     pool = [module, env]
     tor = s_torsion_submodule(env, mset)
@@ -598,7 +599,7 @@ def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
         for q in pool:
             if not injective_factoring:
                 break
-            if not certify_u_S_injective(q, mset, caps, fallback=False).certified:
+            if not u_S_injectivity_certificate(q, mset, caps):
                 continue
             try:
                 homs_mq = hom_enumerate(module, q, caps=caps)
@@ -624,11 +625,11 @@ def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
             )
     except ResourceExceededError:
         return SKIP_RESOURCE, None, "pool evaluation over budget"
-    if not cand.is_envelope == injective_factoring == essential_factoring:
+    if not cand.essential_verdict.verdict == injective_factoring == essential_factoring:
         return (
             VIOLATED,
             {
-                "envelope": cand.is_envelope,
+                "envelope": cand.essential_verdict.verdict,
                 "injective_factoring": injective_factoring,
                 "essential_factoring": essential_factoring,
             },
@@ -645,10 +646,10 @@ def law_envelope_properties(b: BuiltInstance, caps: Caps) -> Outcome:
     submodule is u-S-isomorphic to E; (3) E, certified by the construction,
     is u-S-isomorphic to E + B for one of its submodules B."""
     module, mset = b.module, b.mset
-    out = construct_u_S_envelope(module, mset, caps)
-    if out is None:
+    cand = construct_u_S_envelope(module, mset, caps)
+    if cand is None:
         return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    env = out[0].target
+    env = cand.map.target
     certification = certify_u_S_injective(module, mset, caps)
     iso = find_u_S_isomorphism(module, env, mset, caps=caps) is not None
     if (certification.certified and not iso) or (certification.verdict == "refuted" and iso):
@@ -660,7 +661,7 @@ def law_envelope_properties(b: BuiltInstance, caps: Caps) -> Outcome:
             continue
         sub_env = construct_u_S_envelope(submodule_as_module(sub)[0], mset, caps)
         if sub_env is not None and find_u_S_isomorphism(
-            sub_env[0].target, env, mset, caps=caps
+            sub_env.map.target, env, mset, caps=caps
         ) is None:
             return VIOLATED, {"part": "essential-submodule-envelope"}, ""
     if _complement_of_summand(env, env, mset, caps) is None:
@@ -685,22 +686,22 @@ def law_envelope_direct_sum(b: BuiltInstance, caps: Caps) -> Outcome:
     module, mset = b.module, b.mset
     if module.size * module.size > caps.max_module:
         return SKIP_RESOURCE, None, "sum exceeds the module cap"
-    out = construct_u_S_envelope(module, mset, caps)
-    if out is None:
+    cand = construct_u_S_envelope(module, mset, caps)
+    if cand is None:
         return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    f = out[0]
+    f = cand.map
     if f.target.size * f.target.size > caps.max_module:
         return SKIP_RESOURCE, None, "envelope sum exceeds the module cap"
     try:
         total = _sum_map([f, f], caps)
-        if not check_u_S_envelope(total, mset, caps).is_envelope:
+        if not check_u_S_envelope(total, mset, caps).essential_verdict.verdict:
             return VIOLATED, {"part": "sum-map"}, ""
         direct = construct_u_S_envelope(total.source, mset, caps)
     except ResourceExceededError:
         return SKIP_RESOURCE, None, "sum evaluation over budget"
     with suppress(ResourceExceededError):  # a search over budget leaves the match open
         if direct is not None and find_u_S_isomorphism(
-            direct[0].target, total.target, mset, cap=min(512, caps.max_hom), caps=caps
+            direct.map.target, total.target, mset, cap=min(512, caps.max_hom), caps=caps
         ) is None:
             return VIOLATED, {"part": "direct-construction-mismatch"}, ""
     return HOLDS, None, ""
@@ -722,10 +723,10 @@ def law_prime_classical_envelope_sum(b: BuiltInstance, caps: Caps) -> Outcome:
     if module.size * module.size > caps.max_module:
         return SKIP_RESOURCE, None, "sum exceeds the module cap"
     try:
-        _, i = injective_envelope_zmod(module, caps)
+        i = injective_envelope_zmod(module, caps)
         if i.target.size * i.target.size > caps.max_module:
             return SKIP_RESOURCE, None, "envelope sum exceeds the module cap"
-        if not check_u_S_envelope(_sum_map([i, i], caps), mset, caps).is_envelope:
+        if not check_u_S_envelope(_sum_map([i, i], caps), mset, caps).essential_verdict.verdict:
             return VIOLATED, {"part": "sum-map"}, ""
     except ResourceExceededError:
         return SKIP_RESOURCE, None, "construction over budget"
@@ -734,13 +735,13 @@ def law_prime_classical_envelope_sum(b: BuiltInstance, caps: Caps) -> Outcome:
 
 def law_uniform_extension_bounded(b: BuiltInstance, caps: Caps) -> Outcome:
     module, mset = b.module, b.mset
-    report = certify_u_S_injective(module, mset, caps, fallback=False)
+    certificate = u_S_injectivity_certificate(module, mset, caps)
     try:
         bounded = bounded_u_S_injective_test(module, mset, caps, max_entries=24)
     except ResourceExceededError:
         return SKIP_RESOURCE, None, "catalogue scan over budget"
-    if report.certified and bounded.verdict == "refuted":
-        return VIOLATED, {"certificate": report.certificate}, ""
+    if certificate and bounded.verdict == "refuted":
+        return VIOLATED, {"certificate": certificate}, ""
     if bounded.verdict == "refuted" and not replay_refuted(module, mset, bounded.witness, caps):
         return VIOLATED, {"part": "refutation-replay"}, ""
     return HOLDS, None, f"catalogue of {bounded.catalogue_size}: {bounded.verdict}"
@@ -780,10 +781,10 @@ def law_running_example_envelope(b: BuiltInstance, caps: Caps) -> Outcome:
     baer = is_injective_baer(b.module, caps).verdict == "injective"
     mono = is_u_S_mono(incl, b.mset)
     essential = cand.essential_verdict.verdict
-    if not (cand.is_envelope and definitional and baer and mono and essential):
+    if not (essential and definitional and baer and mono):
         return (
             VIOLATED,
-            {"envelope": cand.is_envelope, "endomorphism": definitional, "baer": baer},
+            {"envelope": essential, "endomorphism": definitional, "baer": baer},
             "",
         )
     return HOLDS, None, "pinned envelope certified"
@@ -879,10 +880,11 @@ def run_laws(
 ) -> list[LawResult]:
     """Evaluate every registered law on every applicable instance.
 
-    Module-scoped laws are deduplicated per (ring, mset, module) triple;
-    resource exhaustion becomes a skip, never a verdict."""
+    Module-scoped laws are deduplicated per (ring, mset, module) triple and
+    a repeated law id runs once, where it first appears; resource
+    exhaustion becomes a skip, never a verdict."""
     selected = REGISTRY if law_filter is None else [
-        LAWS_BY_ID[i] for i in law_filter
+        LAWS_BY_ID[i] for i in dict.fromkeys(law_filter)
     ]
     results: list[LawResult] = []
     built_cache: dict[Instance, BuiltInstance] = {}

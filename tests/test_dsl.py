@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from usmod.dsl import evaluate_assertions, parse_program
+from usmod.cli import main
+from usmod.dsl import _ARITY, evaluate_assertions, parse_program
 from usmod.errors import ConfigError, InvalidMultiplicativeSetError, NotPrimeError
 
 RUNNING_EXAMPLE = """
@@ -119,6 +123,12 @@ hom p : V -> M = images {7: 1, 6: 1}
         parse_program("ring R = zmod 6\nmodule M over R = regular\nhom f : M -> M = images {1: 2, 2: 3}")
     with pytest.raises(ConfigError, match="linear"):
         parse_program("ring R = zmod 6\nmodule M over R = regular\nhom f : M -> M = images {0: 1}")
+
+
+def test_hom_images_refuse_a_repeated_element():
+    """Two images for one element are refused, not resolved to the last."""
+    with pytest.raises(ConfigError, match=r"^line 3: element 1 is given two images$"):
+        parse_program("ring R = zmod 6\nmodule M over R = regular\nhom f : M -> M = images {1: 1, 1: 2}")
 
 
 def test_hom_images_must_determine_map():
@@ -261,3 +271,36 @@ def test_assert_argument_count_is_checked(line, count):
     assert all(r.ok for r in others)
     assert bad.verdict is None and not bad.ok
     assert bad.detail.startswith("config-error: line ") and count in bad.detail
+
+
+def test_preenvelope_not_mono_is_refused_before_the_target_is_certified(
+    tmp_path, monkeypatch, capsys
+):
+    """The zero map Z/8 -> Z/8 + Z/4 is no u-S-mono at S = {1}; that answers
+    the question before any hom scan into the target, which exceeds the cap."""
+    program = tmp_path / "z.usm"
+    program.write_text(
+        "ring R = zmod 8\nmset S over R = closure {1}\nmodule A over R = regular\n"
+        "module M over R = regular\nsub T of M = gens {4}\nmodule Q = quot M T\n"
+        "module E = dsum A Q\nhom z : A -> E = images {1: 0}\n"
+        "assert u_s_preenvelope(z, S) == false\n"
+    )
+    monkeypatch.setenv("USMOD_CAPS", "hom=16")
+    assert main(["check", str(program)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   line 9: assert u_s_preenvelope(z, S) == false [not-mono]",
+        "-- 1/1 assertions passed",
+    ]
+
+
+DSL_DOC = (Path(__file__).resolve().parents[1] / "docs" / "dsl.md").read_text(encoding="utf-8")
+
+
+def test_dsl_doc_example_and_grammar_match_the_parser():
+    """The example program of docs/dsl.md passes, and its EBNF lists exactly
+    the assertion functions the evaluator knows."""
+    example = re.search(r"## Examples\n\n```\n(.*?)```", DSL_DOC, re.S).group(1)
+    results = evaluate_assertions(parse_program(example))
+    assert len(results) == 3 and all(r.ok for r in results), [r.to_json() for r in results]
+    func_rule = re.search(r"^func\s*=(.*?);", DSL_DOC, re.S | re.M).group(1)
+    assert sorted(re.findall(r'"(\w+)"', func_rule)) == sorted(_ARITY)

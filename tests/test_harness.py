@@ -460,6 +460,36 @@ def test_corpus_anchors_and_max_instances_respect_bounds():
         generate_corpus(42, Bounds(max_ring=8, max_instances=-3))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laws", "--max-ring", "6", "--max-module", "1"],
+        ["search", "--claim", "u-S-essential-not-essential", "--max-module", "1"],
+    ],
+    ids=["laws", "search"],
+)
+def test_cli_refuses_a_module_bound_below_two(capsys, argv):
+    """Every corpus module has at least 2 elements, so a bound of 1 would
+    run over an empty corpus and pass."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error [config-error]: max_ring and max_module must be at least 2\n"
+
+
+def test_repeated_law_id_runs_once(small_corpus, capsys):
+    def rows(law_ids):
+        return [dataclasses.replace(r, wall_time=0.0) for r in run_laws(small_corpus[:10], law_ids)]
+
+    assert rows(["complement", "element-criterion", "complement"]) == rows(
+        ["complement", "element-criterion"]
+    )
+    argv = ["laws", "--max-ring", "6", "--max-instances", "10"]
+    assert main(argv + ["--law", "complement", "--law", "complement"]) == 0
+    assert [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()] == [
+        "complement holds= 10 violated= 0 skipped-resource= 0 skipped-inapplicable= 0",
+        "-- 10 results over 10 instances; violated=0",
+    ]
+
+
 def test_cli_laws_refuses_negative_max_instances(capsys):
     assert main(["laws", "--max-ring", "8", "--max-instances", "-3"]) == 2
     assert capsys.readouterr().err.startswith("error [config-error]: ")

@@ -2,10 +2,10 @@ from math import prod
 
 import pytest
 
-from usmod import laws
+from usmod import injective, laws
 from usmod.caps import DEFAULT_CAPS
-from usmod.corpus import Instance, build_instance
-from usmod.errors import ResourceExceededError, UnsupportedRingError
+from usmod.corpus import Bounds, Instance, build_instance, generate_corpus
+from usmod.errors import InternalError, ResourceExceededError, UnsupportedRingError
 from usmod.essential import is_essential, is_u_S_essential_fast
 from usmod.injective import (
     bounded_u_S_injective_test,
@@ -19,6 +19,7 @@ from usmod.injective import (
     is_injective_baer,
     prime_power_factorization,
     replay_refuted,
+    u_S_injectivity_certificate,
 )
 from usmod.modules import (
     compose,
@@ -83,16 +84,14 @@ def test_baer_witness_replays(z6):
 def test_envelope_examples(z6, m6):
     m4 = regular_module(make_zmod(4))
     sub2, _ = submodule_as_module(submodule(m4, [0, 2]))
-    env, i = injective_envelope_zmod(sub2)
-    assert env.size == 4 and kernel(i).size == 1
-    assert is_essential(image(i), env).verdict
+    i = injective_envelope_zmod(sub2)
+    assert i.target.size == 4 and kernel(i).size == 1
+    assert is_essential(image(i), i.target).verdict
 
     k, _ = submodule_as_module(submodule(m6, [0, 2, 4]))
-    env_k, _ = injective_envelope_zmod(k)
-    assert env_k.size == 3  # already injective
+    assert injective_envelope_zmod(k).target.size == 3  # already injective
 
-    env6, i6 = injective_envelope_zmod(m6)
-    assert env6.size == 6
+    assert injective_envelope_zmod(m6).target.size == 6
 
     prod = make_product(make_zmod(2), make_zmod(2))
     with pytest.raises(UnsupportedRingError):
@@ -102,8 +101,8 @@ def test_envelope_examples(z6, m6):
 def test_envelope_of_injective_is_itself():
     for n in (4, 6, 9, 12):
         m = regular_module(make_zmod(n))
-        env, i = injective_envelope_zmod(m)
-        assert env.size == m.size and sorted(i.map) == list(m.elements())
+        i = injective_envelope_zmod(m)
+        assert i.target.size == m.size and sorted(i.map) == list(m.elements())
 
 
 def _modules_over(n, max_size):
@@ -168,7 +167,8 @@ def test_hull_from_p_socles(n):
             with pytest.raises(ResourceExceededError, match=f"^envelope would have {size} elements$"):
                 injective_envelope_zmod(module)
             continue
-        env, i = injective_envelope_zmod(module)
+        i = injective_envelope_zmod(module)
+        env = i.target
         assert kernel(i).size == 1, module.label
         assert is_injective_baer(env).verdict == "injective", module.label
         # essential image: every nonzero cyclic submodule of E meets it
@@ -195,6 +195,14 @@ def test_certification_tiers(z6, m6, s14):
 
     d, *_ = direct_sum(m6, l3)
     assert certify_u_S_injective(d, s14).certificate == "closure"
+
+    # no certificate lands on Z/2 inside Z/4 at S = {1, 3}: only the
+    # catalogue answers, and it refutes
+    m4 = regular_module(make_zmod(4))
+    sub2, _ = submodule_as_module(submodule(m4, [0, 2]))
+    s13 = mult_set_closure(m4.ring, [3])
+    assert u_S_injectivity_certificate(sub2, s13) is None
+    assert certify_u_S_injective(sub2, s13).verdict == "refuted"
 
 
 def test_bounded_test_examples(z6, m6, s14):
@@ -233,19 +241,50 @@ def test_preenvelope_examples(z6, m6, s14):
     assert not check_u_S_preenvelope(zero_hom(m6, m6), s14).holds
 
 
+def test_preenvelope_asks_mono_first(monkeypatch, m6, s14):
+    """A map that is no u-S-mono is refused before its target is certified."""
+    def certify(*args, **kwargs):
+        raise InternalError("target certified for a map that is no u-S-mono")
+
+    for name in ("certify_u_S_injective", "u_S_injectivity_certificate", "is_injective_baer",
+                 "bounded_u_S_injective_test"):
+        monkeypatch.setattr(injective, name, certify)
+    report = check_u_S_preenvelope(zero_hom(m6, m6), s14)
+    assert (report.holds, report.level, report.injectivity) == (False, "not-mono", None)
+
+
+def test_uncertified_zmod_module_gets_the_classical_hull():
+    """Over Z/n a module with no certificate is sent to its classical hull,
+    never to the pool search: every module triple of the seed-42 acceptance
+    corpus with at most 12 elements."""
+    seen, checked = set(), 0
+    for inst in generate_corpus(42, Bounds(max_ring=36, max_module=64, max_instances=600)):
+        if (inst.ring, inst.mset, inst.module) in seen:
+            continue
+        seen.add((inst.ring, inst.mset, inst.module))
+        b = build_instance(inst)
+        if b.ring.zmod_n is None or b.module.size > 12:
+            continue
+        if u_S_injectivity_certificate(b.module, b.mset) is None:
+            checked += 1
+            hull = injective_envelope_zmod(b.module)
+            assert construct_u_S_envelope(b.module, b.mset).map == hull, inst
+    assert checked
+
+
 def test_envelope_check_examples(z6, m6, s14):
     k = submodule(m6, [0, 2, 4])
     _, incl = submodule_as_module(k)
-    assert check_u_S_envelope(incl, s14).is_envelope
+    assert check_u_S_envelope(incl, s14).essential_verdict.verdict
     assert endomorphism_condition(incl, s14)
 
     ident = identity_hom(m6)
-    assert check_u_S_envelope(ident, s14).is_envelope
+    assert check_u_S_envelope(ident, s14).essential_verdict.verdict
     assert endomorphism_condition(ident, s14)
 
     l3 = submodule(m6, [0, 3])
     _, incl3 = submodule_as_module(l3)
-    assert not check_u_S_envelope(incl3, s14).is_envelope
+    assert not check_u_S_envelope(incl3, s14).essential_verdict.verdict
     assert not endomorphism_condition(incl3, s14)
 
 
@@ -290,15 +329,15 @@ def test_envelope_properties():
 def test_envelope_construct_tiers(z6, m6, s14):
     # uniformly killed module: identity envelope
     l3, _ = submodule_as_module(submodule(m6, [0, 3]))
-    out = construct_u_S_envelope(l3, s14)
-    assert out is not None and out[0].map == identity_hom(l3).map
+    cand = construct_u_S_envelope(l3, s14)
+    assert cand is not None and cand.map == identity_hom(l3)
 
     # torsion-free-ish module over Z/4 with unit set: classical envelope
     m4 = regular_module(make_zmod(4))
     s13 = mult_set_closure(m4.ring, [3])
     sub2, _ = submodule_as_module(submodule(m4, [0, 2]))
-    out2 = construct_u_S_envelope(sub2, s13)
-    assert out2 is not None and out2[0].target.size == 4
+    cand2 = construct_u_S_envelope(sub2, s13)
+    assert cand2 is not None and cand2.map.target.size == 4
 
 
 def test_envelope_of_direct_sum():

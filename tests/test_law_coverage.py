@@ -69,7 +69,13 @@ def _never(real):
 
 
 def _not_envelope(real):
-    return lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), is_envelope=False)
+    def wrong(*args, **kwargs):
+        cand = real(*args, **kwargs)
+        return dataclasses.replace(
+            cand, essential_verdict=dataclasses.replace(cand.essential_verdict, verdict=False)
+        )
+
+    return wrong
 
 
 def _holds_then_breaks(monkeypatch, law_id, instance, route, breaker):
