@@ -4,7 +4,8 @@ Everything in this package is exact and exhaustive, so the only defence
 against runaway inputs is a caps record of four fields: ring, module,
 lattice and hom.  The defaults are desk-scale; the ``USMOD_CAPS``
 environment variable overrides individual fields with a comma-separated
-list such as ``ring=32,module=64,hom=5000``.  Any other key is refused.
+list such as ``ring=32,module=64,hom=5000``.  Any other key, and a key
+given twice, is refused.
 """
 from __future__ import annotations
 
@@ -44,9 +45,12 @@ def caps_from_env(base: Caps | None = None) -> Caps:
             key = key.strip()
             if key not in _FIELDS:
                 raise ValueError(key)
-            updates["max_" + key] = int(value)
+            value = int(value)
         except ValueError:
             raise ConfigError(f"bad USMOD_CAPS entry: {item!r}") from None
+        if "max_" + key in updates:
+            raise ConfigError(f"USMOD_CAPS sets {key!r} twice")
+        updates["max_" + key] = value
     caps = replace(caps, **updates)
     caps.check()
     return caps

@@ -18,14 +18,16 @@ projection of quotient_module are shared with rings.py, which uses them for
 products, ideals and quotient rings.
 
 Homomorphisms are enumerated from a greedily chosen generating set by
-backtracking over candidate images of each generator.  A derivation plan,
-built once per source module and cached, says how every element of each
-generator prefix's span is derived (the generator, r.y or y+z) and names an
-additive generating set of the span; at each level the map is filled along
-the plan into a flat list and kept only if it is additive against that set
-and R-linear on it.  The DSL's ``images {...}`` replays the same kind of plan
-built from the listed elements, which must determine the map on the whole
-module.
+backtracking over the images of each generator.  A derivation plan, built
+once per source module and cached, says how every element of each
+generator prefix's span is derived (the generator, r.y or y+z) and holds
+generators of the generator's conductor, the ideal of ring elements that
+take it into the earlier span.  A map extends from one span to the next
+exactly when the new image agrees with it on the conductor, so the
+admissible images at each level are one bucket of the target's elements,
+and the map is filled along the plan with no test.  The DSL's
+``images {...}`` replays the same kind of plan built from the listed
+elements, which must determine the map on the whole module.
 """
 from __future__ import annotations
 
@@ -307,15 +309,10 @@ def span(parent: FiniteModule, seed: Iterable[int]) -> tuple[int, ...]:
     joined with each R-multiple of x in turn, so it is a submodule after
     every seed element and a seed element already inside is skipped.
     """
-    add, act = parent.add, parent.act
     mem = {parent.zero}
     for x in set(seed):
-        if x in mem:
-            continue
-        for r in parent.ring.elements():
-            c = act[r][x]
-            if c not in mem:
-                mem = _add_subgroup(add, mem, c)
+        if x not in mem:
+            mem = _join_cyclic(parent.add, parent.act, mem, x)
     return tuple(sorted(mem))
 
 
@@ -558,49 +555,55 @@ def generating_set(module: FiniteModule) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PlanLevel:
-    """How span(k_1..k_i) is derived from span(k_1..k_{i-1}) and the key k_i.
+    """How P' = span(k_1..k_i) comes from P = span(k_1..k_{i-1}) and the key k_i.
 
-    Every new element is derived once: the key itself, ``z = r.key`` (*acts*)
-    or ``z = x + c`` (*adds*, with x old and c a new multiple of the key).
-    *additive* is an additive generating set A_i of the span.  A map filled
-    along the derivations is R-linear on the span iff f(x+a) = f(x)+f(a) for
-    every x in the span and a in A_i, and f(r.a) = r.f(a) for every r and a
-    in A_i; *add_checks* and *act_checks* hold the (x, a, x+a) and (r, a, r.a)
-    triples of those equations that no earlier level already checked and
-    that do not hold by a derivation of this level.
+    The conductor C = {r : r.key in P} is an ideal of R; *conductor* holds
+    greedy ideal generators c_1..c_k of C and *conducted* the elements
+    c_j.key of P.  An R-linear f on P extends to P' with key -> y iff
+    c.y = f(c.key) for every c in C (the one-element step in the proof of
+    Baer's criterion), and by linearity iff that holds for the generators
+    alone.  The extension is unique and is filled along the derivations:
+    every new element is derived once, as the key itself, ``z = r.key``
+    (*acts*) or ``z = x + c`` (*adds*, with x in P and c a new multiple of
+    the key).  A key already in P has conductor R, so its test says
+    f(key) = y, and it derives nothing.
     """
 
     key: int
-    fresh: bool  # the key lies outside the previous span
+    conductor: tuple[int, ...]  # c_1..c_k
+    conducted: tuple[int, ...]  # c_1.key..c_k.key
+    order_unit: int  # d.1 for d the additive order of the key; it lies in C
     acts: tuple[tuple[int, int], ...]  # (z, r): z = r.key
     adds: tuple[tuple[int, int, int], ...]  # (z, x, c): z = x + c
-    additive: tuple[int, ...]
-    add_checks: tuple[tuple[int, int, int], ...]
-    act_checks: tuple[tuple[int, int, int], ...]
-    members: tuple[int, ...]  # the span, sorted
+    members: tuple[int, ...]  # P', sorted
 
 
 def derivation_plan(module: FiniteModule, keys: tuple[int, ...]) -> tuple[PlanLevel, ...]:
     """One level per key: the spans of the key prefixes (``_source_plan``
     keeps the one plan per hom source)."""
+    ring = module.ring
     add, act = module.add, module.act
-    ring_elements = module.ring.elements()
     span_list = [module.zero]
     in_span = {module.zero}
-    additive: list[int] = []
     levels: list[PlanLevel] = []
     for key in keys:
-        fresh = key not in in_span
-        old = list(span_list)
-        old_set = set(old)
-        n_old_additive = len(additive)
+        conductor: list[int] = []
+        ideal = {ring.zero}
+        for r in ring.elements():
+            if act[r][key] in in_span and r not in ideal:
+                conductor.append(r)
+                ideal = _join_cyclic(ring.add, ring.mul, ideal, r)
+        order_unit = ring.zero
+        for _ in range(module.additive_order(key)):
+            order_unit = ring.add[order_unit][ring.one]
         acts: list[tuple[int, int]] = []
         adds: list[tuple[int, int, int]] = []
-        if fresh:
+        if key not in in_span:
+            old = list(span_list)
             multiples = [key]
             in_span.add(key)
             span_list.append(key)
-            for r in ring_elements:
+            for r in ring.elements():
                 z = act[r][key]
                 if z not in in_span:
                     in_span.add(z)
@@ -614,35 +617,14 @@ def derivation_plan(module: FiniteModule, keys: tuple[int, ...]) -> tuple[PlanLe
                         in_span.add(z)
                         span_list.append(z)
                         adds.append((z, x, c))
-            reached = old_set
-            for c in multiples:
-                if c not in reached:
-                    additive.append(c)
-                    reached = _add_subgroup(add, reached, c)
-        new_additive = set(additive[n_old_additive:])
-        derived_adds = {(x, c) for _, x, c in adds}
-        derived_acts = {r for _, r in acts}
-        add_checks = tuple(
-            (x, a, add[x][a])
-            for x in span_list
-            for a in additive
-            if (x not in old_set or a in new_additive) and (x, a) not in derived_adds
-        )
-        act_checks = tuple(
-            (r, a, act[r][a])
-            for a in additive[n_old_additive:]
-            for r in ring_elements
-            if not (a == key and r in derived_acts)
-        )
         levels.append(
             PlanLevel(
                 key,
-                fresh,
+                tuple(conductor),
+                tuple(act[c][key] for c in conductor),
+                order_unit,
                 tuple(acts),
                 tuple(adds),
-                tuple(additive),
-                add_checks,
-                act_checks,
                 tuple(sorted(span_list)),
             )
         )
@@ -650,10 +632,14 @@ def derivation_plan(module: FiniteModule, keys: tuple[int, ...]) -> tuple[PlanLe
 
 
 @lru_cache(maxsize=None)
-def _source_plan(source: FiniteModule) -> tuple[tuple[int, ...], tuple[PlanLevel, ...]]:
-    """The generating set of *source* and its derivation plan, once per module."""
-    gens = generating_set(source)
-    return gens, derivation_plan(source, gens)
+def _source_plan(source: FiniteModule) -> tuple[PlanLevel, ...]:
+    """The derivation plan of *source*'s generating set, once per module.
+
+    Each generator lies outside the span of the earlier ones, and its
+    level's conductor, read off its action column, costs O(|R|) lookups
+    plus the growth of the conductor ideal, once per source.
+    """
+    return derivation_plan(source, generating_set(source))
 
 
 def _add_subgroup(add: Table, group: set[int], c: int) -> set[int]:
@@ -666,27 +652,27 @@ def _add_subgroup(add: Table, group: set[int], c: int) -> set[int]:
     return out
 
 
-def _replay(level: PlanLevel, y: int, f: list[int], target: FiniteModule) -> bool:
+def _join_cyclic(add: Table, act: Table, sub: set[int], x: int) -> set[int]:
+    """The submodule *sub* + Rx, with act[r][x] = r.x (a ring's own ``mul``
+    makes this the ideal *sub* + Rx)."""
+    for row in act:
+        c = row[x]
+        if c not in sub:
+            sub = _add_subgroup(add, sub, c)
+    return sub
+
+
+def _replay(level: PlanLevel, y: int, f: list[int], target: FiniteModule) -> None:
     """Extend f from the previous span to the level's span with f(key) = y.
 
-    False when no R-linear map on the span restricts to f on the previous
-    span and sends the key to y.
+    The caller has checked the level's conductor, so no equation is tested.
     """
-    if not level.fresh:
-        return f[level.key] == y
     add, act = target.add, target.act
     f[level.key] = y
     for z, r in level.acts:
         f[z] = act[r][y]
     for z, x, c in level.adds:
         f[z] = add[f[x]][f[c]]
-    for x, a, s in level.add_checks:
-        if f[s] != add[f[x]][f[a]]:
-            return False
-    for r, a, s in level.act_checks:
-        if f[s] != act[r][f[a]]:
-            return False
-    return True
 
 
 def extend_images(
@@ -694,13 +680,24 @@ def extend_images(
 ) -> Optional[dict[int, int]]:
     """The R-linear map on the span of the keys with the given images, or None.
 
-    The span always contains 0, which goes to 0.
+    The span always contains 0, which goes to 0.  Keys may repeat or lie in
+    the span of earlier keys; each key is tested against its conductor.
+    Keys and images must be int indices (not bools) into source and target,
+    which must be over the same ring.
     """
+    if source.ring != target.ring:
+        raise DomainError("source and target are over different rings")
+    for k, y in images:
+        if not (type(k) is int and 0 <= k < source.size
+                and type(y) is int and 0 <= y < target.size):
+            raise DomainError(f"image pair {k!r}: {y!r} outside the modules")
     plan = derivation_plan(source, tuple(k for k, _ in images))
+    act = target.act
     f = [target.zero] * source.size
     for level, (_, y) in zip(plan, images):
-        if not _replay(level, y, f, target):
+        if any(act[c][y] != f[cx] for c, cx in zip(level.conductor, level.conducted)):
             return None
+        _replay(level, y, f, target)
     members = plan[-1].members if plan else (source.zero,)
     return {x: f[x] for x in members}
 
@@ -713,32 +710,35 @@ def hom_enumerate(
 ) -> list[Homomorphism]:
     """All R-linear maps source -> target, in deterministic order.
 
-    Candidate images of each generator are filtered by additive order; the
-    product of the candidate counts is the projected size and must stay
-    within the cap before enumeration starts.  The search then keeps only
-    the candidates y with ann(g).y = 0, which every image of g satisfies,
-    and backtracks over the generators, replaying the source's derivation
-    plan at each level, so a prefix is kept exactly when it extends to a
-    map on its span.
+    The images of a generator g of additive order d lie in {y : d.y = 0};
+    the product of those counts, one ``act[d.1]`` row scan per generator,
+    is the projected size and must stay within the cap before enumeration
+    starts.  The search backtracks over the generators of the source's
+    cached plan.  Once per call the target's elements are bucketed, in
+    ascending order, by (c_1.y, ..., c_k.y) for the conductor generators
+    c_j of each level.  At a node the admissible images of g are exactly
+    the bucket keyed by (f(c_1.g), ..., f(c_k.g)), so every candidate
+    extends (see ``PlanLevel``) and each node costs one tuple of k lookups,
+    one dict lookup and the fill of the new span, with no test.  Maps come
+    in lexicographic order of their generator images.
     """
     if source.ring != target.ring:
         raise DomainError("source and target are over different rings")
     cap = caps.max_hom if cap is None else cap
-    gens, plan = _source_plan(source)
-    candidates: list[list[int]] = []
+    plan = _source_plan(source)
     projected = 1
-    for g in gens:
-        d = source.additive_order(g)
-        cand = [y for y in target.elements() if target.int_mul(d, y) == target.zero]
-        projected *= len(cand)
+    for level in plan:
+        projected *= target.act[level.order_unit].count(target.zero)
         if projected > cap:
             raise ResourceExceededError(
                 f"projected hom count {projected} exceeds cap {cap}"
             )
-        for t_row, s_row in zip(target.act, source.act):
-            if s_row[g] == source.zero:  # r in ann(g) kills every image of g
-                cand = [y for y in cand if t_row[y] == target.zero]
-        candidates.append(cand)
+    buckets: list[dict[tuple[int, ...], list[int]]] = []
+    for level in plan:
+        rows = [target.act[c] for c in level.conductor]
+        buckets.append({})
+        for y, images in enumerate(zip(*rows) if rows else [()] * target.size):
+            buckets[-1].setdefault(images, []).append(y)
 
     f = [target.zero] * source.size
     out: list[Homomorphism] = []
@@ -747,9 +747,10 @@ def hom_enumerate(
         if i == len(plan):
             out.append(Homomorphism(source, target, tuple(f)))
             return
-        for y in candidates[i]:
-            if _replay(plan[i], y, f, target):
-                backtrack(i + 1)
+        level = plan[i]
+        for y in buckets[i].get(tuple(map(f.__getitem__, level.conducted)), ()):
+            _replay(level, y, f, target)
+            backtrack(i + 1)
 
     backtrack(0)
     return out

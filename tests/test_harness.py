@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from usmod.caps import DEFAULT_CAPS, Caps
+from usmod.caps import DEFAULT_CAPS, Caps, caps_from_env
 from usmod.cli import main
 from usmod.corpus import Bounds, Instance, build_instance, build_ring, generate_corpus
 from usmod import corpus, laws, search
@@ -734,6 +734,17 @@ def test_cli_smoke(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = [l for l in proc.stdout.splitlines() if l.strip()]
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("raw", ["hom=16,hom=32", " hom=16 , hom = 16", "ring=8,hom=16,ring=8"])
+def test_caps_env_refuses_a_repeated_key(raw, monkeypatch):
+    """A key given twice is refused, not settled by its last value."""
+    monkeypatch.setenv("USMOD_CAPS", raw)
+    key = raw.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"^USMOD_CAPS sets '{key}' twice$"):
+        caps_from_env()
+    monkeypatch.setenv("USMOD_CAPS", "ring=8,hom=16")
+    assert caps_from_env() == Caps(max_ring=8, max_hom=16)
 
 
 def test_cli_caps_env(tmp_path):

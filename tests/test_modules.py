@@ -7,7 +7,7 @@ import pytest
 from usmod import modules
 from usmod.errors import DomainError, ResourceExceededError
 from usmod.caps import Caps
-from usmod.corpus import Bounds, build_instance, generate_corpus
+from usmod.corpus import Bounds, build_instance, build_ring, generate_corpus
 from usmod.modules import (
     Homomorphism,
     Submodule,
@@ -21,6 +21,7 @@ from usmod.modules import (
     derivation_plan,
     direct_sum,
     direct_sum_many,
+    extend_images,
     generating_set,
     hom_enumerate,
     identity_hom,
@@ -262,11 +263,20 @@ def _brute_force_homs(source, target):
     return out
 
 
-@pytest.mark.parametrize(
-    "ring",
-    [make_zmod(2), make_zmod(4), make_zmod(6), make_zmod(8), make_product(make_zmod(2), make_zmod(2))],
-    ids=lambda r: r.label,
-)
+# Z/2 x Z/4 and Z/2 x| (Z/2)^2 have ideals that need two generators, so
+# some conductors do too; the others are principal ideal rings
+BRUTE_FORCE_RINGS = [
+    make_zmod(2),
+    make_zmod(4),
+    make_zmod(6),
+    make_zmod(8),
+    make_product(make_zmod(2), make_zmod(2)),
+    make_product(make_zmod(2), make_zmod(4)),
+    build_ring(("trivext", ("zmod", 2), ("dsum", ("regular",), ("regular",)))),
+]
+
+
+@pytest.mark.parametrize("ring", BRUTE_FORCE_RINGS, ids=lambda r: r.label)
 def test_hom_enumerate_matches_brute_force(ring):
     rng = random.Random(f"hom-{ring.label}")
     pool = _small_modules(ring)
@@ -277,6 +287,57 @@ def test_hom_enumerate_matches_brute_force(ring):
         assert sorted(homs) == _brute_force_homs(source, target), (source, target)
 
 
+@pytest.mark.parametrize("ring", BRUTE_FORCE_RINGS, ids=lambda r: r.label)
+def test_extend_images_matches_brute_force(ring):
+    """A key/image list extends iff some R-linear map from the span K of the
+    keys agrees with it on the keys, and then it is that map.  It need not
+    extend to the whole source: from ``Z/4|1(+)Z/4|4`` to ``Z/4|2(+)C2``,
+    2 -> 3 is linear on <2> but no homomorphism sends 2 to 3."""
+    rng = random.Random(f"extend-{ring.label}")
+    pool = _small_modules(ring)
+    pairs = [(s, t) for s in pool for t in pool if t.size**s.size <= 4096]
+    for source, target in rng.sample(pairs, min(25, len(pairs))):
+        homs = _brute_force_homs(source, target)
+        for _ in range(8):
+            keys = [rng.randrange(source.size) for _ in range(rng.randrange(4))]
+            if rng.random() < 0.5:  # images that extend to the whole source
+                h = rng.choice(homs)
+                images = [(k, h[k]) for k in keys]
+            else:
+                images = [(k, rng.randrange(target.size)) for k in keys]
+            got = extend_images(source, target, images)
+            k_module, inclusion = submodule_as_module(Submodule(source, span(source, keys)))
+            index_in_k = {x: i for i, x in enumerate(inclusion.map)}
+            agreeing = [
+                h
+                for h in _brute_force_homs(k_module, target)
+                if all(h[index_in_k[k]] == y for k, y in images)
+            ]
+            if not agreeing:
+                assert got is None, (source, target, images)
+                continue
+            assert len(agreeing) == 1  # K is spanned by the keys
+            want = {x: agreeing[0][i] for i, x in enumerate(inclusion.map)}
+            assert got == want, (source, target, images)
+
+
+@pytest.mark.parametrize(
+    "images",
+    [[(99, 0)], [(1, 99)], [(-1, 0)], [(0, -1)], [(True, 1)], [(1, False)], [(1.0, 1)]],
+    ids=repr,
+)
+def test_extend_images_refuses_bad_pairs(z6, m6, images, monkeypatch):
+    monkeypatch.setattr(modules, "derivation_plan", None)  # refused before any plan
+    with pytest.raises(DomainError, match="outside the modules$"):
+        extend_images(m6, cyclic_zmod_module(z6, 3), images)
+
+
+def test_extend_images_refuses_another_ring(m6, monkeypatch):
+    monkeypatch.setattr(modules, "derivation_plan", None)
+    with pytest.raises(DomainError, match="^source and target are over different rings$"):
+        extend_images(m6, regular_module(make_zmod(4)), [(1, 1)])
+
+
 def test_derivation_plan_spans_the_module():
     z4 = make_zmod(4)
     m, *_ = direct_sum(regular_module(z4), cyclic_zmod_module(z4, 2))
@@ -284,16 +345,38 @@ def test_derivation_plan_spans_the_module():
     plan = derivation_plan(m, gens)
     assert [level.key for level in plan] == list(gens)
     assert plan[-1].members == tuple(m.elements())
+    previous = (m.zero,)
     for level in plan:
-        assert level.fresh
-        assert level.members == span(m, level.members)
-        reached = {m.zero}
-        while True:
-            grown = reached | {m.add[x][a] for x in reached for a in level.additive}
-            if grown == reached:
-                break
-            reached = grown
-        assert tuple(sorted(reached)) == level.members
+        assert level.key not in previous
+        assert level.members == span(m, previous + (level.key,))
+        members = set(level.members)
+        assert all(m.add[x][y] in members for x in members for y in members)
+        # the conductor generators span {r : r.key in the previous span}
+        conductor = [r for r in z4.elements() if m.act[r][level.key] in previous]
+        assert level.conducted == tuple(m.act[c][level.key] for c in level.conductor)
+        ideal = span(regular_module(z4), level.conductor)
+        assert list(ideal) == conductor
+        assert level.order_unit == m.additive_order(level.key) % 4
+        previous = level.members
+
+
+def test_derivation_plan_conductor_needs_two_generators():
+    """Over Z/2 x| (Z/2)^2 the annihilator of a nonzero nilpotent is the
+    maximal ideal, which needs two generators; a unit has conductor 0 and a
+    key already in the span has conductor R."""
+    ring = build_ring(("trivext", ("zmod", 2), ("dsum", ("regular",), ("regular",))))
+    reg = regular_module(ring)
+    units = ring.units()
+    maximal = tuple(r for r in ring.elements() if r not in units)
+    for u in units:
+        assert derivation_plan(reg, (u,))[0].conductor == ()
+    for x in maximal[1:]:
+        level, again = derivation_plan(reg, (x, x))
+        assert level.conductor == maximal[1:3]
+        assert span(reg, level.conductor) == maximal
+        assert level.conducted == (reg.zero, reg.zero)
+        assert span(reg, again.conductor) == tuple(ring.elements())
+        assert again.acts == again.adds == ()
 
 
 def test_generating_set_runs_once_per_source(monkeypatch):
