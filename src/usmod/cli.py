@@ -30,7 +30,7 @@ from . import __version__
 from .caps import caps_from_env
 from .corpus import Bounds, generate_corpus
 from .dsl import evaluate_assertions, parse_program
-from .errors import ConfigError, UsmodError
+from .errors import ConfigError, IOErrorUsmod, UsmodError
 from .injective import (
     bounded_u_S_injective_test,
     certify_u_S_injective,
@@ -108,11 +108,6 @@ def _cmd_laws(args, caps) -> int:
             kind = "bounded" if law.bounded else "exact"
             print(f"{law_id:36s} [{kind}] {law.description}")
         return 0
-    if args.law:
-        unknown = [i for i in args.law if i not in LAWS_BY_ID]
-        if unknown:
-            print(f"unknown law ids: {', '.join(unknown)}", file=sys.stderr)
-            return 2
     bounds = Bounds(
         max_ring=args.max_ring,
         max_module=args.max_module,
@@ -138,9 +133,7 @@ def _cmd_laws(args, caps) -> int:
 
 
 def _cmd_check(args, caps) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        env = parse_program(fh.read(), caps)
-    results = evaluate_assertions(env, caps)
+    results = evaluate_assertions(_load_program(args.file, caps), caps)
     if args.json:
         print(json.dumps([r.to_json() for r in results], indent=2))
     else:
@@ -177,6 +170,16 @@ def _cmd_search(args, caps) -> int:
     return 0
 
 
+def _load_program(path: str, caps):
+    """The parsed DSL file; an unreadable or non-UTF-8 file is an io-error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IOErrorUsmod(f"cannot read {path}: {exc}") from exc
+    return parse_program(text, caps)
+
+
 def _pick(env, table_name: str, requested: Optional[str], file: str):
     table = getattr(env, table_name)
     if not table:
@@ -189,8 +192,7 @@ def _pick(env, table_name: str, requested: Optional[str], file: str):
 
 
 def _cmd_envelope(args, caps) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        env = parse_program(fh.read(), caps)
+    env = _load_program(args.file, caps)
     mod_name, module = _pick(env, "modules", args.module, args.file)
     mset_name, mset = _pick(env, "msets", args.mset, args.file)
     cand = construct_u_S_envelope(module, mset, caps)
@@ -214,8 +216,7 @@ def _cmd_envelope(args, caps) -> int:
 
 
 def _cmd_injective(args, caps) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        env = parse_program(fh.read(), caps)
+    env = _load_program(args.file, caps)
     mset_name, mset = _pick(env, "msets", args.mset, args.file)
     modules = dict([_pick(env, "modules", args.module, args.file)]) if args.module else env.modules
     worst = 0

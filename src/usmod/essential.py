@@ -39,16 +39,14 @@ from itertools import compress
 from typing import Optional
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DomainError, PreconditionViolatedError
+from .errors import DomainError
 from .modules import (
     FiniteModule,
-    Homomorphism,
     Submodule,
     _mask,
     all_submodules,
     compose,
     cyclic_submodule,
-    image,
     image_of_submodule,
     quotient_module,
     submodule_as_module,
@@ -234,17 +232,6 @@ def u_S_complement(
     total_in_quot = image_of_submodule(eta, total)
     check2 = is_u_S_essential_fast(total_in_quot, quot, mset).verdict
     return kp, (check1, check2)
-
-
-# ---------------------------------------------------------------------------
-# u-S-essential monomorphisms
-
-
-def is_u_S_essential_mono(f: Homomorphism, mset: MultiplicativeSet) -> bool:
-    """A u-S-monomorphism whose image is u-S-essential in the target."""
-    if not is_u_S_mono(f, mset):
-        raise PreconditionViolatedError("map is not a u-S-monomorphism")
-    return is_u_S_essential_fast(image(f), f.target, mset).verdict
 
 
 # ---------------------------------------------------------------------------

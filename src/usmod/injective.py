@@ -15,11 +15,12 @@ extension problem failed; always sound).  ``u_S_injectivity_certificate``
 names the certificate that lands, or None; ``certify_u_S_injective`` is
 that certificate or else the catalogue test, so only a catalogue reports
 bounded-pass, and it is never upgraded to certified.  Every extension
-question is a lookup: the composites it allows (restrictions, g.f, s.f)
-are collected once into a set.  A uniform one is asked at sigma alone:
-each s in S divides sigma = t.s, so s.h = g.f gives sigma.h = (t.g).f,
-and an h with sigma.h outside {g.f} fails for every s at once.  A
-refutation is one pair (f, h), as a Baer witness is (ideal, h).
+question is a lookup: the Baer scan collects the restrictions once per
+ideal, and the others group Hom by composite with ``modules.precompose``
+(g.f for the catalogue, alpha.f for End(E)).  A uniform one is asked at
+sigma alone: each s in S divides sigma = t.s, so s.h = g.f gives
+sigma.h = (t.g).f, and an h with sigma.h outside {g.f} fails for every s
+at once.  A refutation is one pair (f, h), as a Baer witness is (ideal, h).
 
 ``injective_envelope_zmod`` returns the embedding M -> E(M), and
 ``construct_u_S_envelope`` one checked ``EnvelopeCandidate`` or None.  The
@@ -56,6 +57,7 @@ from .modules import (
     image,
     kernel,
     make_hom,
+    precompose,
     quotient_module,
     regular_module,
     submodule_as_module,
@@ -66,7 +68,7 @@ from .rings import MultiplicativeSet, all_ideals, mult_set_closure
 from .storsion import (
     is_u_S_iso,
     is_u_S_mono,
-    kills,
+    is_u_S_torsion,
     s_torsion_submodule,
 )
 
@@ -222,7 +224,7 @@ def u_S_injectivity_certificate(
     None when none does."""
     if module.ring != mset.ring:
         raise DomainError("multiplicative set over a different ring")
-    if kills(module, mset.sigma, module.elements()):
+    if is_u_S_torsion(module, mset):
         return "u-S-torsion"
     if module.summands is not None and all(
         [u_S_injectivity_certificate(part, mset, caps) for part in module.summands]
@@ -300,27 +302,25 @@ def bounded_u_S_injective_test(
     """Each inclusion f: A -> B of a catalogue built from a small pool (R,
     the module E under test, *extra_modules*, their sums and quotients; at
     most *max_entries* maps) must give every h: A -> E some g: B -> E with
-    sigma.h = g.f.  {g.f} is built once per f and Hom(A, E) scanned once:
-    the first h outside it fails for every s in S, so (f, h) refutes
-    u-S-injectivity (sound).  Passing everything is only "bounded-pass"."""
+    sigma.h = g.f.  Hom(B, E) is enumerated once per pool module B, {g.f}
+    grouped once per f and Hom(A, E) scanned once: the first h outside it
+    fails for every s in S, so (f, h) refutes u-S-injectivity (sound).
+    Passing everything is only "bounded-pass"."""
     catalogue = _default_catalogue(module, extra_modules, caps, max_entries)
     size = len(catalogue)
     if not all(is_u_S_mono(f, mset) for f in catalogue):
         raise InternalError("catalogue inclusion is not a u-S-monomorphism")
     act_sigma = module.act[mset.sigma]
+    homs_from: dict[FiniteModule, list[Homomorphism]] = {}  # Hom(B, E) per pool module B
     for f in catalogue:
         source_homs = hom_enumerate(f.source, module, caps=caps)
-        composed = _composites(f, module, caps)
+        if f.target not in homs_from:
+            homs_from[f.target] = hom_enumerate(f.target, module, caps=caps)
+        composed = precompose(f, homs_from[f.target])
         for h in source_homs:
             if tuple(map(act_sigma.__getitem__, h.map)) not in composed:
                 return InjectivityReport("refuted", witness=(f, h), catalogue_size=size)
     return InjectivityReport("bounded-pass", certificate="bounded-pass", catalogue_size=size)
-
-
-def _composites(f: Homomorphism, module: FiniteModule, caps: Caps) -> set[tuple]:
-    """{g.f : g in Hom(B, E)} for f: A -> B, each composite as its map."""
-    homs = hom_enumerate(f.target, module, caps=caps)
-    return {tuple(map(g.map.__getitem__, f.map)) for g in homs}
 
 
 def replay_refuted(module: FiniteModule, mset: MultiplicativeSet,
@@ -331,7 +331,7 @@ def replay_refuted(module: FiniteModule, mset: MultiplicativeSet,
     f, h = witness
     if not is_u_S_mono(f, mset):
         return False
-    composed = _composites(f, module, caps)
+    composed = precompose(f, hom_enumerate(f.target, module, caps=caps))
     return all(
         tuple(map(module.act[s].__getitem__, h.map)) not in composed for s in mset.members
     )
@@ -385,12 +385,9 @@ def endomorphism_condition(
 
     Scans End(E), which raises ResourceExceededError past ``end_cap``."""
     env = f.target
+    composed = precompose(f, hom_enumerate(env, env, end_cap, caps))
     scaled = {tuple(map(env.act[s].__getitem__, f.map)) for s in mset.members}
-    return all(
-        is_u_S_iso(alpha, mset)
-        for alpha in hom_enumerate(env, env, end_cap, caps)
-        if tuple(map(alpha.map.__getitem__, f.map)) in scaled
-    )
+    return all(is_u_S_iso(alpha, mset) for k in scaled for alpha in composed.get(k, ()))
 
 
 def construct_u_S_envelope(

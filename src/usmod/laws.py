@@ -28,7 +28,6 @@ from .errors import ConfigError, ResourceExceededError
 from .essential import (
     is_essential,
     is_u_S_essential_fast,
-    is_u_S_essential_mono,
     is_u_S_essential_oracle,
     is_u_p_essential,
     quotient_characterization,
@@ -57,12 +56,15 @@ from .modules import (
     direct_sum_many,
     hom_enumerate,
     image,
+    image_of_submodule,
     intersect_submodules,
     is_prime_module,
+    precompose,
     preimage,
     quotient_module,
     scalar_hom,
     submodule_as_module,
+    sum_submodules,
     zero_divisors_on,
     zero_hom,
 )
@@ -213,7 +215,7 @@ def law_regular_set_degeneration(b: BuiltInstance, caps: Caps) -> Outcome:
 
 def law_torsion_ambient(b: BuiltInstance, caps: Caps) -> Outcome:
     module, mset = b.module, b.mset
-    if not kills(module, mset.sigma, module.elements()):
+    if not is_u_S_torsion(module, mset):
         return SKIP_INAPPLICABLE, None, "module is not uniformly killed"
     for sub in all_submodules(module, caps):
         if not is_u_S_essential_fast(sub, module, mset).verdict:
@@ -265,8 +267,7 @@ def law_transitivity_meet(b: BuiltInstance, caps: Caps) -> Outcome:
     k_essential = is_u_S_essential_fast(k, module, mset).verdict
     for n in overs:
         n_mod, incl = submodule_as_module(n)
-        incl_index = {m: i for i, m in enumerate(incl.map)}
-        k_in_n = Submodule(n_mod, tuple(sorted(incl_index[x] for x in k.members)))
+        k_in_n = preimage(incl, k)
         through_n = (
             is_u_S_essential_fast(k_in_n, n_mod, mset).verdict
             and is_u_S_essential_fast(n, module, mset).verdict
@@ -296,9 +297,8 @@ def law_transport(b: BuiltInstance, caps: Caps) -> Outcome:
                 return VIOLATED, {"Q": _members(q), "map": list(f.map), "part": "preimage"}, ""
         if is_u_S_mono(f, mset):
             img_mod, incl = submodule_as_module(image(f))
-            incl_index = {m: i for i, m in enumerate(incl.map)}
             for k in essential_subs:
-                fk = Submodule(img_mod, tuple(sorted({incl_index[f.map[x]] for x in k.members})))
+                fk = preimage(incl, image_of_submodule(f, k))
                 if not is_u_S_essential_fast(fk, img_mod, mset).verdict:
                     return VIOLATED, {"K": _members(k), "map": list(f.map), "part": "image"}, ""
     return HOLDS, None, f"{len(endos)} maps x {len(essential_subs)} essential submodules"
@@ -314,10 +314,7 @@ def law_direct_sum_pair(b: BuiltInstance, caps: Caps) -> Outcome:
     partner = lattice[len(lattice) // 2]
     total, i1, i2, _, _ = direct_sum(module, module, caps)
     for k2 in (k, partner):
-        ksum = Submodule(
-            total,
-            tuple(sorted(total.add[i1.map[x]][i2.map[y]] for x in k.members for y in k2.members)),
-        )
+        ksum = sum_submodules(image_of_submodule(i1, k), image_of_submodule(i2, k2))
         on_sum = is_u_S_essential_oracle(ksum, total, mset, caps).verdict
         on_components = (
             is_u_S_essential_fast(k, module, mset).verdict
@@ -357,10 +354,12 @@ def law_complement(b: BuiltInstance, caps: Caps) -> Outcome:
 
 
 def law_inclusion_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
+    """K is u-S-essential iff its inclusion is a u-S-essential mono: a
+    u-S-monomorphism whose image is u-S-essential in the target."""
     k, module, mset = b.submodule, b.module, b.mset
     oracle = is_u_S_essential_oracle(k, module, mset, caps).verdict
     _, incl = submodule_as_module(k)
-    via_mono = is_u_S_essential_mono(incl, mset)  # inclusions are monomorphisms
+    via_mono = is_u_S_mono(incl, mset) and is_u_S_essential_fast(image(incl), module, mset).verdict
     if oracle != via_mono:
         return VIOLATED, {"K": _members(k), "oracle": oracle, "mono": via_mono}, ""
     return HOLDS, None, ""
@@ -473,7 +472,7 @@ def law_preenvelope_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
             # some g . i for every h: M -> A
             homs_e = hom_enumerate(env, a2, cap=512, caps=caps)
             homs_m = hom_enumerate(module, a2, cap=512, caps=caps)
-            restricted = {tuple(map(g.map.__getitem__, env_map.map)) for g in homs_e}
+            restricted = precompose(env_map, homs_e)
             act_sigma = a2.act[mset.sigma]
             if not all(tuple(map(act_sigma.__getitem__, h.map)) in restricted for h in homs_m):
                 return VIOLATED, {"pool_module": a2.label}, ""
@@ -482,7 +481,7 @@ def law_preenvelope_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
         return SKIP_RESOURCE, None, "hom module over budget"
     # negative side: unless the module is uniformly killed (which makes every
     # kernel torsion), the zero map into the envelope is not a preenvelope
-    if not kills(module, mset.sigma, module.elements()):
+    if not is_u_S_torsion(module, mset):
         if check_u_S_preenvelope(zero_hom(module, env), mset, caps).holds:
             return VIOLATED, {"part": "zero-map-accepted"}, ""
     return HOLDS, None, f"pool of {checked} certified targets"
@@ -560,18 +559,16 @@ def _complement_of_summand(
 
 
 def _factors(
-    left: Homomorphism, right_homs: Sequence[Homomorphism], via: Homomorphism, mset
+    left: Homomorphism, composed: dict[tuple[int, ...], list[Homomorphism]], mset
 ) -> bool:
-    """Some u-S-monic g in right_homs and s in S have s.left = g.via.
+    """Some u-S-monic g and s in S have s.left = g.via, where *composed* is
+    ``precompose(via, right_homs)``.
 
     Asked at sigma = t.s alone: right_homs is all of Hom, so it holds t.g
     along with g, and t.g is u-S-monic too (s'.t kills its kernel when s'
     kills g's)."""
     want = tuple(map(left.target.act[mset.sigma].__getitem__, left.map))
-    return any(
-        tuple(map(g.map.__getitem__, via.map)) == want and is_u_S_mono(g, mset)
-        for g in right_homs
-    )
+    return any(is_u_S_mono(g, mset) for g in composed.get(want, ()))
 
 
 def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
@@ -606,8 +603,9 @@ def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
                 homs_eq = hom_enumerate(env, q, caps=caps)
             except ResourceExceededError:
                 continue
+            through_i = precompose(i, homs_eq)
             injective_factoring = all(
-                _factors(fm, homs_eq, i, mset) for fm in homs_mq if is_u_S_mono(fm, mset)
+                _factors(fm, through_i, mset) for fm in homs_mq if is_u_S_mono(fm, mset)
             )
         for n_mod in pool:
             if not essential_factoring:
@@ -618,7 +616,7 @@ def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
             except ResourceExceededError:
                 continue
             essential_factoring = all(
-                _factors(i, homs_ne, fm, mset)
+                _factors(i, precompose(fm, homs_ne), mset)
                 for fm in homs_mn
                 if is_u_S_mono(fm, mset)
                 and is_u_S_essential_fast(image(fm), n_mod, mset).verdict
@@ -882,7 +880,11 @@ def run_laws(
 
     Module-scoped laws are deduplicated per (ring, mset, module) triple and
     a repeated law id runs once, where it first appears; resource
-    exhaustion becomes a skip, never a verdict."""
+    exhaustion becomes a skip, never a verdict.  An unknown law id is a
+    ConfigError naming every unknown id."""
+    unknown = [i for i in law_filter or () if i not in LAWS_BY_ID]
+    if unknown:
+        raise ConfigError(f"unknown law ids: {', '.join(map(str, unknown))}")
     selected = REGISTRY if law_filter is None else [
         LAWS_BY_ID[i] for i in dict.fromkeys(law_filter)
     ]

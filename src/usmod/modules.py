@@ -504,6 +504,18 @@ def compose(g: Homomorphism, f: Homomorphism) -> Homomorphism:
     return Homomorphism(f.source, g.target, tuple(map(g.map.__getitem__, f.map)))
 
 
+def precompose(
+    f: Homomorphism, homs: Iterable[Homomorphism]
+) -> dict[tuple[int, ...], list[Homomorphism]]:
+    """The maps g: B -> E of *homs* grouped by the map of g.f, for f: A -> B,
+    each group in the given order.  "Is k some g.f?" is then one lookup of
+    k's map, and the group names every g that answers it."""
+    grouped: dict[tuple[int, ...], list[Homomorphism]] = {}
+    for g in homs:
+        grouped.setdefault(tuple(map(g.map.__getitem__, f.map)), []).append(g)
+    return grouped
+
+
 def add_homs(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     if f.source != g.source or f.target != g.target:
         raise DomainError("maps have different endpoints")

@@ -19,6 +19,7 @@ from .modules import (
     hom_enumerate,
     image,
     kernel,
+    precompose,
     quotient_module,
 )
 from .rings import MultiplicativeSet
@@ -88,17 +89,15 @@ def is_u_S_split(
     f: Homomorphism, mset: MultiplicativeSet, cap: int | None = None, caps: Caps = DEFAULT_CAPS
 ) -> tuple[bool, Optional[tuple[int, Homomorphism]]]:
     """Search a retraction f' with f' . f = s identity for some s in S:
-    each composite f' . f is kept with the first f' giving it, and the s
-    identities are looked up in S's order."""
+    the maps f' are grouped by composite f' . f, the s identities are
+    looked up in S's order, and the first f' of a group is returned."""
     if not is_u_S_mono(f, mset):
         raise PreconditionViolatedError("splitting is only defined for u-S-monomorphisms")
-    first: dict[tuple[int, ...], Homomorphism] = {}
-    for fp in hom_enumerate(f.target, f.source, cap, caps):
-        first.setdefault(tuple(map(fp.map.__getitem__, f.map)), fp)
+    composed = precompose(f, hom_enumerate(f.target, f.source, cap, caps))
     for s in mset.members:
-        fp = first.get(f.source.act[s])
-        if fp is not None:
-            return True, (s, fp)
+        retractions = composed.get(f.source.act[s])
+        if retractions:
+            return True, (s, retractions[0])
     return False, None
 
 

@@ -490,6 +490,15 @@ def test_repeated_law_id_runs_once(small_corpus, capsys):
     ]
 
 
+def test_run_laws_refuses_unknown_law_ids(small_corpus, capsys):
+    """Every unknown id is named in one ConfigError, before any law runs;
+    the CLI reports it as a config-error and exits 2."""
+    with pytest.raises(ConfigError, match=r"^unknown law ids: nope, also-nope$"):
+        run_laws(small_corpus[:5], ["nope", "complement", "also-nope"])
+    assert main(["laws", "--max-ring", "6", "--max-instances", "5", "--law", "nope"]) == 2
+    assert capsys.readouterr().err == "error [config-error]: unknown law ids: nope\n"
+
+
 def test_cli_laws_refuses_negative_max_instances(capsys):
     assert main(["laws", "--max-ring", "8", "--max-instances", "-3"]) == 2
     assert capsys.readouterr().err.startswith("error [config-error]: ")
@@ -837,3 +846,17 @@ def test_cli_unknown_module_is_a_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error [config-error]: ") and "module 'NOPE'" in err
     assert "line 0" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "envelope", "injective"])
+@pytest.mark.parametrize("problem", ["missing", "directory", "not-utf8"])
+def test_cli_unreadable_program_is_an_io_error(tmp_path, capsys, command, problem):
+    path = tmp_path / "ex.usm"
+    if problem == "directory":
+        path.mkdir()
+    elif problem == "not-utf8":
+        path.write_bytes(b"ring R = zmod 6\n# \xff\xfe\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error [io-error]: cannot read {path}: ")
+    assert captured.out == ""

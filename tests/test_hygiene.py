@@ -10,7 +10,10 @@ MAX_PROCESS_CACHES functools cache decorators, so a new speedup keeps its
 memo in the call that needs it.
 
 No library module but __init__.py (which re-exports) imports a name it
-never uses, so a deletion cannot leave a dead import behind.
+never uses, so a deletion cannot leave a dead import behind.  Its twin:
+every module-level private function is referred to somewhere in the
+package outside its own definition, so a consolidation cannot leave a dead
+helper behind.
 
 Every payload replayer (a library function named replay* whose one
 required parameter is the payload) refuses an empty or non-dict payload
@@ -113,6 +116,36 @@ def test_library_modules_have_no_unused_imports():
         tree = ast.parse(path.read_text(), str(path))
         used = _used_names(tree)
         found += [f"{path.name}:{line}: {name}" for name, line in _imported_names(tree) if name not in used]
+    assert found == []
+
+
+def _referred_names(node: ast.AST) -> set[str]:
+    """Names referred to in *node*: read, taken as an attribute or imported."""
+    names = set()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name):
+            names.add(part.id)
+        elif isinstance(part, ast.Attribute):
+            names.add(part.attr)
+        elif isinstance(part, ast.alias):
+            names.add(part.name)
+    return names
+
+
+def test_private_functions_are_referred_to():
+    statements = [
+        (path.name, stmt)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), str(path)).body
+    ]
+    referred = [_referred_names(stmt) for _, stmt in statements]
+    found = [
+        f"{name}:{stmt.lineno}: {stmt.name}"
+        for i, (name, stmt) in enumerate(statements)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+        and not any(stmt.name in names for j, names in enumerate(referred) if j != i)
+    ]
     assert found == []
 
 

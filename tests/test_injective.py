@@ -1,3 +1,5 @@
+from collections import Counter
+from contextlib import suppress
 from math import prod
 
 import pytest
@@ -219,6 +221,37 @@ def test_bounded_test_examples(z6, m6, s14):
     f, h = report.witness
     assert (h.source, h.target) == (f.source, sub2)
     assert replay_refuted(sub2, s13, report.witness)
+
+
+def test_bounded_test_enumerates_each_hom_pair_once(monkeypatch):
+    """One catalogue test asks hom_enumerate for each (source, target) pair
+    at most once: Hom(B, E) serves every inclusion into the pool module B.
+    Z/6 with S={1,4} passes and the ideal {0,2} of Z/4 with S={1,3}
+    refutes; the small modules of the seed-42 corpus add more of each."""
+    real = injective.hom_enumerate
+    asked = []
+
+    def counting(source, target, *args, **kwargs):
+        asked.append((source, target))
+        return real(source, target, *args, **kwargs)
+
+    monkeypatch.setattr(injective, "hom_enumerate", counting)
+    m4 = regular_module(make_zmod(4))
+    m6 = regular_module(make_zmod(6))
+    cases = [
+        (m6, mult_set_closure(m6.ring, [4])),
+        (submodule_as_module(submodule(m4, [0, 2]))[0], mult_set_closure(m4.ring, [3])),
+    ]
+    triples = {}
+    for inst in generate_corpus(42, Bounds(max_ring=12, max_module=12, max_instances=60)):
+        triples.setdefault((inst.ring, inst.mset, inst.module), inst)
+    cases += [(b.module, b.mset) for b in map(build_instance, triples.values())]
+    for module, mset in cases:
+        asked.clear()
+        with suppress(ResourceExceededError):
+            bounded_u_S_injective_test(module, mset)
+        assert asked
+        assert [pair for pair, n in Counter(asked).items() if n > 1] == [], module.label
 
 
 def test_refutation_consistent_with_units():

@@ -30,6 +30,7 @@ from usmod.modules import (
     intersect_submodules,
     is_prime_module,
     kernel,
+    precompose,
     preimage,
     quotient_module,
     regular_module,
@@ -285,6 +286,31 @@ def test_hom_enumerate_matches_brute_force(ring):
         homs = [h.map for h in hom_enumerate(source, target)]
         assert len(set(homs)) == len(homs)
         assert sorted(homs) == _brute_force_homs(source, target), (source, target)
+
+
+@pytest.mark.parametrize("ring", BRUTE_FORCE_RINGS, ids=lambda r: r.label)
+def test_precompose_matches_brute_force(ring):
+    """For f: A -> B and a shuffled list of every g: B -> E, each key is a
+    literal composite a -> g(f(a)), and its list holds exactly the g with
+    that composite, in the order given."""
+    rng = random.Random(f"precompose-{ring.label}")
+    pool = _small_modules(ring)
+    fits = {s: [t for t in pool if t.size**s.size <= 4096] for s in pool}
+    triples = [(a, b, e) for a in pool for b in fits[a] for e in fits[b]]
+    shared = 0  # groups of more than one map
+    for a, b, e in rng.sample(triples, min(25, len(triples))):
+        homs = [Homomorphism(b, e, images) for images in _brute_force_homs(b, e)]
+        rng.shuffle(homs)
+        vias = _brute_force_homs(a, b)
+        for images in rng.sample(vias, min(4, len(vias))):
+            f = Homomorphism(a, b, images)
+            got = precompose(f, homs)
+            composites = [tuple(g(f(x)) for x in a.elements()) for g in homs]
+            assert set(got) == set(composites), (a, b, e, f)
+            for key, maps in got.items():
+                assert maps == [g for g, c in zip(homs, composites) if c == key], (a, b, e, f)
+            shared += sum(len(maps) > 1 for maps in got.values())
+    assert shared
 
 
 @pytest.mark.parametrize("ring", BRUTE_FORCE_RINGS, ids=lambda r: r.label)
