@@ -24,18 +24,20 @@ upgrades) are written once, in their laws.
 
 The lattice scans (``is_essential``, the oracle and ``u_S_complement``) run
 on the bitmasks the cached lattice carries, bit x set for each member x.
-K's mask and the kernel mask of each s in S that the scan needs are built
-once per call (|M| lookups per kernel).  Then a meet is one AND and "s
-kills X" is X & ker_s == X, so each submodule costs a few integer
-operations instead of a set intersection and a pass over its members.  The
-quotient route still composes materialized maps, to stay independent of
-the other two.
+K's mask is built once per call; the kernel mask of each s in S is the
+lattice's ``kernel_mask(s)``, built once per module (|M| lookups) and shared
+by every call on it.  Then a meet is one AND and "s kills X" is
+X & ker_s == X, so each submodule costs a few integer operations instead of
+a set intersection and a pass over its members.  The quotient route stays
+independent of the other two: for each L it reads the natural map
+eta: M -> M/L on K's members and asks the torsion deciders about the
+kernel of eta restricted to K and about eta, O(|lattice|.(|K| + |M|))
+lookups; no module is built for K and no map is composed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from typing import Optional
 
 from .caps import DEFAULT_CAPS, Caps
@@ -45,15 +47,13 @@ from .modules import (
     Submodule,
     _mask,
     all_submodules,
-    compose,
     cyclic_submodule,
     image_of_submodule,
     quotient_module,
-    submodule_as_module,
     sum_submodules,
 )
 from .rings import Ideal, MultiplicativeSet, complement_of_prime
-from .storsion import is_u_S_mono, smallest_killer
+from .storsion import _require_mset, is_u_S_mono, is_u_S_torsion, smallest_killer
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,6 @@ class EssentialVerdict:
 def _require_submodule(k: Submodule, module: FiniteModule) -> None:
     if k.parent is not module and k.parent != module:
         raise DomainError("submodule belongs to a different module")
-
-
-def _kernel_mask(module: FiniteModule, s: int) -> int:
-    """The bitmask of the elements that s kills."""
-    return _mask(compress(module.elements(), map(module.zero.__eq__, module.act[s])))
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +108,16 @@ def is_u_S_essential_oracle(
     kills K meet L while no member of S kills L.  A true verdict carries,
     for the largest uniformly-killed L encountered, the pair (s1, s2).
 
-    The scan runs on the lattice masks: with the kernel mask of each s in
-    S built once (|S|.|M| lookups), "s kills X" is X & ker_s == X, and S is
-    tried in its own order, so s1 and s2 are ``smallest_killer``'s.  That is
-    at most 2|S| integer operations per submodule.
+    The scan runs on the lattice masks: with the lattice's kernel mask of
+    each s in S (|M| lookups on the module's first call), "s kills X" is
+    X & ker_s == X, and S is tried in its own order, so s1 and s2 are
+    ``smallest_killer``'s.  That is at most 2|S| integer operations per
+    submodule.
     """
     _require_submodule(k, module)
-    if module.ring is not mset.ring and module.ring != mset.ring:
-        raise DomainError("multiplicative set over a different ring")
+    _require_mset(module, mset)
     lattice = all_submodules(module, caps)
-    kernels = [(s, _kernel_mask(module, s)) for s in mset.members]
+    kernels = [(s, lattice.kernel_mask(s)) for s in mset.members]
 
     def first_killer(x: int) -> Optional[int]:
         for s, ker in kernels:
@@ -162,8 +157,7 @@ def is_u_S_essential_fast(
     kills Rx meet K.
     """
     _require_submodule(k, module)
-    if module.ring is not mset.ring and module.ring != mset.ring:
-        raise DomainError("multiplicative set is over a different ring")
+    _require_mset(module, mset)
     zero = module.zero
     act_sigma = module.act[mset.sigma]
     alive = {y for y in k.members if act_sigma[y] != zero}  # K minus tor_S(M)
@@ -182,16 +176,19 @@ def quotient_characterization(
     """Inclusion-map characterization, restricted to natural quotient maps.
 
     K is u-S-essential iff for every L the composition (M -> M/L) after
-    (K -> M) being a u-S-monomorphism forces M -> M/L to be one.  The maps
-    are materialized and tested through the torsion deciders rather than by
-    set bookkeeping, so this is an independent third route.
+    (K -> M) being a u-S-monomorphism forces M -> M/L to be one.  The
+    composite's kernel is the members of K that eta sends to zero, so eta is
+    read on K's members and no module is built for K.  That kernel and eta
+    go through the torsion deciders rather than set bookkeeping, so this is
+    an independent third route: O(|lattice|.(|K| + |M|)) lookups.
     """
     _require_submodule(k, module)
-    k_mod, incl = submodule_as_module(k)
+    _require_mset(module, mset)
     for l in all_submodules(module, caps):
-        quot, eta = quotient_module(module, l)
-        restricted = compose(eta, incl)
-        if is_u_S_mono(restricted, mset) and not is_u_S_mono(eta, mset):
+        eta = quotient_module(module, l)[1]
+        zero = eta.target.zero
+        restricted_kernel = Submodule(module, tuple(x for x in k.members if eta.map[x] == zero))
+        if is_u_S_torsion(restricted_kernel, mset) and not is_u_S_mono(eta, mset):
             return False
     return True
 
@@ -217,8 +214,9 @@ def u_S_complement(
     operations at worst.
     """
     _require_submodule(k, module)
+    _require_mset(module, mset)
     lattice = all_submodules(module, caps)
-    alive = _mask(k.members) & ~_kernel_mask(module, mset.sigma)
+    alive = _mask(k.members) & ~lattice.kernel_mask(mset.sigma)
     gamma = [(n, nm) for n, nm in zip(lattice, lattice.masks()) if not nm & alive]
     masks = [nm for _, nm in gamma]
     kp = next(

@@ -37,7 +37,6 @@ from typing import Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
-    DomainError,
     InternalError,
     PreconditionViolatedError,
     ResourceExceededError,
@@ -66,6 +65,7 @@ from .modules import (
 )
 from .rings import MultiplicativeSet, all_ideals, mult_set_closure
 from .storsion import (
+    _require_mset,
     is_u_S_iso,
     is_u_S_mono,
     is_u_S_torsion,
@@ -222,8 +222,7 @@ def u_S_injectivity_certificate(
     (uniformly killed by sigma), "closure" (every summand certified; each
     is asked, so a cap refusal on any of them surfaces), "injective-baer";
     None when none does."""
-    if module.ring != mset.ring:
-        raise DomainError("multiplicative set over a different ring")
+    _require_mset(module, mset)
     if is_u_S_torsion(module, mset):
         return "u-S-torsion"
     if module.summands is not None and all(

@@ -348,6 +348,10 @@ class SubmoduleLattice(tuple):
     bitmask of each (see ``_mask``) filled in on the first call of ``masks``,
     so a lattice only ever scanned as submodules never builds them.
 
+    ``kernel_mask(r)`` is the bitmask of the elements that r kills, built
+    (|M| lookups) on its first call for that r and kept on the lattice in
+    a list indexed by r, so every scan of one module shares it.
+
     ``member(members)`` is the lattice's own Submodule whose sorted member
     tuple is *members*, or None; its index is likewise built on first use
     and kept on the lattice.  Keys compare as tuples, so True and 0.0 find
@@ -360,6 +364,15 @@ class SubmoduleLattice(tuple):
             masks = self.__dict__["_masks"] = tuple(_mask(l.members) for l in self)
         return masks
 
+    def kernel_mask(self, r: int) -> int:
+        module = self[0].parent
+        kernels = self.__dict__.get("_kernels")
+        if kernels is None:
+            kernels = self.__dict__["_kernels"] = [None] * len(module.act)
+        if kernels[r] is None:
+            kernels[r] = _mask(compress(module.elements(), map(module.zero.__eq__, module.act[r])))
+        return kernels[r]
+
     def member(self, members: tuple[int, ...]) -> Optional[Submodule]:
         index = self.__dict__.get("_index")
         if index is None:
@@ -370,8 +383,9 @@ class SubmoduleLattice(tuple):
 @lru_cache(maxsize=None)
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> SubmoduleLattice:
     """The full submodule lattice, ordered by (size, members); its
-    ``masks()`` are the members' bitmasks and ``member()`` finds a member
-    by its member tuple, both built on first use.
+    ``masks()`` are the members' bitmasks, ``kernel_mask(r)`` the mask of
+    what r kills and ``member()`` finds a member by its member tuple, each
+    built on first use.
 
     Built by rings._lattice, the closure of the cyclic submodules under
     joins.  More than max(caps.max_lattice, #cyclics) submodules raise

@@ -32,6 +32,13 @@ def members_of(target: Submodule | FiniteModule) -> tuple[FiniteModule, Sequence
     return target, range(target.size)
 
 
+def _require_mset(module: FiniteModule, mset: MultiplicativeSet) -> None:
+    """Refuse a multiplicative set over another ring than *module*'s, before
+    any of its members indexes the action table."""
+    if module.ring is not mset.ring and module.ring != mset.ring:
+        raise DomainError("multiplicative set is over a different ring")
+
+
 def kills(module: FiniteModule, s: int, members: Iterable[int]) -> bool:
     return all(map(module.zero.__eq__, map(module.act[s].__getitem__, members)))
 
@@ -47,8 +54,7 @@ def s_torsion_submodule(module: FiniteModule, mset: MultiplicativeSet) -> Submod
     """tor_S(M): elements killed by some member of S, computed as the
     kernel of sigma (the ``sigma-shortcut`` law checks it against the
     existential scan)."""
-    if module.ring is not mset.ring and module.ring != mset.ring:
-        raise DomainError("multiplicative set is over a different ring")
+    _require_mset(module, mset)
     act_sigma = module.act[mset.sigma]
     killed = tuple(x for x in module.elements() if act_sigma[x] == module.zero)
     return Submodule(module, killed)
@@ -58,8 +64,7 @@ def is_u_S_torsion(target: Submodule | FiniteModule, mset: MultiplicativeSet) ->
     """True iff a single member of S kills all of the target, decided by
     sigma; ``smallest_killer`` names the first member that does."""
     module, members = members_of(target)
-    if module.ring is not mset.ring and module.ring != mset.ring:
-        raise DomainError("multiplicative set is over a different ring")
+    _require_mset(module, mset)
     return kills(module, mset.sigma, members)
 
 
@@ -76,8 +81,7 @@ def is_u_S_epi(f: Homomorphism, mset: MultiplicativeSet) -> bool:
     """True iff sigma.target lies in f(M), that is, sigma kills the
     cokernel; ``cokernel`` builds it only where a witness is shown."""
     target = f.target
-    if target.ring is not mset.ring and target.ring != mset.ring:
-        raise DomainError("multiplicative set is over a different ring")
+    _require_mset(target, mset)
     return set(target.act[mset.sigma]) <= set(f.map)
 
 

@@ -1,13 +1,14 @@
 """Differential tests: the generator-driven closures, the mask-scanning
-essential deciders, the index-arithmetic table builders, the lattice
-(joined coset by coset) and its bitmasks, coset and pair-table helpers that
-rings and modules share, the table primitives (kernel, kills, compose), the
+essential deciders and the quotient route read on K's members, the
+index-arithmetic table builders, the lattice (joined coset by coset), its
+bitmasks and kernel masks, coset and pair-table helpers that rings and
+modules share, the table primitives (kernel, kills, compose), the
 conductor-bucketed hom search, the extension questions answered by
 one lookup in a set of composites (u-S-epi, Baer, the endomorphism
 condition, splitting) and the uniform ones asked at sigma alone (the
 bounded catalogue test, the factoring of the three-way law) against the
-pairwise, set-based, checked-replay, per-map and per-s formulations they
-replaced.
+pairwise, set-based, composed, checked-replay, per-map and per-s
+formulations they replaced.
 
 Each reference below is the earlier implementation, kept here verbatim in
 substance; the library versions must agree with them on seeded random
@@ -34,6 +35,7 @@ from usmod.essential import (
     is_essential,
     is_u_S_essential_fast,
     is_u_S_essential_oracle,
+    quotient_characterization,
     u_S_complement,
 )
 from usmod import modules
@@ -213,6 +215,18 @@ def tuple_oracle(k, module, mset):
         if l.size > best_size:
             best_size, best_pair = l.size, (s1, s2)
     return True, None, best_pair
+
+
+def composed_quotient_characterization(k, module, mset):
+    """The quotient route with K built as a module and eta composed with
+    its inclusion, the composite's kernel taken by ``kernel``."""
+    _, incl = submodule_as_module(k)
+    for l in all_submodules(module):
+        eta = quotient_module(module, l)[1]
+        restricted = compose(eta, incl)
+        if is_u_S_torsion(kernel(restricted), mset) and not is_u_S_torsion(kernel(eta), mset):
+            return False
+    return True
 
 
 def tuple_complement(k, module, mset):
@@ -675,16 +689,30 @@ def test_essential_deciders_match_tuple_formulations(ring):
                 oracle = is_u_S_essential_oracle(k, module, mset)
                 got = (oracle.verdict, oracle.counterexample_L, oracle.witness_s_pair)
                 assert got == tuple_oracle(k, module, mset), where
+                quotient = quotient_characterization(k, module, mset)
+                assert quotient == composed_quotient_characterization(k, module, mset), where
                 assert u_S_complement(k, module, mset) == tuple_complement(k, module, mset), where
 
 
 @pytest.mark.parametrize("other", [make_zmod(5), make_zmod(12)], ids=lambda r: r.label)
 def test_fast_decider_refuses_a_set_over_another_ring(other):
-    module = regular_module(make_zmod(6))
+    """Every u-S-essential entry point refuses S over another ring with one
+    text, before any member of S indexes the action table: sigma = 11 of
+    Z/12 is out of range over Z/6, and sigma = 4 of Z/5 is in range but
+    names a different element."""
+    module = dataclasses.replace(regular_module(make_zmod(6)), label="Z/6 (foreign set)")
     k = Submodule(module, tuple(module.elements()))
     mset = mult_set_closure(other, [other.size - 1])
-    with pytest.raises(DomainError, match="different ring"):
-        is_u_S_essential_fast(k, module, mset)
+    deciders = (
+        is_u_S_essential_fast,
+        is_u_S_essential_oracle,
+        quotient_characterization,
+        u_S_complement,
+    )
+    for decide in deciders:
+        with pytest.raises(DomainError, match="^multiplicative set is over a different ring$"):
+            decide(k, module, mset)
+    assert "_kernels" not in vars(all_submodules(module))  # no kernel mask was read
 
 
 # ---------------------------------------------------------------------------
@@ -998,13 +1026,29 @@ def test_compose_accepts_an_equal_copy_of_the_middle_module():
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
 def test_lattice_masks_match_literal_masks(ring):
     rng = random.Random(f"masks-{ring.label}")
-    for module in _table_pool(ring, rng, 32):
+    for module in _table_pool(ring, rng, 32):  # rotated copies: zero is not element 0
         fresh = all_submodules.__wrapped__(module)
         assert vars(fresh) == {}  # masks are built on first use, not with the lattice
+        for r in ring.elements():
+            ker = fresh.kernel_mask(r)
+            want = literal_mask(x for x in module.elements() if module.act[r][x] == module.zero)
+            assert ker == want, (module.label, r)
+            assert fresh.kernel_mask(r) is ker
+        assert list(vars(fresh)) == ["_kernels"]  # kernel masks build no member mask
         masks = fresh.masks()
         assert masks == tuple(literal_mask(l.members) for l in fresh), module.label
         assert fresh.masks() is masks
         assert fresh == all_submodules(module)
+
+
+def test_quotient_route_builds_no_module_for_k():
+    z12 = make_zmod(12)
+    module = dataclasses.replace(regular_module(z12), label="Z/12 (quotient route)")
+    mset = mult_set_closure(z12, [5])
+    before = submodule_as_module.cache_info().misses
+    for k in all_submodules(module):
+        quotient_characterization(k, module, mset)
+    assert submodule_as_module.cache_info().misses == before
 
 
 # ---------------------------------------------------------------------------
