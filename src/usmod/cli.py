@@ -3,7 +3,8 @@
 Subcommands:
   laws      run the law registry over a seeded corpus; exit 0 iff no law
             is violated
-  check     evaluate `assert` lines of a DSL file
+  check     evaluate `assert` lines of a DSL file (a refused declaration
+            exits 2, its message starting `line N: `)
   search    hunt for claim witnesses (or law violations) with shrinking
   envelope  construct and verify an envelope for a module declared in a
             DSL file; emit a certificate

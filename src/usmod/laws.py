@@ -152,7 +152,7 @@ def law_torsion_submodule_uniform(b: BuiltInstance, caps: Caps) -> Outcome:
 
 
 def law_uniform_noetherian(b: BuiltInstance, caps: Caps) -> Outcome:
-    ok, s, _ = is_u_S_noetherian(b.ring, b.mset)
+    ok, s = is_u_S_noetherian(b.ring, b.mset)
     if not ok:
         return VIOLATED, {}, ""
     return HOLDS, None, f"witness {b.ring.name(s)}"
@@ -715,7 +715,7 @@ def law_prime_classical_envelope_sum(b: BuiltInstance, caps: Caps) -> Outcome:
         return SKIP_INAPPLICABLE, None, "module is not prime"
     if not is_regular_set(b.ring, mset):
         return SKIP_INAPPLICABLE, None, "multiplicative set is not regular"
-    noetherian, witness, _ = is_u_S_noetherian(b.ring, mset)
+    noetherian, witness = is_u_S_noetherian(b.ring, mset)
     if not noetherian:
         return SKIP_INAPPLICABLE, None, "ring is not uniformly Noetherian for S"
     if module.size * module.size > caps.max_module:

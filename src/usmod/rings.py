@@ -533,27 +533,18 @@ def is_regular_set(ring: FiniteRing, mset: MultiplicativeSet) -> bool:
     return all(s in reg for s in mset.members)
 
 
-def is_u_S_noetherian(
-    ring: FiniteRing, mset: MultiplicativeSet
-) -> tuple[bool, int, dict[tuple[int, ...], tuple[int, ...]]]:
+def is_u_S_noetherian(ring: FiniteRing, mset: MultiplicativeSet) -> tuple[bool, int]:
     """Uniform squeeze of every ideal over a finitely generated sub-ideal.
 
     For a finite ring this is always witnessed by s = 1 with J = I, but the
-    definitional containment check is executed literally anyway.  Returns
-    (verdict, witness s, per-ideal J map keyed by I.members).
+    definitional containment sI in J is executed literally anyway.  Returns
+    (verdict, witness s).
     """
-    per_ideal: dict[tuple[int, ...], tuple[int, ...]] = {}
     for s in mset.members:
-        ok = True
-        trial: dict[tuple[int, ...], tuple[int, ...]] = {}
         for ideal in all_ideals(ring):
-            j = ideal.members  # generated by its own (finitely many) elements
-            jset = set(j)
+            jset = set(ideal.members)  # J = I, generated by its own (finitely many) elements
             if not all(ring.mul[s][a] in jset for a in ideal.members):
-                ok = False
                 break
-            trial[ideal.members] = j
-        if ok:
-            per_ideal = trial
-            return True, s, per_ideal
-    return False, ring.zero, per_ideal  # unreachable for valid inputs
+        else:
+            return True, s
+    return False, ring.zero  # unreachable for valid inputs

@@ -247,14 +247,27 @@ def _claim_result(memo: _Memo, cand: Instance, claim: Claim, caps: Caps) -> Opti
     return found
 
 
-def _shrink(
-    inst: Instance, payload: dict, claim: Claim, caps: Caps, memo: _Memo
+def shrink(
+    inst: Instance,
+    claim: Claim,
+    caps: Caps = DEFAULT_CAPS,
+    memo: Optional[_Memo] = None,
+    payload: Optional[dict] = None,
 ) -> tuple[Instance, dict]:
-    """Greedy shrink of a witness *inst* whose claim payload is *payload*.
+    """Greedy shrink of a witness *inst*: keep applying the first strictly
+    smaller variant that still witnesses the claim, re-verifying after every
+    step.  *payload* is the claim's result on *inst* where the caller has it;
+    otherwise the claim is evaluated there, and a non-witness is refused.
 
-    The shrink from an instance depends on that instance alone, so a path
-    that reaches an instance of a finished path stops there and ends where
-    that path ended."""
+    *memo* is shared by every shrink of one search call (a fresh one by
+    default).  The shrink from an instance depends on that instance alone,
+    so a path that reaches an instance of a finished path stops there and
+    ends where that path ended."""
+    if payload is None:
+        payload = claim.fn(build_instance(inst, caps), caps)
+        if payload is None:
+            raise InternalError("shrink called on a non-witness")
+    memo = _Memo() if memo is None else memo
     current, current_payload = inst, payload
     path = []
     while current not in memo.finished:
@@ -280,17 +293,6 @@ def _shrink(
     for visited in path:
         memo.finished[visited] = end
     return end
-
-
-def shrink(
-    inst: Instance, claim: Claim, caps: Caps = DEFAULT_CAPS
-) -> tuple[Instance, dict]:
-    """Greedy shrink: keep applying the first strictly smaller variant that
-    still witnesses the claim, re-verifying after every step."""
-    payload = claim.fn(build_instance(inst, caps), caps)
-    if payload is None:
-        raise InternalError("shrink called on a non-witness")
-    return _shrink(inst, payload, claim, caps, _Memo())
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +348,7 @@ def search_counterexamples(
         payload = claim.fn(built, caps)
         if payload is None:
             continue
-        small, small_payload = _shrink(inst, payload, claim, caps, memo)
+        small, small_payload = shrink(inst, claim, caps, memo, payload)
         if small in seen:
             continue
         seen.add(small)

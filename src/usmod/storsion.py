@@ -90,14 +90,14 @@ def is_u_S_iso(f: Homomorphism, mset: MultiplicativeSet) -> bool:
 
 
 def is_u_S_split(
-    f: Homomorphism, mset: MultiplicativeSet, cap: int | None = None, caps: Caps = DEFAULT_CAPS
+    f: Homomorphism, mset: MultiplicativeSet, caps: Caps = DEFAULT_CAPS
 ) -> tuple[bool, Optional[tuple[int, Homomorphism]]]:
     """Search a retraction f' with f' . f = s identity for some s in S:
     the maps f' are grouped by composite f' . f, the s identities are
     looked up in S's order, and the first f' of a group is returned."""
     if not is_u_S_mono(f, mset):
         raise PreconditionViolatedError("splitting is only defined for u-S-monomorphisms")
-    composed = precompose(f, hom_enumerate(f.target, f.source, cap, caps))
+    composed = precompose(f, hom_enumerate(f.target, f.source, caps=caps))
     for s in mset.members:
         retractions = composed.get(f.source.act[s])
         if retractions:

@@ -4,8 +4,15 @@ from pathlib import Path
 import pytest
 
 from usmod.cli import main
-from usmod.dsl import _ARITY, evaluate_assertions, parse_program
-from usmod.errors import ConfigError, InvalidMultiplicativeSetError, NotPrimeError
+from usmod.dsl import ASSERTIONS, DECLARATIONS, evaluate_assertions, parse_program
+from usmod.errors import (
+    ConfigError,
+    DomainError,
+    InvalidMultiplicativeSetError,
+    InvalidRingError,
+    NotPrimeError,
+    ResourceExceededError,
+)
 
 RUNNING_EXAMPLE = """
 # running example over Z/6
@@ -183,6 +190,57 @@ def test_parse_errors():
             parse_program(f"ring R = zmod 6\nmset S over R = {rhs}")
 
 
+@pytest.mark.parametrize(
+    "program, error, message",
+    [
+        (
+            "ring R = zmod 6\nring T = zmod 4\nmodule M over R = regular\n"
+            "module N over T = regular\nmodule E = dsum M N",
+            DomainError,
+            "line 5: summands are over different rings",
+        ),
+        (
+            "ring R = zmod 6\nmodule M over R = regular\nmodule N = dsum M M\n"
+            "sub J of N = gens {7}\nmodule W = quot M J",
+            DomainError,
+            "line 5: submodule of a different module",
+        ),
+        (
+            "ring R = zmod 6\nring T = zmod 4\nmodule N over T = regular\nring X = trivext R N",
+            DomainError,
+            "line 4: module is not over the given ring",
+        ),
+        ("ring R = zmod 0", InvalidRingError, "line 1: zmod needs n >= 2, got 0"),
+        ("ring R = zmod 600", ResourceExceededError, "line 1: zmod ring would have 600 > 64 elements"),
+    ],
+    ids=["dsum-rings", "quot-foreign-sub", "trivext-ring", "zmod-0", "zmod-600"],
+)
+def test_library_refusals_name_their_line(program, error, message):
+    """A refusal raised by the library while a line is built is prefixed
+    with that line once, and keeps its class."""
+    with pytest.raises(error) as info:
+        parse_program(program)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "program, line, name",
+    [
+        ("ring R = zmod 6\nring R = zmod 4\nmset S over R = closure {3}", 2, "R"),
+        ("ring R = zmod 6\nmodule M over R = regular\nsub K of M = gens {2}\n"
+         "module K over R = regular", 4, "K"),
+        ("ring R = zmod 6\nmset R over R = closure {1}", 2, "R"),
+    ],
+    ids=["ring-twice", "module-and-sub", "mset-named-as-ring"],
+)
+def test_a_name_is_declared_once(program, line, name):
+    """A second declaration of a name, in the same table or another one, is
+    refused instead of replacing or shadowing the first."""
+    with pytest.raises(ConfigError, match=rf"^line {line}: {name!r} is already declared$"):
+        parse_program(program)
+
+
 def test_assert_failure_reported_not_raised():
     env = parse_program(
         """
@@ -296,11 +354,24 @@ def test_preenvelope_not_mono_is_refused_before_the_target_is_certified(
 DSL_DOC = (Path(__file__).resolve().parents[1] / "docs" / "dsl.md").read_text(encoding="utf-8")
 
 
+def _ebnf_rule(name: str) -> str:
+    return re.search(rf"^{name}\s*=(.*?);", DSL_DOC, re.S | re.M).group(1)
+
+
 def test_dsl_doc_example_and_grammar_match_the_parser():
     """The example program of docs/dsl.md passes, and its EBNF lists exactly
-    the assertion functions the evaluator knows."""
+    the assertion functions of the assertion table and, for each declaration
+    table, the keyword and operand count of each of its forms."""
     example = re.search(r"## Examples\n\n```\n(.*?)```", DSL_DOC, re.S).group(1)
     results = evaluate_assertions(parse_program(example))
     assert len(results) == 3 and all(r.ok for r in results), [r.to_json() for r in results]
-    func_rule = re.search(r"^func\s*=(.*?);", DSL_DOC, re.S | re.M).group(1)
-    assert sorted(re.findall(r'"(\w+)"', func_rule)) == sorted(_ARITY)
+    assert sorted(re.findall(r'"(\w+)"', _ebnf_rule("func"))) == sorted(ASSERTIONS)
+    for table, rule in (("rings", "ring-expr"), ("msets", "mset-expr"), ("modules", "module-expr")):
+        # each alternative minus its comment: the keyword, then its operands
+        alternatives = [
+            re.sub(r"\(\*.*?\*\)", "", alt).split()
+            for alt in _ebnf_rule(rule).split("|")
+        ]
+        documented = sorted((words[0].strip('"'), len(words) - 1) for words in alternatives)
+        shapes = [f.shape.split() for f in DECLARATIONS if f.table == table]
+        assert documented == sorted((words[0], len(words) - 1) for words in shapes), rule

@@ -1091,9 +1091,9 @@ def per_s_endomorphism_condition(f, mset, caps=DEFAULT_CAPS, end_cap=None):
     return True
 
 
-def per_s_split(f, mset, cap=None, caps=DEFAULT_CAPS):
+def per_s_split(f, mset, caps=DEFAULT_CAPS):
     src = f.source
-    retractions = hom_enumerate(f.target, src, cap, caps)
+    retractions = hom_enumerate(f.target, src, caps=caps)
     for s in mset.members:
         s_id = src.act[s]
         for fp in retractions:
@@ -1150,6 +1150,7 @@ def test_baer_scan_matches_per_map_scan(ring):
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
 def test_endomorphism_condition_and_split_match_per_s_loops(ring):
     rng = random.Random(f"endo-{ring.label}")
+    hom_256 = Caps(max_hom=256)
     msets = list(_msets(ring, rng))
     pool = _table_pool(ring, rng, 12)
     seen = set()
@@ -1163,8 +1164,8 @@ def test_endomorphism_condition_and_split_match_per_s_loops(ring):
                     assert got == _outcome(per_s_endomorphism_condition, f, mset, end_cap=256), where
                     seen.add(got)
                     if is_u_S_mono(f, mset):
-                        got = _outcome(is_u_S_split, f, mset, cap=256)
-                        assert got == _outcome(per_s_split, f, mset, cap=256), where
+                        got = _outcome(is_u_S_split, f, mset, caps=hom_256)
+                        assert got == _outcome(per_s_split, f, mset, caps=hom_256), where
     assert {True, False} <= seen
 
 
