@@ -6,7 +6,8 @@ the head of its statement in ``_HEADS``, and each assertion function is one
 row of ``ASSERTIONS``; the EBNF in docs/dsl.md is checked against both
 tables.  A name is declared once, in one table.  Names are resolved left to
 right, and ``_at_line`` prefixes ``line N: `` to any error raised while line
-N is parsed or its assertion's names are resolved.
+N is parsed or its assertion's names are resolved.  A module declared
+``over RING`` must come out over that ring, whatever its form.
 """
 from __future__ import annotations
 
@@ -243,7 +244,10 @@ def _declare(env: Environment, line: str, caps: Caps) -> None:
         for x in operands[1]:
             if not 0 <= x < operands[0].size:
                 raise ConfigError(f"element {x} outside module {head_names[0]}")
-    getattr(env, table)[name] = form.build(*operands, caps)
+    built = form.build(*operands, caps)
+    if table == "modules" and operands[0] is not None and built.ring != operands[0]:
+        raise ConfigError(f"module {name} is not over {head_names[0]}")
+    getattr(env, table)[name] = built
 
 
 def parse_program(text: str, caps: Caps = DEFAULT_CAPS) -> Environment:

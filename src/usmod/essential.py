@@ -30,9 +30,11 @@ by every call on it.  Then a meet is one AND and "s kills X" is
 X & ker_s == X, so each submodule costs a few integer operations instead of
 a set intersection and a pass over its members.  The quotient route stays
 independent of the other two: for each L it reads the natural map
-eta: M -> M/L on K's members and asks the torsion deciders about the
-kernel of eta restricted to K and about eta, O(|lattice|.(|K| + |M|))
-lookups; no module is built for K and no map is composed.
+eta: M -> M/L, the lattice's ``projection`` of L (built once per module and
+shared like the kernel masks), and asks the torsion deciders about the
+kernel of eta restricted to K and about the kernel of eta,
+O(|lattice|.(|K| + |M|)) lookups; no module is built for K or for M/L and
+no map is composed.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ from .modules import (
     sum_submodules,
 )
 from .rings import Ideal, MultiplicativeSet, complement_of_prime
-from .storsion import _require_mset, is_u_S_mono, is_u_S_torsion, smallest_killer
+from .storsion import _require_mset, is_u_S_torsion, smallest_killer
 
 
 @dataclass(frozen=True)
@@ -176,19 +178,25 @@ def quotient_characterization(
     """Inclusion-map characterization, restricted to natural quotient maps.
 
     K is u-S-essential iff for every L the composition (M -> M/L) after
-    (K -> M) being a u-S-monomorphism forces M -> M/L to be one.  The
-    composite's kernel is the members of K that eta sends to zero, so eta is
-    read on K's members and no module is built for K.  That kernel and eta
-    go through the torsion deciders rather than set bookkeeping, so this is
-    an independent third route: O(|lattice|.(|K| + |M|)) lookups.
+    (K -> M) being a u-S-monomorphism forces M -> M/L to be one.  eta is
+    the lattice's ``projection`` of L, and it sends x to zero iff
+    proj[x] == proj[zero].  The composite's kernel is the members of K it
+    sends to zero and eta's kernel the members of M it does, so neither K
+    nor M/L is built as a module and no map is composed.  Both kernels go
+    through the torsion deciders rather than set bookkeeping, so this is an
+    independent third route: O(|lattice|.(|K| + |M|)) lookups, the
+    projections (|M| each, on the module's first call) included.
     """
     _require_submodule(k, module)
     _require_mset(module, mset)
-    for l in all_submodules(module, caps):
-        eta = quotient_module(module, l)[1]
-        zero = eta.target.zero
-        restricted_kernel = Submodule(module, tuple(x for x in k.members if eta.map[x] == zero))
-        if is_u_S_torsion(restricted_kernel, mset) and not is_u_S_mono(eta, mset):
+    lattice = all_submodules(module, caps)
+    for i in range(len(lattice)):
+        proj = lattice.projection(i)
+        zero = proj[module.zero]
+        restricted_kernel = Submodule(module, tuple(x for x in k.members if proj[x] == zero))
+        if is_u_S_torsion(restricted_kernel, mset) and not is_u_S_torsion(
+            Submodule(module, tuple(x for x in module.elements() if proj[x] == zero)), mset
+        ):
             return False
     return True
 

@@ -61,7 +61,6 @@ from .modules import (
     is_prime_module,
     precompose,
     preimage,
-    quotient_module,
     scalar_hom,
     submodule_as_module,
     sum_submodules,
@@ -366,6 +365,11 @@ def law_inclusion_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
 
 
 def law_essential_mono_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
+    """A u-S-mono f into M is u-S-essential iff, for every L, eta.f being a
+    u-S-mono forces eta: M -> M/L to be one.  eta is the lattice's
+    ``projection`` of L and sends y to zero iff proj[y] == proj[zero], so
+    the kernels of eta.f and of eta are read off it: no quotient module is
+    built and eta is composed with no map."""
     module, mset, k = b.module, b.mset, b.submodule
     _, incl = submodule_as_module(k)
     candidates: list[Homomorphism] = [incl]
@@ -377,9 +381,13 @@ def law_essential_mono_characterization(b: BuiltInstance, caps: Caps) -> Outcome
     for f in candidates:
         lhs = is_u_S_essential_fast(image(f), module, mset).verdict  # f is a u-S-mono
         rhs = True
-        for j in lattice:
-            _, eta = quotient_module(module, j)
-            if is_u_S_mono(compose(eta, f), mset) and not is_u_S_mono(eta, mset):
+        for i in range(len(lattice)):
+            proj = lattice.projection(i)
+            zero = proj[module.zero]
+            composite_kernel = tuple(x for x, y in enumerate(f.map) if proj[y] == zero)
+            if is_u_S_torsion(Submodule(f.source, composite_kernel), mset) and not is_u_S_torsion(
+                Submodule(module, tuple(y for y in module.elements() if proj[y] == zero)), mset
+            ):
                 rhs = False
                 break
         if lhs != rhs:

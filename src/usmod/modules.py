@@ -352,6 +352,12 @@ class SubmoduleLattice(tuple):
     (|M| lookups) on its first call for that r and kept on the lattice in
     a list indexed by r, so every scan of one module shares it.
 
+    ``projection(i)`` is the natural map eta: M -> M/L of the i-th member L,
+    each element's coset as an index into L's minimal coset representatives
+    (``quotient_module``'s eta.map), built (|M| lookups) on its first call
+    for that i and kept in a list indexed by position; no quotient
+    module is built, so a route that only reads eta pays no |M/L|^2 table.
+
     ``member(members)`` is the lattice's own Submodule whose sorted member
     tuple is *members*, or None; its index is likewise built on first use
     and kept on the lattice.  Keys compare as tuples, so True and 0.0 find
@@ -373,6 +379,15 @@ class SubmoduleLattice(tuple):
             kernels[r] = _mask(compress(module.elements(), map(module.zero.__eq__, module.act[r])))
         return kernels[r]
 
+    def projection(self, i: int) -> tuple[int, ...]:
+        projections = self.__dict__.get("_projections")
+        if projections is None:
+            projections = self.__dict__["_projections"] = [None] * len(self)
+        if projections[i] is None:
+            sub = self[i]
+            projections[i] = _cosets(sub.parent.add, sub.members)[1]
+        return projections[i]
+
     def member(self, members: tuple[int, ...]) -> Optional[Submodule]:
         index = self.__dict__.get("_index")
         if index is None:
@@ -384,8 +399,9 @@ class SubmoduleLattice(tuple):
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> SubmoduleLattice:
     """The full submodule lattice, ordered by (size, members); its
     ``masks()`` are the members' bitmasks, ``kernel_mask(r)`` the mask of
-    what r kills and ``member()`` finds a member by its member tuple, each
-    built on first use.
+    what r kills, ``projection(i)`` the map M -> M/L of the i-th member L
+    and ``member()`` finds a member by its member tuple, each built on
+    first use.
 
     Built by rings._lattice, the closure of the cyclic submodules under
     joins.  More than max(caps.max_lattice, #cyclics) submodules raise

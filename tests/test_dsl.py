@@ -241,6 +241,20 @@ def test_a_name_is_declared_once(program, line, name):
         parse_program(program)
 
 
+_TWO_RINGS = "ring R = zmod 6\nring T = zmod 4\nmodule M over R = regular\nsub K of M = gens {2}\n"
+
+
+@pytest.mark.parametrize("rhs", ["dsum M M", "quot M K", "asmod K"], ids=["dsum", "quot", "asmod"])
+def test_a_module_form_is_over_its_named_ring(rhs):
+    """``over RING`` is checked against the ring the form builds over: a
+    module named over T but built from modules over R is refused, and the
+    same form over R is accepted."""
+    with pytest.raises(ConfigError, match="^line 5: module D is not over T$"):
+        parse_program(_TWO_RINGS + f"module D over T = {rhs}")
+    env = parse_program(_TWO_RINGS + f"module D over R = {rhs}")
+    assert env.modules["D"].ring == env.rings["R"]
+
+
 def test_assert_failure_reported_not_raised():
     env = parse_program(
         """

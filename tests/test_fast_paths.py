@@ -23,6 +23,7 @@ import pytest
 from usmod.caps import DEFAULT_CAPS, Caps
 from usmod.corpus import (
     Bounds,
+    BuiltInstance,
     Instance,
     _ring_specs,
     build_instance,
@@ -85,7 +86,7 @@ from usmod.injective import (
     is_injective_baer,
     replay_refuted,
 )
-from usmod.laws import _factors
+from usmod.laws import HOLDS, LAWS_BY_ID, _factors
 from usmod.storsion import (
     cokernel,
     is_u_S_epi,
@@ -1041,14 +1042,41 @@ def test_lattice_masks_match_literal_masks(ring):
         assert fresh == all_submodules(module)
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_lattice_projections_match_quotient_maps(ring):
+    rng = random.Random(f"projections-{ring.label}")
+    for module in _table_pool(ring, rng, 24):  # rotated copies: zero is not element 0
+        fresh = all_submodules.__wrapped__(module)
+        assert vars(fresh) == {}  # projections are built on first use, not with the lattice
+        for i, l in enumerate(fresh):
+            proj = fresh.projection(i)
+            assert proj == quotient_module(module, l)[1].map, (module.label, l)
+            zero = proj[module.zero]
+            assert [p == zero for p in proj] == [x in l.members for x in module.elements()]
+            assert fresh.projection(i) is proj
+        assert list(vars(fresh)) == ["_projections"]  # projections build no mask
+
+
 def test_quotient_route_builds_no_module_for_k():
     z12 = make_zmod(12)
     module = dataclasses.replace(regular_module(z12), label="Z/12 (quotient route)")
     mset = mult_set_closure(z12, [5])
-    before = submodule_as_module.cache_info().misses
+    before = submodule_as_module.cache_info().misses, quotient_module.cache_info().misses
     for k in all_submodules(module):
         quotient_characterization(k, module, mset)
-    assert submodule_as_module.cache_info().misses == before
+    after = submodule_as_module.cache_info().misses, quotient_module.cache_info().misses
+    assert after == before
+
+
+def test_essential_mono_law_builds_no_quotient_module():
+    z12 = make_zmod(12)
+    module = dataclasses.replace(regular_module(z12), label="Z/12 (essential-mono law)")
+    mset = mult_set_closure(z12, [5])
+    law = LAWS_BY_ID["essential-mono-characterization"]
+    before = quotient_module.cache_info().misses
+    for k in all_submodules(module):
+        assert law.fn(BuiltInstance(None, z12, mset, module, k), DEFAULT_CAPS)[0] == HOLDS
+    assert quotient_module.cache_info().misses == before
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,7 @@ def _holds_then_breaks(monkeypatch, law_id, instance, route, breaker):
     [
         ("s_torsion_submodule", "sigma-shortcut", _zero_torsion),
         ("is_essential", "essential-element-criterion", _flipped_verdict),
+        ("quotient_characterization", "element-criterion", _negated),
         ("endomorphism_condition", "envelope-essential-image", _negated),
         ("endomorphism_condition", "running-example-envelope", _negated),
     ],
