@@ -15,7 +15,9 @@ rows is a scaled row of M1's table combined with a row of M2's.  The
 submodule lattice is the closure of the cyclic submodules under joining each
 submodule found with every cyclic one.  These two builders and the coset
 projection of quotient_module are shared with rings.py, which uses them for
-products, ideals and quotient rings.
+products, ideals and quotient rings.  The join itself, coset by coset, is
+rings._join, which also grows spans, sums of submodules, the generating
+set, conductor ideals and the levels of a derivation plan.
 
 Homomorphisms are enumerated from a greedily chosen generating set by
 backtracking over the images of each generator.  A derivation plan, built
@@ -51,8 +53,10 @@ from .rings import (
     _composes,
     _cosets,
     _in_range,
+    _join,
     _lattice,
     _pair_table,
+    _picker,
 )
 
 
@@ -305,14 +309,17 @@ def check_submodule(sub: Submodule) -> None:
 def span(parent: FiniteModule, seed: Iterable[int]) -> tuple[int, ...]:
     """Submodule generated by *seed*: the sum of the cyclic submodules Rx.
 
-    The span is grown one seed element at a time as an additive subgroup,
-    joined with each R-multiple of x in turn, so it is a submodule after
-    every seed element and a seed element already inside is skipped.
+    The span is joined with the action column Rx of one seed element at a
+    time (rings._join), so it is a submodule after every seed element and
+    a seed element already inside is skipped.  Seeds must be int indices
+    (not bools) into *parent*.
     """
     mem = {parent.zero}
-    for x in set(seed):
+    for x in seed:
+        if not (type(x) is int and 0 <= x < parent.size):
+            raise DomainError(f"seed {x!r} is not an element of the module")
         if x not in mem:
-            mem = _join_cyclic(parent.add, parent.act, mem, x)
+            _join(parent.add, _picker(tuple(mem)), mem, [row[x] for row in parent.act])
     return tuple(sorted(mem))
 
 
@@ -325,11 +332,13 @@ def cyclic_submodule(module: FiniteModule, x: int) -> Submodule:
 
 
 def sum_submodules(a: Submodule, b: Submodule) -> Submodule:
+    """A + B for two submodules of one parent, B joined onto A coset by
+    coset (rings._join)."""
     if a.parent is not b.parent and a.parent != b.parent:
         raise DomainError("submodules have different parents")
-    parent = a.parent
-    mem = {parent.add[x][y] for x in a.members for y in b.members}
-    return Submodule(parent, tuple(sorted(mem)))
+    mem = set(a.members)
+    _join(a.parent.add, _picker(a.members), mem, b.members)
+    return Submodule(a.parent, tuple(sorted(mem)))
 
 
 def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:
@@ -585,13 +594,14 @@ def image_of_submodule(f: Homomorphism, k: Submodule) -> Submodule:
 
 
 def generating_set(module: FiniteModule) -> tuple[int, ...]:
-    """Greedy irredundant generating set in canonical element order."""
+    """Greedy irredundant generating set in canonical element order: each
+    element outside the span so far joins it with its action column Rx."""
     gens: list[int] = []
     spanned = {module.zero}
     for x in module.elements():
         if x not in spanned:
             gens.append(x)
-            spanned = set(span(module, gens))
+            _join(module.add, _picker(tuple(spanned)), spanned, [row[x] for row in module.act])
     return tuple(gens)
 
 
@@ -605,17 +615,19 @@ class PlanLevel:
     c.y = f(c.key) for every c in C (the one-element step in the proof of
     Baer's criterion), and by linearity iff that holds for the generators
     alone.  The extension is unique and is filled along the derivations:
-    every new element is derived once, as the key itself, ``z = r.key``
-    (*acts*) or ``z = x + c`` (*adds*, with x in P and c a new multiple of
-    the key).  A key already in P has conductor R, so its test says
-    f(key) = y, and it derives nothing.
+    every new element is derived once, as the key itself, ``c = r.key``
+    (*acts*, r the first ring element giving c) or ``z = x + c`` (*adds*,
+    with x a nonzero element of P), where the key and the c of *acts* are
+    the new coset representatives of P in P' that rings._join returns.  A
+    key already in P has conductor R, so its test says f(key) = y, and it
+    derives nothing.
     """
 
     key: int
     conductor: tuple[int, ...]  # c_1..c_k
     conducted: tuple[int, ...]  # c_1.key..c_k.key
     order_unit: int  # d.1 for d the additive order of the key; it lies in C
-    acts: tuple[tuple[int, int], ...]  # (z, r): z = r.key
+    acts: tuple[tuple[int, int], ...]  # (c, r): c = r.key
     adds: tuple[tuple[int, int, int], ...]  # (z, x, c): z = x + c
     members: tuple[int, ...]  # P', sorted
 
@@ -625,49 +637,32 @@ def derivation_plan(module: FiniteModule, keys: tuple[int, ...]) -> tuple[PlanLe
     keeps the one plan per hom source)."""
     ring = module.ring
     add, act = module.add, module.act
-    span_list = [module.zero]
-    in_span = {module.zero}
+    spanned = {module.zero}
+    members: tuple[int, ...] = (module.zero,)
     levels: list[PlanLevel] = []
     for key in keys:
         conductor: list[int] = []
         ideal = {ring.zero}
         for r in ring.elements():
-            if act[r][key] in in_span and r not in ideal:
+            if act[r][key] in spanned and r not in ideal:
                 conductor.append(r)
-                ideal = _join_cyclic(ring.add, ring.mul, ideal, r)
+                _join(ring.add, _picker(tuple(ideal)), ideal, ring.mul[r])
         order_unit = ring.zero
         for _ in range(module.additive_order(key)):
             order_unit = ring.add[order_unit][ring.one]
-        acts: list[tuple[int, int]] = []
-        adds: list[tuple[int, int, int]] = []
-        if key not in in_span:
-            old = list(span_list)
-            multiples = [key]
-            in_span.add(key)
-            span_list.append(key)
-            for r in ring.elements():
-                z = act[r][key]
-                if z not in in_span:
-                    in_span.add(z)
-                    span_list.append(z)
-                    acts.append((z, r))
-                    multiples.append(z)
-            for c in multiples:
-                for x in old:
-                    z = add[x][c]
-                    if z not in in_span:
-                        in_span.add(z)
-                        span_list.append(z)
-                        adds.append((z, x, c))
+        column = [row[key] for row in act]
+        reps = _join(add, _picker(members), spanned, [key, *column])
+        old = [x for x in members if x != module.zero]
+        members = tuple(sorted(spanned))
         levels.append(
             PlanLevel(
                 key,
                 tuple(conductor),
                 tuple(act[c][key] for c in conductor),
                 order_unit,
-                tuple(acts),
-                tuple(adds),
-                tuple(sorted(span_list)),
+                tuple((c, column.index(c)) for c in reps[1:]),
+                tuple((add[x][c], x, c) for c in reps for x in old),
+                members,
             )
         )
     return tuple(levels)
@@ -682,26 +677,6 @@ def _source_plan(source: FiniteModule) -> tuple[PlanLevel, ...]:
     plus the growth of the conductor ideal, once per source.
     """
     return derivation_plan(source, generating_set(source))
-
-
-def _add_subgroup(add: Table, group: set[int], c: int) -> set[int]:
-    """The additive subgroup generated by the subgroup *group* and c."""
-    out = set(group)
-    t = c
-    while t not in group:
-        out.update(add[x][t] for x in group)
-        t = add[t][c]
-    return out
-
-
-def _join_cyclic(add: Table, act: Table, sub: set[int], x: int) -> set[int]:
-    """The submodule *sub* + Rx, with act[r][x] = r.x (a ring's own ``mul``
-    makes this the ideal *sub* + Rx)."""
-    for row in act:
-        c = row[x]
-        if c not in sub:
-            sub = _add_subgroup(add, sub, c)
-    return sub
 
 
 def _replay(level: PlanLevel, y: int, f: list[int], target: FiniteModule) -> None:

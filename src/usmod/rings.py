@@ -13,9 +13,11 @@ it therefore hands back results built for a ring that prints the same.
 
 An ideal is a submodule of R over itself, R/I a quotient module and R x R'
 a direct sum, so the table jobs both layers need are written once here and
-shared with modules.py: the lattice of subgroups closed under an action
-(_lattice), coset representatives and the projection (_cosets), and the
-componentwise table on pairs (_pair_table).
+shared with modules.py: the join of two subgroups, coset by coset (_join),
+which grows the lattice of subgroups closed under an action (_lattice),
+spans, sums, conductor ideals and derivation plans; coset representatives
+and the projection (_cosets); and the componentwise table on pairs
+(_pair_table).
 """
 from __future__ import annotations
 
@@ -236,6 +238,29 @@ def _additive_generators(add: Table, zero: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def _join(
+    add: Table,
+    plus_x: Callable[[Sequence[int]], tuple[int, ...]],
+    reached: set[int],
+    ys: Iterable[int],
+) -> list[int]:
+    """Grow *reached*, the members of a subgroup X of *add* with plus_x =
+    _picker(X's members), in place to X + Y for the members *ys* of a
+    subgroup Y, and return the new coset representatives in *ys* order.
+
+    X + Y is the union of the cosets y + X, so it is built coset by coset:
+    each y not yet reached adds y + X, read off the row of y at the members
+    of X.  *reached* stays a union of cosets of X, so a y already inside
+    adds nothing, and the returned representatives lie in distinct cosets.
+    """
+    reps = []
+    for y in ys:
+        if y not in reached:
+            reached.update(plus_x(add[y]))
+            reps.append(y)
+    return reps
+
+
 def _lattice(add: Table, act: Table, cap: Optional[int]) -> list[tuple[int, ...]]:
     """Every subgroup of *add* closed under the rows of *act*, as sorted member
     tuples ordered by (size, members): the ideals when *act* is a ring's
@@ -244,10 +269,9 @@ def _lattice(add: Table, act: Table, cap: Optional[int]) -> list[tuple[int, ...]
     Each is a finite join of cyclic ones, {row[x] for row in act}, so this is
     the closure of the distinct cyclics under joining each subgroup found
     with each cyclic Rg (one generator g kept per cyclic; skipped when g is
-    already inside).  The join X + Rg is built coset by coset: each y in Rg
-    not yet reached adds the coset y + X, read off the row of y at the
-    members of X.  With a *cap*, more than max(cap, #cyclics) subgroups
-    raise ResourceExceededError.
+    already inside), by _join with one picker per subgroup found.  With a
+    *cap*, more than max(cap, #cyclics) subgroups raise
+    ResourceExceededError.
     """
     generator_of: dict[tuple[int, ...], int] = {}
     for x, column in enumerate(zip(*act)):
@@ -263,9 +287,7 @@ def _lattice(add: Table, act: Table, cap: Optional[int]) -> list[tuple[int, ...]
             if g in inside:
                 continue
             reached = set(inside)
-            for y in ys:
-                if y not in reached:
-                    reached.update(plus_x(add[y]))
+            _join(add, plus_x, reached, ys)
             zs = tuple(sorted(reached))
             if zs not in found:
                 if cap is not None and len(found) >= cap:

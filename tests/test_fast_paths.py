@@ -625,11 +625,59 @@ def _seeds(module, rng):
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
 def test_span_matches_pairwise_closure(ring):
+    """span, sum_submodules of two spans and the greedy generating set
+    (each generator the least element outside the span of the earlier
+    ones) against the pairwise closure."""
     rng = random.Random(f"span-{ring.label}")
     for label, module in _modules(ring, rng, 64):
-        for seed in _seeds(module, rng):
+        seeds = list(_seeds(module, rng))
+        for seed in seeds:
             assert span(module, seed) == pairwise_span(module, seed), (label, seed)
             assert span(module, iter(seed)) == pairwise_span(module, seed), (label, seed)
+        for a in seeds:
+            for b in seeds:
+                total = sum_submodules(Submodule(module, span(module, a)),
+                                       Submodule(module, span(module, b)))
+                assert total.members == pairwise_span(module, a + b), (label, a, b)
+        gens = modules.generating_set(module)
+        for i, g in enumerate(gens):
+            outside = set(module.elements()).difference(pairwise_span(module, gens[:i]))
+            assert g == min(outside), (label, gens)
+        assert pairwise_span(module, gens) == tuple(module.elements()), (label, gens)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_plan_levels_derive_each_new_element_once(ring):
+    """Each level's key, acts and adds write every element of its span
+    outside the previous span exactly once, each from elements already
+    written, so _replay's cost is one write per new element; a key already
+    in the span (zero, a repeat, any key after a generating set) derives
+    nothing."""
+    rng = random.Random(f"plan-{ring.label}")
+    for label, module in _modules(ring, rng, 64):
+        add, act = module.add, module.act
+        a, b = rng.choices(range(module.size), k=2)
+        keys = (module.zero, a, a, *rng.sample(range(module.size), min(3, module.size)),
+                *modules.generating_set(module), b)
+        previous = {module.zero}
+        for level in modules.derivation_plan(module, keys):
+            key = level.key
+            if key in previous:
+                assert level.acts == level.adds == (), (label, keys, key)
+                assert set(level.members) == previous, (label, keys, key)
+                continue
+            written = [key]
+            for z, r in level.acts:
+                assert z == act[r][key], (label, keys, key)
+                written.append(z)
+            for z, x, c in level.adds:
+                assert x in previous or x in written, (label, keys, key)
+                assert c in previous or c in written, (label, keys, key)
+                assert z == add[x][c], (label, keys, key)
+                written.append(z)
+            assert sorted(written) == sorted(set(level.members) - previous), (label, keys, key)
+            previous = set(level.members)
+        assert previous == set(module.elements()), (label, keys)
 
 
 def _closure_outcome(closure, ring, gens):

@@ -358,6 +358,14 @@ def test_extend_images_refuses_bad_pairs(z6, m6, images, monkeypatch):
         extend_images(m6, cyclic_zmod_module(z6, 3), images)
 
 
+@pytest.mark.parametrize("seed", [[-1], [6], [9], [True], [0, True], [2.0], ["1"]], ids=repr)
+def test_span_refuses_seeds_outside_the_module(m6, seed):
+    """-1 used to be read as element 5 and True as element 1, while 9 and
+    2.0 leaked IndexError and TypeError."""
+    with pytest.raises(DomainError, match="is not an element of the module$"):
+        span(m6, seed)
+
+
 def test_extend_images_refuses_another_ring(m6, monkeypatch):
     monkeypatch.setattr(modules, "derivation_plan", None)
     with pytest.raises(DomainError, match="^source and target are over different rings$"):
