@@ -107,7 +107,8 @@ def _cmd_laws(args, caps) -> int:
     if args.list:
         for law_id, law in sorted(LAWS_BY_ID.items()):
             kind = "bounded" if law.bounded else "exact"
-            print(f"{law_id:36s} [{kind}] {law.description}")
+            needs = f" (needs {', '.join(law.needs)})" if law.needs else ""
+            print(f"{law_id:36s} [{kind}] {law.description}{needs}")
         return 0
     bounds = Bounds(
         max_ring=args.max_ring,

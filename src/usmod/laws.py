@@ -6,9 +6,9 @@ skipped-inapplicable.  Violations carry a self-contained witness payload
 that replays from the serialized instance alone; resource exhaustion is
 always a skip, never a verdict.
 
-Each statement is written here and nowhere else: its law tests the
-hypotheses once, then evaluates both sides with the deciders and
-constructions of the library layers.
+Each statement is written here and nowhere else: ``evaluate`` checks its
+hypotheses, each stated once in ``GUARDS``, then its law evaluates both
+sides with the deciders and constructions of the library layers.
 
 Law ids are descriptive (what the law checks), listed in docs/laws.md.
 Laws whose statements quantify over all modules or all maps are registered
@@ -67,7 +67,7 @@ from .modules import (
     zero_divisors_on,
     zero_hom,
 )
-from .rings import is_regular_set, is_u_S_noetherian, spectrum
+from .rings import is_regular_set, is_u_S_noetherian, mult_set_closure, spectrum
 from .storsion import (
     find_u_S_isomorphism,
     is_u_S_iso,
@@ -84,6 +84,7 @@ SKIP_RESOURCE = "skipped-resource"
 SKIP_INAPPLICABLE = "skipped-inapplicable"
 
 Outcome = tuple[str, Optional[dict], str]  # verdict, witness payload, detail
+Fixtures = dict[str, object]  # guard name -> fixture value, None when the guard fails
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,8 @@ class Law:
     bounded: bool  # quantifies over an explicit finite pool rather than everything
     scope: str  # "instance" (needs the submodule) or "module"
     max_module: int  # size budget; larger instances are skipped-resource
-    fn: Callable[[BuiltInstance, Caps], Outcome]
+    fn: Callable[[BuiltInstance, Caps, Fixtures], Outcome]
+    needs: tuple[str, ...] = ()  # guard names, checked in order before fn runs
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def _members(sub: Submodule) -> list[int]:
 # derived finite-S lemmas
 
 
-def law_sigma_shortcut(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_sigma_shortcut(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     module, mset = b.module, b.mset
     by_scan = {
         x
@@ -134,15 +136,16 @@ def law_sigma_shortcut(b: BuiltInstance, caps: Caps) -> Outcome:
     by_sigma = s_torsion_submodule(module, mset).member_set()
     if by_scan != by_sigma:
         return VIOLATED, {"by_scan": sorted(by_scan), "by_sigma": sorted(by_sigma)}, ""
-    for sub in all_submodules(module, caps):
+    lattice = all_submodules(module, caps)
+    for sub in lattice:
         uniform = smallest_killer(module, mset, sub.members) is not None
         sigma_kills = kills(module, mset.sigma, sub.members)
         if uniform != sigma_kills:
             return VIOLATED, {"submodule": _members(sub)}, ""
-    return HOLDS, None, f"lattice of {len(all_submodules(module, caps))} checked"
+    return HOLDS, None, f"lattice of {len(lattice)} checked"
 
 
-def law_torsion_submodule_uniform(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_torsion_submodule_uniform(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     tor = s_torsion_submodule(b.module, b.mset)
     if not is_u_S_torsion(tor, b.mset):
         return VIOLATED, {"torsion_submodule": _members(tor)}, ""
@@ -150,7 +153,7 @@ def law_torsion_submodule_uniform(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, f"witness {b.ring.name(s)}"
 
 
-def law_uniform_noetherian(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_uniform_noetherian(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     ok, s = is_u_S_noetherian(b.ring, b.mset)
     if not ok:
         return VIOLATED, {}, ""
@@ -161,7 +164,7 @@ def law_uniform_noetherian(b: BuiltInstance, caps: Caps) -> Outcome:
 # essential-submodule laws
 
 
-def law_definition_via_torsion(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_definition_via_torsion(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     k, module, mset = b.submodule, b.module, b.mset
     oracle = is_u_S_essential_oracle(k, module, mset, caps).verdict
     literal = True
@@ -176,7 +179,7 @@ def law_definition_via_torsion(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, ""
 
 
-def law_element_criterion(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_element_criterion(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     k, module, mset = b.submodule, b.module, b.mset
     fast = is_u_S_essential_fast(k, module, mset).verdict
     oracle = is_u_S_essential_oracle(k, module, mset, caps).verdict
@@ -190,9 +193,7 @@ def law_element_criterion(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, f"verdict {fast}"
 
 
-def law_essential_element_criterion(b: BuiltInstance, caps: Caps) -> Outcome:
-    from .rings import mult_set_closure
-
+def law_essential_element_criterion(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     k, module = b.submodule, b.module
     s1 = mult_set_closure(b.ring, [b.ring.one])
     ess = is_essential(k, module, caps).verdict
@@ -202,27 +203,22 @@ def law_essential_element_criterion(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, ""
 
 
-def law_regular_set_degeneration(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_regular_set_degeneration(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     k, module, mset = b.submodule, b.module, b.mset
-    zdiv = set(zero_divisors_on(b.ring, module))
-    if any(s in zdiv for s in mset.members):
-        return SKIP_INAPPLICABLE, None, "set meets the zero divisors on the module"
     if is_u_S_essential_fast(k, module, mset).verdict != is_essential(k, module, caps).verdict:
         return VIOLATED, {"submodule": _members(k)}, ""
     return HOLDS, None, ""
 
 
-def law_torsion_ambient(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_torsion_ambient(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     module, mset = b.module, b.mset
-    if not is_u_S_torsion(module, mset):
-        return SKIP_INAPPLICABLE, None, "module is not uniformly killed"
     for sub in all_submodules(module, caps):
         if not is_u_S_essential_fast(sub, module, mset).verdict:
             return VIOLATED, {"submodule": _members(sub)}, ""
     return HOLDS, None, ""
 
 
-def law_max_ideal_upgrade(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_max_ideal_upgrade(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     k, module = b.submodule, b.module
     all_max = all(is_u_p_essential(k, module, m) for m in spectrum(b.ring)[1])
     if all_max and not is_essential(k, module, caps).verdict:
@@ -230,10 +226,8 @@ def law_max_ideal_upgrade(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, "hypothesis held" if all_max else "vacuous"
 
 
-def law_prime_upgrade(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_prime_upgrade(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     module, k, mset = b.module, b.submodule, b.mset
-    if module.size == 1 or not is_prime_module(module):
-        return SKIP_INAPPLICABLE, None, "module is not prime"
     if not is_essential(k, module, caps).verdict:
         return SKIP_INAPPLICABLE, None, "submodule is not essential"
     if not is_u_S_essential_fast(k, module, mset).verdict:
@@ -241,10 +235,8 @@ def law_prime_upgrade(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, ""
 
 
-def law_prime_spectrum_equivalence(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_prime_spectrum_equivalence(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     module, k = b.module, b.submodule
-    if module.size == 1 or not is_prime_module(module):
-        return SKIP_INAPPLICABLE, None, "module is not prime"
     primes, maximals = spectrum(b.ring)
     all_max = all(is_u_p_essential(k, module, m) for m in maximals)
     essential = is_essential(k, module, caps).verdict
@@ -254,7 +246,7 @@ def law_prime_spectrum_equivalence(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, ""
 
 
-def law_transitivity_meet(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_transitivity_meet(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """Chain: K in M iff K in N and N in M, for every N between K and M.
     Meet: H meet K in M iff H and K are, for every H.  The chain does not
     involve H and the meet does not involve N, so each is checked once per
@@ -280,7 +272,7 @@ def law_transitivity_meet(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, f"{len(overs) * len(lattice)} (N,H) pairs"
 
 
-def law_transport(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_transport(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """Preimages of u-S-essential submodules along every endomorphism, and
     their images along u-S-monic ones (inside f(M)), are u-S-essential."""
     module, mset = b.module, b.mset
@@ -303,12 +295,10 @@ def law_transport(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, f"{len(endos)} maps x {len(essential_subs)} essential submodules"
 
 
-def law_direct_sum_pair(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_direct_sum_pair(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """K1+K2 is u-S-essential in M+M iff K1 and K2 are in M: the oracle on
     the sum against the fast decider on the components."""
     module, mset, k = b.module, b.mset, b.submodule
-    if module.size * module.size > caps.max_module:
-        return SKIP_RESOURCE, None, "sum exceeds the module cap"
     lattice = all_submodules(module, caps)
     partner = lattice[len(lattice) // 2]
     total, i1, i2, _, _ = direct_sum(module, module, caps)
@@ -324,16 +314,11 @@ def law_direct_sum_pair(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, ""
 
 
-def law_direct_sum_many(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_direct_sum_many(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     module, mset, k = b.module, b.mset, b.submodule
-    if module.size**3 > caps.max_module:
-        return SKIP_RESOURCE, None, "3-fold sum exceeds the module cap"
     total, _, projections = direct_sum_many([module, module, module], caps)
-    members = [
-        x
-        for x in total.elements()
-        if all(proj.map[x] in set(k.members) for proj in projections)
-    ]
+    kset = set(k.members)
+    members = [x for x in total.elements() if all(proj.map[x] in kset for proj in projections)]
     ksum = Submodule(total, tuple(sorted(members)))
     component = is_u_S_essential_fast(k, module, mset).verdict
     if not component:
@@ -345,14 +330,14 @@ def law_direct_sum_many(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, "3-fold sum"
 
 
-def law_complement(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_complement(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     kp, checks = u_S_complement(b.submodule, b.module, b.mset, caps)
     if checks != (True, True):
         return VIOLATED, {"K": _members(b.submodule), "Kp": _members(kp), "checks": checks}, ""
     return HOLDS, None, f"complement size {kp.size}"
 
 
-def law_inclusion_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_inclusion_characterization(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """K is u-S-essential iff its inclusion is a u-S-essential mono: a
     u-S-monomorphism whose image is u-S-essential in the target."""
     k, module, mset = b.submodule, b.module, b.mset
@@ -364,7 +349,7 @@ def law_inclusion_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, ""
 
 
-def law_essential_mono_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_essential_mono_characterization(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """A u-S-mono f into M is u-S-essential iff, for every L, eta.f being a
     u-S-mono forces eta: M -> M/L to be one.  eta is the lattice's
     ``projection`` of L and sends y to zero iff proj[y] == proj[zero], so
@@ -395,7 +380,7 @@ def law_essential_mono_characterization(b: BuiltInstance, caps: Caps) -> Outcome
     return HOLDS, None, f"{len(candidates)} maps against {len(lattice)} quotients"
 
 
-def law_mono_composition(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_mono_composition(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """Composites of u-S-monos r.x are u-S-monos.  Every composite is an
     endomorphism of M, so within one call its map alone fixes the verdict:
     each distinct composite (at most |R| of them) is decided once.  The
@@ -422,7 +407,7 @@ def law_mono_composition(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, f"{len(monos)}^2 compositions"
 
 
-def law_twisted_transfer(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_twisted_transfer(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """For the inclusion f of K, a u-S-isomorphism phi of M and g = phi.f a
     u-S-monomorphism: f is a u-S-essential mono iff g is.  phi ranges over
     the scalar maps by members of S."""
@@ -447,10 +432,8 @@ def law_twisted_transfer(b: BuiltInstance, caps: Caps) -> Outcome:
 # envelope laws (bounded pools)
 
 
-def law_envelope_essential_image(b: BuiltInstance, caps: Caps) -> Outcome:
-    cand = construct_u_S_envelope(b.module, b.mset, caps)
-    if cand is None:
-        return SKIP_INAPPLICABLE, None, "no envelope constructed"
+def law_envelope_essential_image(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
+    cand = fx["envelope"]
     f = cand.map
     try:
         definitional = endomorphism_condition(f, b.mset, caps, end_cap=2048)
@@ -463,12 +446,9 @@ def law_envelope_essential_image(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, f"certificate {cand.e_certificate}"
 
 
-def law_preenvelope_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_preenvelope_characterization(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     module, mset = b.module, b.mset
-    cand = construct_u_S_envelope(module, mset, caps)
-    if cand is None:
-        return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    env_map = cand.map
+    env_map = fx["envelope"].map
     env = env_map.target
     pool = [module, env]
     try:
@@ -495,12 +475,9 @@ def law_preenvelope_characterization(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, f"pool of {checked} certified targets"
 
 
-def law_envelope_uniqueness(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_envelope_uniqueness(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     module, mset = b.module, b.mset
-    cand = construct_u_S_envelope(module, mset, caps)
-    if cand is None:
-        return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    first = cand.map
+    first = fx["envelope"].map
     second: Optional[Homomorphism] = None
     if b.ring.zmod_n is not None:
         try:
@@ -520,14 +497,11 @@ def law_envelope_uniqueness(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, ""
 
 
-def law_preenvelope_summand(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_preenvelope_summand(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """For the envelope f: M -> E and the preenvelope g: M -> E + tor_S(E),
     the target of g is u-S-isomorphic to E + B for a submodule B of it."""
-    module, mset = b.module, b.mset
-    cand = construct_u_S_envelope(module, mset, caps)
-    if cand is None:
-        return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    f = cand.map
+    mset = b.mset
+    f = fx["envelope"].map
     env = f.target
     tor = s_torsion_submodule(env, mset)
     t_mod, _ = submodule_as_module(tor)
@@ -579,7 +553,7 @@ def _factors(
     return any(is_u_S_mono(g, mset) for g in composed.get(want, ()))
 
 
-def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_envelope_three_way(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """Over a pool of modules, three characterizations of the constructed
     i: M -> E agree: (1) i is an envelope by the essential-image test;
     (2) E is certified, i is a u-S-mono and every u-S-mono into a certified
@@ -587,9 +561,7 @@ def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
     mono and i factors, up to some s, through every u-S-essential mono out
     of M into a pool module."""
     module, mset = b.module, b.mset
-    cand = construct_u_S_envelope(module, mset, caps)
-    if cand is None:
-        return SKIP_INAPPLICABLE, None, "no envelope constructed"
+    cand = fx["envelope"]
     i = cand.map
     env = i.target
     pool = [module, env]
@@ -644,7 +616,7 @@ def law_envelope_three_way(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, f"pool of {len(pool)}"
 
 
-def law_envelope_properties(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_envelope_properties(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """For the constructed envelope E of M: (1) M is u-S-injective iff
     u-S-isomorphic to E, read through the three-tier certification (a
     certificate demands the isomorphism, a refutation forbids it, a bounded
@@ -652,10 +624,7 @@ def law_envelope_properties(b: BuiltInstance, caps: Caps) -> Outcome:
     submodule is u-S-isomorphic to E; (3) E, certified by the construction,
     is u-S-isomorphic to E + B for one of its submodules B."""
     module, mset = b.module, b.mset
-    cand = construct_u_S_envelope(module, mset, caps)
-    if cand is None:
-        return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    env = cand.map.target
+    env = fx["envelope"].map.target
     certification = certify_u_S_injective(module, mset, caps)
     iso = find_u_S_isomorphism(module, env, mset, caps=caps) is not None
     if (certification.certified and not iso) or (certification.verdict == "refuted" and iso):
@@ -686,16 +655,11 @@ def _sum_map(envelopes: Sequence[Homomorphism], caps: Caps) -> Homomorphism:
     return total
 
 
-def law_envelope_direct_sum(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_envelope_direct_sum(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """The sum f+f of the constructed envelope f is an envelope of M+M, and
     its target is u-S-isomorphic to the envelope constructed for M+M."""
-    module, mset = b.module, b.mset
-    if module.size * module.size > caps.max_module:
-        return SKIP_RESOURCE, None, "sum exceeds the module cap"
-    cand = construct_u_S_envelope(module, mset, caps)
-    if cand is None:
-        return SKIP_INAPPLICABLE, None, "no envelope constructed"
-    f = cand.map
+    mset = b.mset
+    f = fx["envelope"].map
     if f.target.size * f.target.size > caps.max_module:
         return SKIP_RESOURCE, None, "envelope sum exceeds the module cap"
     try:
@@ -713,21 +677,10 @@ def law_envelope_direct_sum(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, ""
 
 
-def law_prime_classical_envelope_sum(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_prime_classical_envelope_sum(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     """For a prime module over Z/n, a regular S and a uniformly Noetherian
     ring, the sum i+i of the classical hull i is an envelope of M+M."""
     module, mset = b.module, b.mset
-    if b.ring.zmod_n is None:
-        return SKIP_INAPPLICABLE, None, "base ring is not Z/n"
-    if module.size == 1 or not is_prime_module(module):
-        return SKIP_INAPPLICABLE, None, "module is not prime"
-    if not is_regular_set(b.ring, mset):
-        return SKIP_INAPPLICABLE, None, "multiplicative set is not regular"
-    noetherian, witness = is_u_S_noetherian(b.ring, mset)
-    if not noetherian:
-        return SKIP_INAPPLICABLE, None, "ring is not uniformly Noetherian for S"
-    if module.size * module.size > caps.max_module:
-        return SKIP_RESOURCE, None, "sum exceeds the module cap"
     try:
         i = injective_envelope_zmod(module, caps)
         if i.target.size * i.target.size > caps.max_module:
@@ -736,10 +689,10 @@ def law_prime_classical_envelope_sum(b: BuiltInstance, caps: Caps) -> Outcome:
             return VIOLATED, {"part": "sum-map"}, ""
     except ResourceExceededError:
         return SKIP_RESOURCE, None, "construction over budget"
-    return HOLDS, None, f"noetherian witness {witness}"
+    return HOLDS, None, f"noetherian witness {fx['noetherian']}"
 
 
-def law_uniform_extension_bounded(b: BuiltInstance, caps: Caps) -> Outcome:
+def law_uniform_extension_bounded(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     module, mset = b.module, b.mset
     certificate = u_S_injectivity_certificate(module, mset, caps)
     try:
@@ -757,11 +710,7 @@ def law_uniform_extension_bounded(b: BuiltInstance, caps: Caps) -> Outcome:
 # pinned regression anchors
 
 
-def law_running_example(b: BuiltInstance, caps: Caps) -> Outcome:
-    if b.instance.ring != ("zmod", 6) or b.instance.mset != ("closure", (4,)):
-        return SKIP_INAPPLICABLE, None, "not the pinned family"
-    if b.instance.module != ("regular",) or b.instance.submodule != (2,):
-        return SKIP_INAPPLICABLE, None, "not the pinned submodule"
+def law_running_example(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     k, module, mset = b.submodule, b.module, b.mset
     us = is_u_S_essential_oracle(k, module, mset, caps)
     ess = is_essential(k, module, caps)
@@ -776,11 +725,7 @@ def law_running_example(b: BuiltInstance, caps: Caps) -> Outcome:
     return HOLDS, None, "both pinned verdicts reproduced"
 
 
-def law_running_example_envelope(b: BuiltInstance, caps: Caps) -> Outcome:
-    if b.instance.ring != ("zmod", 6) or b.instance.mset != ("closure", (4,)):
-        return SKIP_INAPPLICABLE, None, "not the pinned family"
-    if b.instance.module != ("regular",) or b.instance.submodule != (2,):
-        return SKIP_INAPPLICABLE, None, "not the pinned submodule"
+def law_running_example_envelope(b: BuiltInstance, caps: Caps, fx: Fixtures) -> Outcome:
     _, incl = submodule_as_module(b.submodule)
     cand = check_u_S_envelope(incl, b.mset, caps)
     definitional = endomorphism_condition(incl, b.mset, caps)
@@ -797,8 +742,47 @@ def law_running_example_envelope(b: BuiltInstance, caps: Caps) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: the hypotheses, each stated once and checked in order by evaluate,
+# then the laws
 
+
+@dataclass(frozen=True)
+class Guard:
+    reason: str
+    fixture: Callable[[BuiltInstance, Caps], object]  # what the laws read, None when it fails
+    verdict: str = SKIP_INAPPLICABLE  # the law's skip when the fixture is None
+
+
+PINNED = (("zmod", 6), ("closure", (4,)), ("regular",), (2,))  # the running example: R, S, M, K
+
+
+def _noetherian_witness(b: BuiltInstance, caps: Caps) -> Optional[int]:
+    noetherian, witness = is_u_S_noetherian(b.ring, b.mset)
+    return witness if noetherian else None
+
+
+GUARDS: dict[str, Guard] = {
+    "pinned-family": Guard("not the pinned family",
+                           lambda b, caps: (b.instance.ring, b.instance.mset) == PINNED[:2] or None),
+    "pinned-submodule": Guard("not the pinned submodule",
+                              lambda b, caps: (b.instance.module, b.instance.submodule) == PINNED[2:] or None),
+    "prime": Guard("module is not prime",
+                   lambda b, caps: b.module.size > 1 and is_prime_module(b.module) or None),
+    "zmod": Guard("base ring is not Z/n", lambda b, caps: b.ring.zmod_n is not None or None),
+    "regular-set": Guard("multiplicative set is not regular",
+                         lambda b, caps: is_regular_set(b.ring, b.mset) or None),
+    "noetherian": Guard("ring is not uniformly Noetherian for S", _noetherian_witness),
+    "uniformly-killed": Guard("module is not uniformly killed",
+                              lambda b, caps: is_u_S_torsion(b.module, b.mset) or None),
+    "avoids-zero-divisors": Guard("set meets the zero divisors on the module", lambda b, caps: set(
+        zero_divisors_on(b.ring, b.module)).isdisjoint(b.mset.members) or None),
+    "envelope": Guard("no envelope constructed",
+                      lambda b, caps: construct_u_S_envelope(b.module, b.mset, caps)),
+    "sum-fits": Guard("sum exceeds the module cap",
+                      lambda b, caps: b.module.size**2 <= caps.max_module or None, SKIP_RESOURCE),
+    "3-fold-sum-fits": Guard("3-fold sum exceeds the module cap",
+                             lambda b, caps: b.module.size**3 <= caps.max_module or None, SKIP_RESOURCE),
+}
 
 REGISTRY: list[Law] = [
     Law("sigma-shortcut", "uniform kill by sigma agrees with the existential scan",
@@ -814,23 +798,23 @@ REGISTRY: list[Law] = [
     Law("essential-element-criterion", "at S={1} the uniform decider degenerates to essentiality",
         False, "instance", 64, law_essential_element_criterion),
     Law("regular-set-degeneration", "sets avoiding zero divisors make the notions coincide",
-        False, "instance", 64, law_regular_set_degeneration),
+        False, "instance", 64, law_regular_set_degeneration, ("avoids-zero-divisors",)),
     Law("torsion-ambient-essential", "in a uniformly killed module every submodule is u-S-essential",
-        False, "module", 64, law_torsion_ambient),
+        False, "module", 64, law_torsion_ambient, ("uniformly-killed",)),
     Law("max-ideal-upgrade", "u-m-essential at every maximal ideal forces essential",
         False, "instance", 36, law_max_ideal_upgrade),
     Law("prime-upgrade", "essential submodules of prime modules are u-S-essential",
-        False, "instance", 64, law_prime_upgrade),
+        False, "instance", 64, law_prime_upgrade, ("prime",)),
     Law("prime-spectrum-equivalence", "for prime modules the three localized notions coincide",
-        False, "instance", 36, law_prime_spectrum_equivalence),
+        False, "instance", 36, law_prime_spectrum_equivalence, ("prime",)),
     Law("transitivity-meet", "chain and meet biconditionals for u-S-essential submodules",
         False, "instance", 24, law_transitivity_meet),
     Law("transport", "preimages and monomorphic images preserve u-S-essentiality",
         False, "module", 16, law_transport),
     Law("direct-sum-pair", "two-fold direct sums preserve and reflect u-S-essentiality",
-        False, "instance", 8, law_direct_sum_pair),
+        False, "instance", 8, law_direct_sum_pair, ("sum-fits",)),
     Law("direct-sum-many", "finite direct sums inherit u-S-essentiality componentwise",
-        False, "instance", 4, law_direct_sum_many),
+        False, "instance", 4, law_direct_sum_many, ("3-fold-sum-fits",)),
     Law("complement", "maximal complements exist and satisfy both essentiality checks",
         False, "instance", 64, law_complement),
     Law("inclusion-characterization", "a submodule is u-S-essential iff its inclusion is a u-S-essential mono",
@@ -842,39 +826,51 @@ REGISTRY: list[Law] = [
     Law("twisted-transfer", "essentiality transfers across u-S-isomorphisms of targets",
         False, "instance", 36, law_twisted_transfer),
     Law("envelope-essential-image", "envelope verdicts by essential image and by endomorphism rigidity agree",
-        True, "module", 12, law_envelope_essential_image),
+        True, "module", 12, law_envelope_essential_image, ("envelope",)),
     Law("preenvelope-characterization", "preenvelope iff u-S-mono into a u-S-injective target",
-        True, "module", 8, law_preenvelope_characterization),
+        True, "module", 8, law_preenvelope_characterization, ("envelope",)),
     Law("envelope-uniqueness", "any two envelopes of a module are u-S-isomorphic",
-        False, "module", 12, law_envelope_uniqueness),
+        False, "module", 12, law_envelope_uniqueness, ("envelope",)),
     Law("preenvelope-summand", "the envelope target is a uniform direct summand of any preenvelope target",
-        False, "module", 8, law_preenvelope_summand),
+        False, "module", 8, law_preenvelope_summand, ("envelope",)),
     Law("envelope-three-way", "the three envelope characterizations agree over the pool",
-        True, "module", 8, law_envelope_three_way),
+        True, "module", 8, law_envelope_three_way, ("envelope",)),
     Law("envelope-properties", "self-injectivity, essential-submodule and overmodule properties of envelopes",
-        True, "module", 8, law_envelope_properties),
+        True, "module", 8, law_envelope_properties, ("envelope",)),
     Law("envelope-direct-sum", "envelopes of finite direct sums are sums of envelopes",
-        False, "module", 6, law_envelope_direct_sum),
+        False, "module", 6, law_envelope_direct_sum, ("sum-fits", "envelope")),
     Law("prime-classical-envelope-sum", "for prime modules and regular sets the classical hulls sum to the envelope",
-        False, "module", 6, law_prime_classical_envelope_sum),
+        False, "module", 6, law_prime_classical_envelope_sum,
+        ("zmod", "prime", "regular-set", "noetherian", "sum-fits")),
     Law("uniform-extension-bounded", "certified modules pass the bounded extension catalogue; refutations replay",
         True, "module", 12, law_uniform_extension_bounded),
     Law("running-example", "pinned verdict pair of the Z/6, S={1,4} running example",
-        False, "instance", 64, law_running_example),
+        False, "instance", 64, law_running_example, ("pinned-family", "pinned-submodule")),
     Law("running-example-envelope", "pinned envelope certificate of the running example",
-        False, "instance", 64, law_running_example_envelope),
+        False, "instance", 64, law_running_example_envelope, ("pinned-family", "pinned-submodule")),
 ]
 
 LAWS_BY_ID = {law.law_id: law for law in REGISTRY}
 
 
-def evaluate(law: Law, built: BuiltInstance, caps: Caps = DEFAULT_CAPS) -> Outcome:
+def evaluate(
+    law: Law, built: BuiltInstance, caps: Caps = DEFAULT_CAPS, fixtures: Optional[Fixtures] = None
+) -> Outcome:
     """One law on one built instance.  An instance beyond the law's size
-    budget, or a ResourceExceededError, is skipped-resource, never a verdict."""
+    budget, or a ResourceExceededError, is skipped-resource, never a verdict;
+    then the first failing guard, in ``law.needs`` order, is the law's skip.
+    A fixture that returns is kept in *fixtures* (run_laws: one per instance)."""
     if built.module.size > law.max_module:
         return SKIP_RESOURCE, None, "beyond the law's size budget"
+    fx = {} if fixtures is None else fixtures
     try:
-        return law.fn(built, caps)
+        for name in law.needs:
+            guard = GUARDS[name]
+            if name not in fx:
+                fx[name] = guard.fixture(built, caps)
+            if fx[name] is None:
+                return guard.verdict, None, guard.reason
+        return law.fn(built, caps, fx)
     except ResourceExceededError as exc:
         return SKIP_RESOURCE, None, str(exc)
 
@@ -898,6 +894,7 @@ def run_laws(
     ]
     results: list[LawResult] = []
     built_cache: dict[Instance, BuiltInstance] = {}
+    fixtures: dict[Instance, Fixtures] = {}  # one per built instance, shared by its laws
     for law in selected:
         seen_module_scope: set[tuple] = set()
         for inst in corpus:
@@ -912,7 +909,7 @@ def run_laws(
                 built_cache[inst] = build_instance(inst, caps)
             built = built_cache[inst]
             start = time.perf_counter()
-            verdict, witness, detail = evaluate(law, built, caps)
+            verdict, witness, detail = evaluate(law, built, caps, fixtures.setdefault(inst, {}))
             elapsed = time.perf_counter() - start
             if law.bounded and verdict == HOLDS and "pool" not in detail:
                 detail = (detail + " (bounded)").strip()

@@ -148,7 +148,7 @@ def _law(law_id, gens=(2,), mset=("closure", (4,)), module=("regular",), ring=("
     """The outcome of one registered law on one instance, Z/6 with S={1,4}
     and K=2Z/6 unless told otherwise."""
     built = build_instance(Instance(ring, mset, module, gens, 0, (36, 64)))
-    return laws.LAWS_BY_ID[law_id].fn(built, DEFAULT_CAPS)
+    return laws.evaluate(laws.LAWS_BY_ID[law_id], built, DEFAULT_CAPS)
 
 
 def test_transport_preimage_examples(m6, s14, k24):

@@ -1123,7 +1123,7 @@ def test_essential_mono_law_builds_no_quotient_module():
     law = LAWS_BY_ID["essential-mono-characterization"]
     before = quotient_module.cache_info().misses
     for k in all_submodules(module):
-        assert law.fn(BuiltInstance(None, z12, mset, module, k), DEFAULT_CAPS)[0] == HOLDS
+        assert law.fn(BuiltInstance(None, z12, mset, module, k), DEFAULT_CAPS, {})[0] == HOLDS
     assert quotient_module.cache_info().misses == before
 
 

@@ -148,7 +148,7 @@ def test_evaluate_skips_over_budget_with_the_reason(monkeypatch):
     small = dataclasses.replace(law, max_module=built.module.size - 1)
     assert evaluate(small, built) == ("skipped-resource", None, "beyond the law's size budget")
 
-    def over_cap(built, caps):
+    def over_cap(built, caps, fx):
         raise ResourceExceededError("hom search over cap")
 
     capped = dataclasses.replace(law, fn=over_cap)
@@ -488,6 +488,19 @@ def test_repeated_law_id_runs_once(small_corpus, capsys):
         "complement holds= 10 violated= 0 skipped-resource= 0 skipped-inapplicable= 0",
         "-- 10 results over 10 instances; violated=0",
     ]
+
+
+def test_laws_list_prints_each_laws_guards(capsys):
+    """A guarded law's line ends with the guards it needs, in order; an
+    unguarded law's line ends with its description."""
+    assert main(["laws", "--list"]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert len(lines) == len(REGISTRY)
+    guarded, plain = LAWS_BY_ID["envelope-direct-sum"], LAWS_BY_ID["element-criterion"]
+    assert lines[guarded.law_id].endswith(
+        f"[exact] {guarded.description} (needs sum-fits, envelope)"
+    )
+    assert lines[plain.law_id].endswith(f"[exact] {plain.description}")
 
 
 def test_run_laws_refuses_unknown_law_ids(small_corpus, capsys):

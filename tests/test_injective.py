@@ -324,7 +324,7 @@ def test_envelope_check_examples(z6, m6, s14):
 def _law(law_id, module=("regular",), mset=("closure", (4,))):
     """The outcome of one registered module law on a module over Z/6."""
     built = build_instance(Instance(("zmod", 6), mset, module, None, 0, (36, 64)))
-    return laws.LAWS_BY_ID[law_id].fn(built, DEFAULT_CAPS)
+    return laws.evaluate(laws.LAWS_BY_ID[law_id], built, DEFAULT_CAPS)
 
 
 K3 = ("asmod", ("regular",), (0, 2, 4))  # Z/3 inside Z/6: injective, killed by nothing in S
@@ -400,6 +400,6 @@ def test_twisted_essential_transfer(m6, s14):
     # both scalar twists by S = {1,4} pass for every submodule of Z/6
     for gens in ((0,), (1,), (2,), (3,)):
         built = build_instance(Instance(("zmod", 6), ("closure", (4,)), ("regular",), gens, 0, (36, 64)))
-        assert laws.law_twisted_transfer(built, DEFAULT_CAPS) == (
+        assert laws.evaluate(laws.LAWS_BY_ID["twisted-transfer"], built, DEFAULT_CAPS) == (
             laws.HOLDS, None, "2 scalar twists"
         )

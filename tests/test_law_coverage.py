@@ -7,10 +7,15 @@ Each statement written directly in its law gets the same treatment: on an
 instance where the law holds, breaking one side of the statement makes it
 report violated.  docs/laws.md names the tests that pin each law, and every
 name it gives must resolve to a defined test function.
+
+Each hypothesis is one guard of ``laws.GUARDS``: its reason is written once,
+its fixture is computed once per built instance, and the table in
+docs/laws.md lists every guard with the laws that need it.
 """
 import ast
 import dataclasses
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +23,7 @@ import pytest
 from usmod import laws
 from usmod.caps import DEFAULT_CAPS
 from usmod.corpus import Bounds, Instance, build_instance, generate_corpus
+from usmod.errors import ResourceExceededError
 from usmod.modules import Submodule, compose, scalar_hom
 
 PINNED = Instance(("zmod", 6), ("closure", (4,)), ("regular",), (2,), 0, (36, 64))
@@ -81,9 +87,9 @@ def _not_envelope(real):
 def _holds_then_breaks(monkeypatch, law_id, instance, route, breaker):
     law = laws.LAWS_BY_ID[law_id]
     built = build_instance(instance)
-    assert law.fn(built, DEFAULT_CAPS)[0] == laws.HOLDS
+    assert laws.evaluate(law, built, DEFAULT_CAPS)[0] == laws.HOLDS
     monkeypatch.setattr(laws, route, breaker(getattr(laws, route)))
-    assert law.fn(built, DEFAULT_CAPS)[0] == laws.VIOLATED
+    assert laws.evaluate(law, built, DEFAULT_CAPS)[0] == laws.VIOLATED
 
 
 @pytest.mark.parametrize(
@@ -200,13 +206,13 @@ def test_mono_composition_matches_the_double_loop(monkeypatch):
     real = laws.is_u_S_mono
     violated = 0
     for b in MONO_CASES:
-        assert law(b, DEFAULT_CAPS) == reference_mono_composition(b)
+        assert law(b, DEFAULT_CAPS, {}) == reference_mono_composition(b)
         n, act = b.ring.size, b.module.act
         composites = {tuple(act[s][x] for x in act[r]) for r in range(n) for s in range(n)}
         for refused in sorted(composites):
             calls: list = []
             monkeypatch.setattr(laws, "is_u_S_mono", _refusing(real, refused, calls))
-            got = law(b, DEFAULT_CAPS)
+            got = law(b, DEFAULT_CAPS, {})
             assert len(calls) <= 2 * n, (b.instance.key(), len(calls))
             assert len(set(calls[n:])) == len(calls[n:]), b.instance.key()
             assert got == reference_mono_composition(b), (b.instance.key(), refused)
@@ -223,10 +229,104 @@ def test_mono_composition_calls_share_no_state(monkeypatch):
     n = b.ring.size
     first: list = []
     monkeypatch.setattr(laws, "is_u_S_mono", _refusing(real, None, first))
-    assert law(b, DEFAULT_CAPS)[0] == laws.HOLDS
+    assert law(b, DEFAULT_CAPS, {})[0] == laws.HOLDS
     assert len(first) > n
     second: list = []
     monkeypatch.setattr(laws, "is_u_S_mono", _refusing(real, first[n], second, after=n))
-    verdict, witness, _ = law(b, DEFAULT_CAPS)
+    verdict, witness, _ = law(b, DEFAULT_CAPS, {})
     assert verdict == laws.VIOLATED and set(witness) == {"f", "g"}
     assert second == first[:len(second)] and len(second) > n
+
+
+# ---------------------------------------------------------------------------
+# guards: each hypothesis stated once, each fixture built once per instance
+
+ENVELOPE_LAWS = [law for law in laws.REGISTRY if "envelope" in law.needs]
+
+
+def test_guard_names_resolve_and_every_guard_is_needed():
+    needed = {name for law in laws.REGISTRY for name in law.needs}
+    assert needed <= set(laws.GUARDS)
+    assert set(laws.GUARDS) <= needed
+
+
+def test_each_guard_reason_is_one_string_constant():
+    tree = ast.parse(Path(laws.__file__).read_text())
+    strings = Counter(
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    assert {name: strings[g.reason] for name, g in laws.GUARDS.items()} == dict.fromkeys(laws.GUARDS, 1)
+
+
+def _replace_fixture(monkeypatch, name, calls, fixture=None):
+    """Swap guard *name*'s fixture for one that logs each instance it is
+    asked on into *calls*, then answers with *fixture* (default: the real one)."""
+    guard = laws.GUARDS[name]
+    answer = fixture or guard.fixture
+
+    def logged(b, caps):
+        calls.append(b.instance)
+        return answer(b, caps)
+
+    monkeypatch.setitem(laws.GUARDS, name, dataclasses.replace(guard, fixture=logged))
+
+
+def test_envelope_is_built_once_per_module_triple(monkeypatch):
+    """Over a run_laws, the envelope fixture runs once for each (ring, mset,
+    module) triple on which some envelope law gets past its size budget and
+    the guards listed before the envelope."""
+    corpus = generate_corpus(42, Bounds(max_ring=12, max_module=36, max_instances=60))
+    calls: list = []
+    _replace_fixture(monkeypatch, "envelope", calls)
+    results = laws.run_laws(corpus, [law.law_id for law in ENVELOPE_LAWS])
+    reached = set()
+    for r in results:
+        law = laws.LAWS_BY_ID[r.law_id]
+        earlier = law.needs[: law.needs.index("envelope")]
+        if r.detail not in {"beyond the law's size budget", *(laws.GUARDS[g].reason for g in earlier)}:
+            reached.add((r.instance.ring, r.instance.mset, r.instance.module))
+    per_triple = Counter((i.ring, i.mset, i.module) for i in calls)
+    assert set(per_triple) == reached and len(reached) > 5
+    assert set(per_triple.values()) == {1}
+
+
+def test_a_fixture_that_raises_is_a_resource_skip_and_is_not_stored(monkeypatch):
+    def over_budget(b, caps):
+        raise ResourceExceededError("x")
+
+    calls: list = []
+    _replace_fixture(monkeypatch, "envelope", calls, over_budget)
+    built, fx = build_instance(PINNED), {}
+    for law in ENVELOPE_LAWS:
+        assert laws.evaluate(law, built, DEFAULT_CAPS, fx) == (laws.SKIP_RESOURCE, None, "x")
+    assert "envelope" not in fx and len(calls) == len(ENVELOPE_LAWS)
+
+
+def test_evaluate_without_a_dict_shares_no_fixture(monkeypatch):
+    calls: list = []
+    _replace_fixture(monkeypatch, "envelope", calls)
+    law, built = laws.LAWS_BY_ID["envelope-uniqueness"], build_instance(PINNED)
+    assert laws.evaluate(law, built) == laws.evaluate(law, built) == (laws.HOLDS, None, "")
+    assert len(calls) == 2
+    fx: dict = {}
+    for _ in range(2):
+        assert laws.evaluate(law, built, DEFAULT_CAPS, fx)[0] == laws.HOLDS
+    assert len(calls) == 3 and fx["envelope"] is not None
+
+
+def test_docs_guard_table_matches_the_registry():
+    """docs/laws.md lists each guard with its skip, its reason and the laws
+    that need it, in the order of laws.GUARDS."""
+    lines = LAWS_DOC.read_text().splitlines()
+    start = lines.index("| guard | skip | reason | laws |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, verdict, reason, needed_by = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((name.strip("`"), verdict, reason, re.findall(r"`([^`]*)`", needed_by)))
+    assert rows == [
+        (name, g.verdict, g.reason, [law.law_id for law in laws.REGISTRY if name in law.needs])
+        for name, g in laws.GUARDS.items()
+    ]
