@@ -32,9 +32,15 @@ a set intersection and a pass over its members.  The quotient route stays
 independent of the other two: for each L it reads the natural map
 eta: M -> M/L, the lattice's ``projection`` of L (built once per module and
 shared like the kernel masks), and asks the torsion deciders about the
-kernel of eta restricted to K and about the kernel of eta,
-O(|lattice|.(|K| + |M|)) lookups; no module is built for K or for M/L and
+kernel of eta restricted to K and about the kernel of eta, which is L,
+O(|lattice|.(|K| + |L|)) lookups; no module is built for K or for M/L and
 no map is composed.
+
+``u_S_complement`` reads only the cached lattice too.  Its maximal K' comes
+from one reverse pass over the masks, and its check in M/K' is decided on
+the lattice masks by the correspondence theorem, with sigma^-1(K') as one
+more mask: O(|lattice| + |Gamma|.#maximal) mask operations, and neither
+M/K' nor the image of K+K' is built.
 """
 from __future__ import annotations
 
@@ -50,8 +56,6 @@ from .modules import (
     _mask,
     all_submodules,
     cyclic_submodule,
-    image_of_submodule,
-    quotient_module,
     sum_submodules,
 )
 from .rings import Ideal, MultiplicativeSet, complement_of_prime
@@ -181,11 +185,12 @@ def quotient_characterization(
     (K -> M) being a u-S-monomorphism forces M -> M/L to be one.  eta is
     the lattice's ``projection`` of L, and it sends x to zero iff
     proj[x] == proj[zero].  The composite's kernel is the members of K it
-    sends to zero and eta's kernel the members of M it does, so neither K
-    nor M/L is built as a module and no map is composed.  Both kernels go
-    through the torsion deciders rather than set bookkeeping, so this is an
-    independent third route: O(|lattice|.(|K| + |M|)) lookups, the
-    projections (|M| each, on the module's first call) included.
+    sends to zero, read through eta; eta's kernel is L itself, the
+    lattice's member.  So neither K nor M/L is built as a module and no map
+    is composed.  Both kernels go through the torsion deciders rather than
+    set bookkeeping, so this is an independent third route:
+    O(|lattice|.(|K| + |L|)) lookups, plus the projections (|M| each, on
+    the module's first call).
     """
     _require_submodule(k, module)
     _require_mset(module, mset)
@@ -194,15 +199,31 @@ def quotient_characterization(
         proj = lattice.projection(i)
         zero = proj[module.zero]
         restricted_kernel = Submodule(module, tuple(x for x in k.members if proj[x] == zero))
-        if is_u_S_torsion(restricted_kernel, mset) and not is_u_S_torsion(
-            Submodule(module, tuple(x for x in module.elements() if proj[x] == zero)), mset
-        ):
+        if is_u_S_torsion(restricted_kernel, mset) and not is_u_S_torsion(lattice[i], mset):
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # complements
+
+
+def _essential_in_quotient(
+    masks: tuple[int, ...], tm: int, kpm: int, act_sigma: tuple[int, ...]
+) -> bool:
+    """T/K' is u-S-essential in M/K', for submodules K' <= T of M given by
+    their masks, decided on the lattice *masks* of M with no quotient built.
+
+    The submodules of M/K' are L/K' for L containing K' (the correspondence
+    theorem), (T/K') meet (L/K') = (T meet L)/K', and sigma kills L/K' iff
+    L lies in pre = sigma^-1(K'), |M| lookups in *act_sigma*.  So it holds
+    iff every L containing K' with T meet L inside pre lies inside pre:
+    one pass over the masks, a few operations each.
+    """
+    pre = _mask(x for x, y in enumerate(act_sigma) if kpm >> y & 1)
+    return all(
+        lm & pre == lm for lm in masks if lm & kpm == kpm and tm & lm & pre == tm & lm
+    )
 
 
 def u_S_complement(
@@ -215,28 +236,33 @@ def u_S_complement(
     order (the abstract choice is non-canonical, tests need determinism).
 
     sigma kills K meet N iff N misses alive = K minus ker(sigma), so the
-    candidates are the lattice masks N with N & alive == 0: one AND each.
-    The lattice is ordered by size, so a proper superset of a candidate can
-    only come after it, and the first candidate with no later superset
-    (N | N' == N') is the first maximal one: O(|Gamma|^2) integer
-    operations at worst.
+    candidates Gamma are the lattice masks N with N & alive == 0: one AND
+    each.
+    The lattice is ordered by size, so a proper superset of a candidate
+    comes after it, and one reverse pass keeps each candidate that lies in
+    no candidate already kept: those are the maximal ones, and the last
+    kept is the first maximal one in lattice order.
+
+    The first check is the fast decider on K+K', the second
+    ``_essential_in_quotient`` on the lattice masks, so no module is built:
+    O(|lattice| + |Gamma|.#maximal) mask operations and |M| lookups.
     """
     _require_submodule(k, module)
     _require_mset(module, mset)
     lattice = all_submodules(module, caps)
+    masks = lattice.masks()
     alive = _mask(k.members) & ~lattice.kernel_mask(mset.sigma)
-    gamma = [(n, nm) for n, nm in zip(lattice, lattice.masks()) if not nm & alive]
-    masks = [nm for _, nm in gamma]
-    kp = next(
-        n for i, (n, nm) in enumerate(gamma) if not any(nm | m == m for m in masks[i + 1:])
-    )
+    maximal: list[int] = []
+    for i in range(len(lattice) - 1, -1, -1):
+        nm = masks[i]
+        if not nm & alive and all(nm | m != m for m in maximal):
+            maximal.append(nm)
+            first = i
+    kp, kpm = lattice[first], masks[first]
 
     total = sum_submodules(k, kp)
     check1 = is_u_S_essential_fast(total, module, mset).verdict
-
-    quot, eta = quotient_module(module, kp)
-    total_in_quot = image_of_submodule(eta, total)
-    check2 = is_u_S_essential_fast(total_in_quot, quot, mset).verdict
+    check2 = _essential_in_quotient(masks, _mask(total.members), kpm, module.act[mset.sigma])
     return kp, (check1, check2)
 
 

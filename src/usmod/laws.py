@@ -353,8 +353,8 @@ def law_essential_mono_characterization(b: BuiltInstance, caps: Caps, fx: Fixtur
     """A u-S-mono f into M is u-S-essential iff, for every L, eta.f being a
     u-S-mono forces eta: M -> M/L to be one.  eta is the lattice's
     ``projection`` of L and sends y to zero iff proj[y] == proj[zero], so
-    the kernels of eta.f and of eta are read off it: no quotient module is
-    built and eta is composed with no map."""
+    the kernel of eta.f is read off it, and the kernel of eta is L itself:
+    no quotient module is built and eta is composed with no map."""
     module, mset, k = b.module, b.mset, b.submodule
     _, incl = submodule_as_module(k)
     candidates: list[Homomorphism] = [incl]
@@ -371,7 +371,7 @@ def law_essential_mono_characterization(b: BuiltInstance, caps: Caps, fx: Fixtur
             zero = proj[module.zero]
             composite_kernel = tuple(x for x, y in enumerate(f.map) if proj[y] == zero)
             if is_u_S_torsion(Submodule(f.source, composite_kernel), mset) and not is_u_S_torsion(
-                Submodule(module, tuple(y for y in module.elements() if proj[y] == zero)), mset
+                lattice[i], mset
             ):
                 rhs = False
                 break

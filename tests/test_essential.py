@@ -144,6 +144,24 @@ def test_complement_laws_across_sets(z6, m6):
             assert checks == (True, True)
 
 
+def test_complement_picks_the_first_maximal_not_the_largest():
+    """Its maximal complements have 2, 4 and 4 elements; the first in
+    lattice order is the 2-element one."""
+    built = build_instance(
+        Instance(
+            ("trivext", ("zmod", 2), ("regular",)),
+            ("closure", (2,)),
+            ("quot", ("dsum", ("regular",), ("regular",)), (1,)),
+            (0, 3),
+            0,
+            (36, 64),
+        )
+    )
+    kp, checks = u_S_complement(built.submodule, built.module, built.mset)
+    assert kp.members == (0, 1)
+    assert checks == (True, True)
+
+
 def _law(law_id, gens=(2,), mset=("closure", (4,)), module=("regular",), ring=("zmod", 6)):
     """The outcome of one registered law on one instance, Z/6 with S={1,4}
     and K=2Z/6 unless told otherwise."""

@@ -33,6 +33,7 @@ from usmod.corpus import (
 )
 from usmod.errors import DomainError, InvalidMultiplicativeSetError, ResourceExceededError
 from usmod.essential import (
+    _essential_in_quotient,
     is_essential,
     is_u_S_essential_fast,
     is_u_S_essential_oracle,
@@ -743,6 +744,25 @@ def test_essential_deciders_match_tuple_formulations(ring):
                 assert u_S_complement(k, module, mset) == tuple_complement(k, module, mset), where
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_quotient_check_matches_built_quotient(ring):
+    """The mask check behind u_S_complement's second verdict, on every pair
+    K' <= T rather than only on a maximal K' (where the paper's statement
+    makes it always true), against the fast decider on the built M/K'."""
+    rng = random.Random(f"quotient-check-{ring.label}")
+    msets = list(_msets(ring, rng))
+    for module in _table_pool(ring, rng, 24):  # rotated copies: zero is not element 0
+        lattice = all_submodules(module)
+        pairs = [(kp, t) for kp in lattice for t in lattice if set(kp.members) <= set(t.members)]
+        for kp, t in pairs if len(pairs) <= 12 else rng.sample(pairs, 12):
+            quot, eta = quotient_module(module, kp)
+            image = image_of_submodule(eta, t)
+            tm, kpm = literal_mask(t.members), literal_mask(kp.members)
+            for mset in msets:
+                got = _essential_in_quotient(lattice.masks(), tm, kpm, module.act[mset.sigma])
+                assert got == scan_fast(image, quot, mset)[0], (module.label, kp, t, mset.members)
+
+
 @pytest.mark.parametrize("other", [make_zmod(5), make_zmod(12)], ids=lambda r: r.label)
 def test_fast_decider_refuses_a_set_over_another_ring(other):
     """Every u-S-essential entry point refuses S over another ring with one
@@ -1114,6 +1134,20 @@ def test_quotient_route_builds_no_module_for_k():
         quotient_characterization(k, module, mset)
     after = submodule_as_module.cache_info().misses, quotient_module.cache_info().misses
     assert after == before
+
+
+def test_complement_builds_no_quotient_module():
+    z12, z6 = make_zmod(12), make_zmod(6)
+    cyclic = dataclasses.replace(regular_module(z12), label="Z/12 (complement)")
+    noncyclic = direct_sum(regular_module(z6), cyclic_zmod_module(z6, 2))[0]
+    noncyclic = dataclasses.replace(noncyclic, label="Z/6(+)Z/2 (complement)")
+    cases = [(cyclic, mult_set_closure(z12, [g])) for g in (1, 5, 4, 3)]
+    cases += [(noncyclic, mult_set_closure(z6, [g])) for g in (1, 4, 2, 3)]
+    before = quotient_module.cache_info().misses
+    for module, mset in cases:
+        for k in all_submodules(module):
+            u_S_complement(k, module, mset)
+    assert quotient_module.cache_info().misses == before
 
 
 def test_essential_mono_law_builds_no_quotient_module():

@@ -15,6 +15,10 @@ every module-level private function is referred to somewhere in the
 package outside its own definition, so a consolidation cannot leave a dead
 helper behind.
 
+essential.py neither imports nor reaches for a module builder (a quotient,
+a submodule as a module, a direct sum): its deciders read the cached
+lattice, so the decide path cannot quietly go back to building modules.
+
 Every payload replayer (a library function named replay* whose one
 required parameter is the payload) refuses an empty or non-dict payload
 with ConfigError, so no KeyError or TypeError leaks past the trust
@@ -117,6 +121,22 @@ def test_library_modules_have_no_unused_imports():
         used = _used_names(tree)
         found += [f"{path.name}:{line}: {name}" for name, line in _imported_names(tree) if name not in used]
     assert found == []
+
+
+MODULE_BUILDERS = {"quotient_module", "submodule_as_module", "direct_sum"}
+
+
+def test_essential_builds_no_module():
+    path = PACKAGE / "essential.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+    assert found & MODULE_BUILDERS == set()
 
 
 def _referred_names(node: ast.AST) -> set[str]:
