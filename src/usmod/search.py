@@ -7,15 +7,19 @@ archived as an artifact) and violation hunts for every registered law
 a Z/n witness shrinks through the divisors of n, then through smaller
 multiplicative sets, ambient modules and submodules, re-verifying the
 claim after every step.  The hits of one search call often shrink through
-the same candidates, so the call keeps a memo of each candidate's size and
-claim result, and of each variant's candidates, that all its shrinks share;
-it lives no longer than the call, and ``replay_hit`` never shares it, since
-it rebuilds a hit from the serialized instance alone.
+the same candidates, so the call keeps a memo that all its shrinks share:
+each candidate's size, built instance and claim result, each variant's
+candidates, and for each ring the first witness on a smaller ring, which
+every round on that ring tries first, since smaller rings sort first.  The
+memo lives no longer than the call, and ``replay_hit`` never shares it,
+since it rebuilds a hit from the serialized instance alone.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .caps import DEFAULT_CAPS, Caps
@@ -49,11 +53,12 @@ def _check_us_not_essential(b: BuiltInstance, caps: Caps) -> Optional[dict]:
     if b.submodule is None:
         return None
     try:
-        us = is_u_S_essential_fast(b.submodule, b.module, b.mset)
+        if not is_u_S_essential_fast(b.submodule, b.module, b.mset).verdict:
+            return None
         ess = is_essential(b.submodule, b.module, caps)
     except ResourceExceededError:
         return None
-    if us.verdict and not ess.verdict:
+    if not ess.verdict:
         return {
             "submodule": list(b.submodule.members),
             "essential_counterexample_L": list(ess.counterexample_L.members),
@@ -69,11 +74,12 @@ def _check_essential_not_us(b: BuiltInstance, caps: Caps) -> Optional[dict]:
     if b.submodule is None:
         return None
     try:
-        ess = is_essential(b.submodule, b.module, caps)
+        if not is_essential(b.submodule, b.module, caps).verdict:
+            return None
         us = is_u_S_essential_fast(b.submodule, b.module, b.mset)
     except ResourceExceededError:
         return None
-    if ess.verdict and not us.verdict:
+    if not us.verdict:
         return {"submodule": list(b.submodule.members)}
     return None
 
@@ -128,21 +134,25 @@ def _size_key(b: BuiltInstance) -> tuple[int, int, int, int]:
     return (b.ring.size, b.module.size, b.mset.size, ksize)
 
 
-def _variants(inst: Instance, b: BuiltInstance, caps: Caps) -> list[Instance]:
-    """Candidate shrinks, strictly smaller in the size key, same ring family."""
-    out: list[Instance] = []
+def _smaller_ring_variants(inst: Instance) -> list[Instance]:
+    """Ring shrinks within the zmod family: Z/d over itself for each proper
+    divisor d of n, with each single-generator closure as the set and no
+    submodule yet.  They depend on the ring, seed and size profile alone."""
+    if inst.ring[0] != "zmod":
+        return []
+    n = inst.ring[1]
+    return [
+        Instance(("zmod", d), ("closure", (g,)), ("regular",), None, inst.seed, inst.size_profile)
+        for d in range(2, n)
+        if n % d == 0
+        for g in range(1, d)
+    ]
 
-    # smaller ring within the zmod family: divisors of n
-    if inst.ring[0] == "zmod":
-        n = inst.ring[1]
-        for d in range(2, n):
-            if n % d != 0:
-                continue
-            small = ("zmod", d)
-            for mset_spec in _candidate_msets(d):
-                out.append(
-                    Instance(small, mset_spec, ("regular",), None, inst.seed, inst.size_profile)
-                )
+
+def _variants(inst: Instance, b: BuiltInstance, caps: Caps) -> list[Instance]:
+    """Candidate shrinks on the same ring, to be kept only where strictly
+    smaller in the size key."""
+    out: list[Instance] = []
 
     # smaller multiplicative set: closures of single members
     if b.mset.size > 1:
@@ -185,19 +195,14 @@ def _variants(inst: Instance, b: BuiltInstance, caps: Caps) -> list[Instance]:
     return out
 
 
-def _candidate_msets(n: int) -> list[tuple]:
-    out: list[tuple] = [("closure", (1 % n,))]
-    for g in range(2, n):
-        out.append(("closure", (g,)))
-    return out
-
-
 # A shrink memo lives for one search call and is shared by every hit it
-# shrinks.  ``candidates`` maps each candidate to its (size key, JSON key,
-# claim result), or to None when building the candidate raised one of
-# _CANDIDATE_ERRORS; the claim result is _UNCHECKED until the claim is first
-# evaluated there.  ``expansions`` maps each variant to its candidates.  It
-# holds no built instance: a candidate is rebuilt to evaluate the claim.
+# shrinks.  ``candidates`` maps each candidate to its (size key, built
+# instance, claim result), or to None when building the candidate raised one
+# of _CANDIDATE_ERRORS; the claim result is _UNCHECKED until the claim is
+# first evaluated on the kept built instance.  ``expansions`` maps each
+# variant without a submodule to its candidates.  ``smaller_rings`` maps each
+# (ring, seed, size profile) to the first witness among the candidates on a
+# smaller ring, as (instance, payload), or to None where there is none.
 _UNCHECKED = object()
 
 
@@ -205,14 +210,27 @@ _UNCHECKED = object()
 class _Memo:
     candidates: dict[Instance, Optional[tuple]] = field(default_factory=dict)
     expansions: dict[Instance, list[Instance]] = field(default_factory=dict)
+    smaller_rings: dict[tuple, Optional[tuple[Instance, dict]]] = field(default_factory=dict)
     # where the greedy shrink from an instance ends, as (instance, payload),
     # for every instance on a finished shrink path
     finished: dict[Instance, tuple[Instance, dict]] = field(default_factory=dict)
 
+    def record(self, inst: Instance, built: BuiltInstance, found=_UNCHECKED) -> None:
+        self.candidates[inst] = (_size_key(built), built, found)
+
+    def claim_result(self, inst: Instance, claim: Claim, caps: Caps) -> Optional[dict]:
+        """The claim's result on the recorded *inst*, evaluated on first use
+        on the built instance kept there."""
+        _, built, found = self.candidates[inst]
+        if found is _UNCHECKED:
+            found = claim.fn(built, caps)
+            self.record(inst, built, found)
+        return found
+
 
 def _expand_submodules(memo: _Memo, inst: Instance, caps: Caps) -> list[Instance]:
-    """For ring-shrink candidates (emitted without a submodule), instantiate
-    every lattice member of the module as a candidate witness."""
+    """For variants emitted without a submodule, instantiate every lattice
+    member of the module as a candidate witness."""
     if inst.submodule is not None:
         return [inst]
     if inst not in memo.expansions:
@@ -228,23 +246,57 @@ def _expand_submodules(memo: _Memo, inst: Instance, caps: Caps) -> list[Instance
     return memo.expansions[inst]
 
 
-def _memo_entry(memo: _Memo, cand: Instance, caps: Caps) -> Optional[tuple]:
-    if cand not in memo.candidates:
-        try:
-            cb = build_instance(cand, caps)
-        except _CANDIDATE_ERRORS:
-            memo.candidates[cand] = None
-        else:
-            memo.candidates[cand] = (_size_key(cb), cand.key(), _UNCHECKED)
-    return memo.candidates[cand]
+def _first_witness(
+    memo: _Memo, variants: list[Instance], claim: Claim, caps: Caps, below: Optional[tuple] = None
+) -> Optional[tuple[Instance, dict]]:
+    """The first candidate of *variants* that witnesses *claim*, as
+    (instance, payload), or None.  Candidates are tried smallest size key
+    first, among those below *below* (all of them where it is None); the
+    JSON key breaks ties, and is computed only inside a group of equal size
+    keys that the scan reaches."""
+    scored = []
+    candidates = memo.candidates
+    for variant in variants:
+        for cand in _expand_submodules(memo, variant, caps):
+            entry = candidates.get(cand, _UNCHECKED)
+            if entry is _UNCHECKED:
+                try:
+                    memo.record(cand, build_instance(cand, caps))
+                except _CANDIDATE_ERRORS:
+                    candidates[cand] = None
+                entry = candidates[cand]
+            if entry is not None and (below is None or entry[0] < below):
+                scored.append((entry[0], cand))
+    scored.sort(key=itemgetter(0))
+    for _, group in groupby(scored, key=itemgetter(0)):
+        tied = [cand for _, cand in group]
+        if len(tied) > 1:
+            tied.sort(key=Instance.key)
+        for cand in tied:
+            found = memo.claim_result(cand, claim, caps)
+            if found is not None:
+                return cand, found
+    return None
 
 
-def _claim_result(memo: _Memo, cand: Instance, claim: Claim, caps: Caps) -> Optional[dict]:
-    size_key, json_key, found = memo.candidates[cand]
-    if found is _UNCHECKED:
-        found = claim.fn(build_instance(cand, caps), caps)
-        memo.candidates[cand] = (size_key, json_key, found)
-    return found
+def _shrink_step(
+    memo: _Memo, inst: Instance, built: BuiltInstance, claim: Claim, caps: Caps
+) -> Optional[tuple[Instance, dict]]:
+    """One greedy round: the smallest strictly smaller witness of *claim*
+    reachable from *inst*, or None.  Every candidate on a smaller ring sorts
+    before every candidate on *inst*'s own ring, and those candidates depend
+    on (ring, seed, size profile) alone, so their first witness is scored
+    once per search call; the same-ring candidates are scored only when
+    there is none."""
+    ring_key = (inst.ring, inst.seed, inst.size_profile)
+    hit = memo.smaller_rings.get(ring_key, _UNCHECKED)
+    if hit is _UNCHECKED:
+        hit = memo.smaller_rings[ring_key] = _first_witness(
+            memo, _smaller_ring_variants(inst), claim, caps
+        )
+    if hit is not None:
+        return hit
+    return _first_witness(memo, _variants(inst, built, caps), claim, caps, _size_key(built))
 
 
 def shrink(
@@ -252,43 +304,40 @@ def shrink(
     claim: Claim,
     caps: Caps = DEFAULT_CAPS,
     memo: Optional[_Memo] = None,
-    payload: Optional[dict] = None,
 ) -> tuple[Instance, dict]:
     """Greedy shrink of a witness *inst*: keep applying the first strictly
     smaller variant that still witnesses the claim, re-verifying after every
-    step.  *payload* is the claim's result on *inst* where the caller has it;
-    otherwise the claim is evaluated there, and a non-witness is refused.
+    step.  The claim is evaluated on *inst* unless *memo* already records
+    its result there, as the search does for the witness it has just built;
+    a non-witness is refused.
 
     *memo* is shared by every shrink of one search call (a fresh one by
     default).  The shrink from an instance depends on that instance alone,
     so a path that reaches an instance of a finished path stops there and
-    ends where that path ended."""
-    if payload is None:
-        payload = claim.fn(build_instance(inst, caps), caps)
-        if payload is None:
-            raise InternalError("shrink called on a non-witness")
+    ends where that path ended.
+
+    A round costs one dict lookup for the first witness on a smaller ring,
+    scored in the first round on each ring.  Only where there is none does
+    it list the same-ring variants (a scan of M's lattice) and look each
+    candidate up in the memo, building it on first sight; it then evaluates
+    the claim, once per search call, on the kept build of each strictly
+    smaller candidate in order up to the first witness.  The first round
+    scoring a ring costs the same over the candidates on its proper
+    divisors' rings."""
     memo = _Memo() if memo is None else memo
-    current, current_payload = inst, payload
-    path = []
+    if memo.candidates.get(inst) is None:
+        memo.record(inst, build_instance(inst, caps))
+    if memo.claim_result(inst, claim, caps) is None:
+        raise InternalError("shrink called on a non-witness")
+    current, path = inst, []
     while current not in memo.finished:
         path.append(current)
-        current_built = build_instance(current, caps)
-        base_key = _size_key(current_built)
-        scored = []
-        for variant in _variants(current, current_built, caps):
-            for cand in _expand_submodules(memo, variant, caps):
-                entry = _memo_entry(memo, cand, caps)
-                if entry is not None and entry[0] < base_key:
-                    scored.append((entry[0], entry[1], cand))
-        # deterministic order: smallest candidate first
-        scored.sort(key=lambda t: t[:2])
-        for _, _, cand in scored:
-            found = _claim_result(memo, cand, claim, caps)
-            if found is not None:
-                current, current_payload = cand, found
-                break
+        _, built, payload = memo.candidates[current]
+        step = _shrink_step(memo, current, built, claim, caps)
+        if step is None:
+            memo.finished[current] = (current, payload)
         else:
-            memo.finished[current] = (current, current_payload)
+            current = step[0]
     end = memo.finished[current]
     for visited in path:
         memo.finished[visited] = end
@@ -348,7 +397,8 @@ def search_counterexamples(
         payload = claim.fn(built, caps)
         if payload is None:
             continue
-        small, small_payload = shrink(inst, claim, caps, memo, payload)
+        memo.record(inst, built, payload)
+        small, small_payload = shrink(inst, claim, caps, memo)
         if small in seen:
             continue
         seen.add(small)

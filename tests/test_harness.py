@@ -21,6 +21,7 @@ from usmod.errors import (
     ResourceExceededError,
 )
 from usmod.laws import LAWS_BY_ID, REGISTRY, evaluate, run_laws, replay_result, tally
+from usmod.modules import all_submodules
 from usmod.report import render_report
 from usmod.search import Claim, SearchHit, replay_hit, search_counterexamples, shrink
 from usmod.witnesses import (
@@ -231,9 +232,8 @@ def test_shrink_skips_candidates_that_cannot_be_built(monkeypatch, error):
     assert shrink(RUNNING_EXAMPLE, claim) == (RUNNING_EXAMPLE, {})
 
 
-def _search_without_memo(claim_id, bounds, seed):
-    """The search driver with every hit shrunk by a fresh ``shrink``."""
-    claim = search.CLAIMS[claim_id]
+def _search_without_memo(claim, bounds, seed, shrinker=shrink):
+    """The search driver with every hit shrunk by a fresh ``shrinker`` call."""
     hits, seen = [], set()
     for inst in generate_corpus(seed, bounds):
         try:
@@ -242,10 +242,10 @@ def _search_without_memo(claim_id, bounds, seed):
             continue
         if claim.fn(built, DEFAULT_CAPS) is None:
             continue
-        small, payload = shrink(inst, claim)
+        small, payload = shrinker(inst, claim)
         if small.key() not in seen:
             seen.add(small.key())
-            hits.append(SearchHit(claim_id, small, payload))
+            hits.append(SearchHit(claim.claim_id, small, payload))
     return hits
 
 
@@ -258,21 +258,177 @@ def test_search_memo_matches_fresh_shrinks(claim_id, monkeypatch):
     hits share a path the search runs fewer greedy rounds than fresh
     shrinks do."""
     rounds = []
-    real = search._variants
+    real = search._shrink_step
 
-    def counting(current, built, caps):
+    def counting(memo, current, built, claim, caps):
         rounds.append(current)
-        return real(current, built, caps)
+        return real(memo, current, built, claim, caps)
 
-    monkeypatch.setattr(search, "_variants", counting)
+    monkeypatch.setattr(search, "_shrink_step", counting)
     bounds = Bounds(max_ring=12)
     got = search_counterexamples(claim_id, bounds, seed=0, limit=10**6, time_budget=1e6)
     shared = len(rounds)
-    want = _search_without_memo(claim_id, bounds, 0)
+    want = _search_without_memo(search.CLAIMS[claim_id], bounds, 0)
     fresh = len(rounds) - shared
     assert [h.to_json() for h in got] == [h.to_json() for h in want]
     assert len(set(rounds[:shared])) == shared  # no instance is shrunk from twice
     assert shared < fresh if claim_id == "u-S-essential-not-essential" else shared == fresh == 0
+
+
+def _reference_candidates(inst, b):
+    """Every shrink candidate of *inst* (built as *b*): Z/n shrinks to Z/d
+    over itself for each proper divisor d, with each single-generator
+    closure as the set; then, on the same ring, the closures of single
+    members of S, the proper submodules of M containing K (K re-indexed in
+    them) and the proper submodules of K.  A variant without a submodule
+    stands for every member of its module's lattice."""
+    seed, profile = inst.seed, inst.size_profile
+    variants = []
+    if inst.ring[0] == "zmod":
+        n = inst.ring[1]
+        variants += [
+            Instance(("zmod", d), ("closure", (g,)), ("regular",), None, seed, profile)
+            for d in range(2, n)
+            if n % d == 0
+            for g in range(1, d)
+        ]
+    if b.mset.size > 1:
+        variants += [dataclasses.replace(inst, mset=("closure", (g,))) for g in b.mset.members]
+    if b.submodule is not None:
+        k = set(b.submodule.members)
+        try:
+            lattice = all_submodules(b.module)
+        except ResourceExceededError:
+            lattice = ()
+        for n_sub in lattice:
+            if not n_sub.is_whole() and k <= set(n_sub.members):
+                gens = tuple(sorted(n_sub.members.index(x) for x in k))
+                module = ("asmod", inst.module, n_sub.members)
+                variants.append(dataclasses.replace(inst, module=module, submodule=gens))
+        variants += [dataclasses.replace(inst, submodule=s.members) for s in lattice if set(s.members) < k]
+    for variant in variants:
+        if variant.submodule is not None:
+            yield variant
+            continue
+        try:
+            lattice = all_submodules(build_instance(variant).module)
+        except (InvalidMultiplicativeSetError, ResourceExceededError):
+            continue
+        yield from (dataclasses.replace(variant, submodule=s.members) for s in lattice)
+
+
+def _size_key(b):
+    return (b.ring.size, b.module.size, b.mset.size, b.submodule.size if b.submodule else 0)
+
+
+def _reference_shrink(inst, claim, steps):
+    """The greedy shrink with nothing kept between rounds or shrinks: each
+    round builds every candidate, sorts the strictly smaller ones by (size
+    key, JSON key) and takes the first witness, built afresh.  Each round's
+    step is recorded in *steps*, mapping the instance to the next one (None
+    at the end)."""
+    current = inst
+    payload = claim.fn(build_instance(current), DEFAULT_CAPS)
+    while True:
+        b = build_instance(current)
+        scored = []
+        for cand in _reference_candidates(current, b):
+            try:
+                size = _size_key(build_instance(cand))
+            except (InvalidMultiplicativeSetError, ResourceExceededError):
+                continue
+            if size < _size_key(b):
+                scored.append((size, cand.key(), cand))
+        scored.sort(key=lambda t: t[:2])
+        for _, _, cand in scored:
+            found = claim.fn(build_instance(cand), DEFAULT_CAPS)
+            if found is not None:
+                steps[current] = cand
+                current, payload = cand, found
+                break
+        else:
+            steps[current] = None
+            return current, payload
+
+
+ALWAYS = Claim("always", "holds on every instance", True, lambda built, caps: {})
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [Bounds(max_ring=12), Bounds(max_ring=16, max_instances=240)],
+    ids=["ring-12", "ring-16-sample"],
+)
+@pytest.mark.parametrize(
+    "claim_id", ["u-S-essential-not-essential", "essential-not-u-S-essential", "always"]
+)
+def test_search_matches_a_reference_shrink(claim_id, bounds, monkeypatch):
+    """The search's hits are those of the plain greedy shrink: every
+    candidate built and sorted by (size key, JSON key) in every round, and
+    every round the search runs takes that shrink's step.  Both corpora hold
+    Z/n, product and trivial-extension rings, and the claim that always
+    holds shrinks every instance of each."""
+    monkeypatch.setitem(search.CLAIMS, ALWAYS.claim_id, ALWAYS)
+    claim = search.CLAIMS[claim_id]
+    assert {i.ring[0] for i in generate_corpus(0, bounds)} == {"zmod", "product", "trivext"}
+    steps, taken = {}, {}
+    want = _search_without_memo(
+        claim, bounds, 0, lambda inst, claim: _reference_shrink(inst, claim, steps)
+    )
+    real = search._shrink_step
+
+    def recording(memo, current, built, claim, caps):
+        step = real(memo, current, built, claim, caps)
+        taken[current] = None if step is None else step[0]
+        return step
+
+    monkeypatch.setattr(search, "_shrink_step", recording)
+    got = search_counterexamples(claim_id, bounds, seed=0, limit=10**6, time_budget=1e6)
+    assert [h.to_json() for h in got] == [h.to_json() for h in want]
+    assert taken.items() <= steps.items()
+
+
+def test_search_builds_each_candidate_once(monkeypatch):
+    """Within one search call every shrink candidate is built once, and the
+    claim is evaluated on that build; the candidates on a smaller ring are
+    scored once per ring."""
+    bounds = Bounds(max_ring=12)
+    stream = set(generate_corpus(0, bounds))
+    built, scored = Counter(), Counter()
+
+    def counting_build(inst, caps):
+        built[inst] += 1
+        return build_instance(inst, caps)
+
+    real = search._smaller_ring_variants
+
+    def counting_rings(inst):
+        scored[inst.ring, inst.seed, inst.size_profile] += 1
+        return real(inst)
+
+    monkeypatch.setattr(search, "build_instance", counting_build)
+    monkeypatch.setattr(search, "_smaller_ring_variants", counting_rings)
+    hits = search_counterexamples(
+        "u-S-essential-not-essential", bounds, seed=0, limit=10**6, time_budget=1e6
+    )
+    candidates = [n for inst, n in built.items() if inst not in stream]
+    assert hits and candidates and max(candidates) == 1
+    assert scored and max(scored.values()) == 1
+
+
+def test_shrink_lets_a_same_ring_internal_error_through(monkeypatch):
+    """Where no smaller ring holds a witness, the same-ring candidates are
+    built, and an InternalError raised there propagates."""
+
+    def build(inst, caps):
+        if inst.ring == RUNNING_EXAMPLE.ring and inst != RUNNING_EXAMPLE:
+            raise InternalError("same-ring build broke")
+        return build_instance(inst, caps)
+
+    monkeypatch.setattr(search, "build_instance", build)
+    on_z6 = Claim("on-z6", "holds on Z/6 alone", True, lambda b, caps: {} if b.ring.size == 6 else None)
+    with pytest.raises(InternalError, match="same-ring build broke"):
+        shrink(RUNNING_EXAMPLE, on_z6)
 
 
 def _search_running_example(monkeypatch, error: Exception):
@@ -445,6 +601,11 @@ def test_search_refuses_an_empty_hunt(limit, budget):
 def test_cli_search_refuses_an_empty_hunt(capsys, flags):
     assert main(["search", "--claim", "paper-law-complement", *flags]) == 2
     assert capsys.readouterr().err.startswith("error [config-error]: ")
+
+
+def test_cli_search_refuses_an_unknown_claim(capsys):
+    assert main(["search", "--claim", "nope"]) == 2
+    assert capsys.readouterr().err == "error [config-error]: unknown claim 'nope'\n"
 
 
 def test_corpus_anchors_and_max_instances_respect_bounds():
