@@ -29,18 +29,22 @@ lattice's ``kernel_mask(s)``, built once per module (|M| lookups) and shared
 by every call on it.  Then a meet is one AND and "s kills X" is
 X & ker_s == X, so each submodule costs a few integer operations instead of
 a set intersection and a pass over its members.  The quotient route stays
-independent of the other two: for each L it reads the natural map
-eta: M -> M/L, the lattice's ``projection`` of L (built once per module and
-shared like the kernel masks), and asks the torsion deciders about the
-kernel of eta restricted to K and about the kernel of eta, which is L,
-O(|lattice|.(|K| + |L|)) lookups; no module is built for K or for M/L and
-no map is composed.
+independent of the other two: it skips each L that sigma kills (one AND
+against sigma's kernel mask: then eta: M -> M/L is a u-S-mono and the
+implication holds), and for every other L reads the natural map eta, the
+lattice's ``projection`` of L (built once per module and shared like the
+kernel masks), on K's members and asks whether sigma kills each member of K
+that eta sends to zero: O(|lattice| + |K|.#(L not killed by sigma))
+lookups; no module is built for K or for M/L, no map is composed and no
+submodule is built per L.
 
 ``u_S_complement`` reads only the cached lattice too.  Its maximal K' comes
-from one reverse pass over the masks, and its check in M/K' is decided on
-the lattice masks by the correspondence theorem, with sigma^-1(K') as one
-more mask: O(|lattice| + |Gamma|.#maximal) mask operations, and neither
-M/K' nor the image of K+K' is built.
+from one reverse pass over the masks, K+K' is the first member whose mask
+contains both masks (the lattice is ordered by size, so that member is the
+join), and its check in M/K' is decided on the lattice masks by the
+correspondence theorem, with sigma^-1(K') as one more mask:
+O(|lattice| + |Gamma|.#maximal) mask operations, and neither M/K' nor the
+image of K+K' is built, nor K+K' joined.
 """
 from __future__ import annotations
 
@@ -56,10 +60,9 @@ from .modules import (
     _mask,
     all_submodules,
     cyclic_submodule,
-    sum_submodules,
 )
 from .rings import Ideal, MultiplicativeSet, complement_of_prime
-from .storsion import _require_mset, is_u_S_torsion, smallest_killer
+from .storsion import _require_mset, smallest_killer
 
 
 @dataclass(frozen=True)
@@ -186,21 +189,27 @@ def quotient_characterization(
     the lattice's ``projection`` of L, and it sends x to zero iff
     proj[x] == proj[zero].  The composite's kernel is the members of K it
     sends to zero, read through eta; eta's kernel is L itself, the
-    lattice's member.  So neither K nor M/L is built as a module and no map
-    is composed.  Both kernels go through the torsion deciders rather than
-    set bookkeeping, so this is an independent third route:
-    O(|lattice|.(|K| + |L|)) lookups, plus the projections (|M| each, on
-    the module's first call).
+    lattice's member.  When sigma kills L, eta is a u-S-mono and L is
+    skipped on one AND of its mask with sigma's kernel mask; for every other
+    L, eta fails to be one, so L is a counterexample iff sigma kills every
+    member of K that eta sends to zero.  Neither K nor M/L is built as a
+    module, no map is composed and no submodule is built per L; eta is
+    still read on K's members, so this stays an independent third route:
+    O(|lattice| + |K|.#(L not killed by sigma)) lookups, plus the
+    projections of those L (|M| each, on the module's first call).
     """
     _require_submodule(k, module)
     _require_mset(module, mset)
     lattice = all_submodules(module, caps)
-    for i in range(len(lattice)):
+    killed = lattice.kernel_mask(mset.sigma)
+    zero, act_sigma = module.zero, module.act[mset.sigma]
+    for i, lm in enumerate(lattice.masks()):
+        if lm & killed == lm:
+            continue  # sigma kills L: eta is a u-S-mono whatever K is
         proj = lattice.projection(i)
-        zero = proj[module.zero]
-        restricted_kernel = Submodule(module, tuple(x for x in k.members if proj[x] == zero))
-        if is_u_S_torsion(restricted_kernel, mset) and not is_u_S_torsion(lattice[i], mset):
-            return False
+        eta_zero = proj[zero]
+        if all(act_sigma[x] == zero for x in k.members if proj[x] == eta_zero):
+            return False  # eta after the inclusion is a u-S-mono, eta is not
     return True
 
 
@@ -243,27 +252,33 @@ def u_S_complement(
     no candidate already kept: those are the maximal ones, and the last
     kept is the first maximal one in lattice order.
 
-    The first check is the fast decider on K+K', the second
-    ``_essential_in_quotient`` on the lattice masks, so no module is built:
-    O(|lattice| + |Gamma|.#maximal) mask operations and |M| lookups.
+    K+K' is the first member, from K' on, whose mask contains K's and K''s:
+    it is the least submodule containing both, and every other such member
+    is larger, so it comes later in the size order.  The first check is the
+    fast decider on that member, the second ``_essential_in_quotient`` on
+    the lattice masks, so no module is built and nothing is joined:
+    O(|lattice| + |Gamma|.#maximal) mask operations and |M| lookups, plus
+    the fast decider's O(|M|.|R| + |K+K'|) on its first call for K+K'.
     """
     _require_submodule(k, module)
     _require_mset(module, mset)
     lattice = all_submodules(module, caps)
     masks = lattice.masks()
-    alive = _mask(k.members) & ~lattice.kernel_mask(mset.sigma)
+    kmask = _mask(k.members)
+    alive = kmask & ~lattice.kernel_mask(mset.sigma)
     maximal: list[int] = []
     for i in range(len(lattice) - 1, -1, -1):
         nm = masks[i]
         if not nm & alive and all(nm | m != m for m in maximal):
             maximal.append(nm)
             first = i
-    kp, kpm = lattice[first], masks[first]
+    kpm = masks[first]
+    both = kmask | kpm
+    j = next(j for j in range(first, len(lattice)) if masks[j] & both == both)
 
-    total = sum_submodules(k, kp)
-    check1 = is_u_S_essential_fast(total, module, mset).verdict
-    check2 = _essential_in_quotient(masks, _mask(total.members), kpm, module.act[mset.sigma])
-    return kp, (check1, check2)
+    check1 = is_u_S_essential_fast(lattice[j], module, mset).verdict
+    check2 = _essential_in_quotient(masks, masks[j], kpm, module.act[mset.sigma])
+    return lattice[first], (check1, check2)
 
 
 # ---------------------------------------------------------------------------

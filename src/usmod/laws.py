@@ -354,7 +354,9 @@ def law_essential_mono_characterization(b: BuiltInstance, caps: Caps, fx: Fixtur
     u-S-mono forces eta: M -> M/L to be one.  eta is the lattice's
     ``projection`` of L and sends y to zero iff proj[y] == proj[zero], so
     the kernel of eta.f is read off it, and the kernel of eta is L itself:
-    no quotient module is built and eta is composed with no map."""
+    no quotient module is built and eta is composed with no map.  An L that
+    sigma kills (one AND of its mask with sigma's kernel mask) makes eta a
+    u-S-mono, so it is skipped before its projection is read."""
     module, mset, k = b.module, b.mset, b.submodule
     _, incl = submodule_as_module(k)
     candidates: list[Homomorphism] = [incl]
@@ -363,16 +365,17 @@ def law_essential_mono_characterization(b: BuiltInstance, caps: Caps, fx: Fixtur
         if is_u_S_mono(f, mset):
             candidates.append(f)
     lattice = all_submodules(module, caps)
+    killed = lattice.kernel_mask(mset.sigma)
     for f in candidates:
         lhs = is_u_S_essential_fast(image(f), module, mset).verdict  # f is a u-S-mono
         rhs = True
-        for i in range(len(lattice)):
+        for i, lm in enumerate(lattice.masks()):
+            if lm & killed == lm:
+                continue  # sigma kills L, so eta is a u-S-mono
             proj = lattice.projection(i)
             zero = proj[module.zero]
             composite_kernel = tuple(x for x, y in enumerate(f.map) if proj[y] == zero)
-            if is_u_S_torsion(Submodule(f.source, composite_kernel), mset) and not is_u_S_torsion(
-                lattice[i], mset
-            ):
+            if is_u_S_torsion(Submodule(f.source, composite_kernel), mset):
                 rhs = False
                 break
         if lhs != rhs:

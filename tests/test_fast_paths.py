@@ -40,7 +40,7 @@ from usmod.essential import (
     quotient_characterization,
     u_S_complement,
 )
-from usmod import modules
+from usmod import essential, laws, modules
 from usmod.modules import (
     FiniteModule,
     Homomorphism,
@@ -1159,6 +1159,66 @@ def test_essential_mono_law_builds_no_quotient_module():
     for k in all_submodules(module):
         assert law.fn(BuiltInstance(None, z12, mset, module, k), DEFAULT_CAPS, {})[0] == HOLDS
     assert quotient_module.cache_info().misses == before
+
+
+def _fresh_lattice(module, monkeypatch, where):
+    """A lattice with nothing built on it yet, which *where* (a module that
+    imports ``all_submodules``) then reads in place of the cached one."""
+    fresh = all_submodules.__wrapped__(module)
+    monkeypatch.setattr(where, "all_submodules", lambda m, caps=DEFAULT_CAPS: fresh)
+    return fresh
+
+
+def _projected(fresh):
+    """Which members of *fresh* had their projection built."""
+    return [p is not None for p in vars(fresh).get("_projections", [None] * len(fresh))]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_eta_routes_read_eta_only_where_sigma_leaves_l_alive(ring, monkeypatch):
+    """The quotient route and the essential-mono law skip every L that sigma
+    kills: then eta: M -> M/L is a u-S-mono and the implication holds.  On
+    K = M both loops visit every L (the route returns True, the law holds),
+    so the projections built are exactly those of the L sigma does not
+    kill.  Reading eta before the skip changes no verdict; only this count
+    shows it."""
+    rng = random.Random(f"eta-skip-{ring.label}")
+    msets = list(_msets(ring, rng))
+    law = LAWS_BY_ID["essential-mono-characterization"]
+    for module in _table_pool(ring, rng, 24):  # rotated copies: zero is not element 0
+        whole = Submodule(module, tuple(module.elements()))
+        for mset in msets:
+            where = (module.label, mset.members)
+            alive = [
+                not literal_kills(module, mset.sigma, l.members) for l in all_submodules(module)
+            ]
+            fresh = _fresh_lattice(module, monkeypatch, essential)
+            assert quotient_characterization(whole, module, mset) is True, where
+            assert _projected(fresh) == alive, where
+            fresh = _fresh_lattice(module, monkeypatch, laws)
+            built = BuiltInstance(None, ring, mset, module, whole)
+            assert law.fn(built, DEFAULT_CAPS, {})[0] == HOLDS, where
+            assert _projected(fresh) == alive, where
+
+
+@pytest.mark.parametrize(
+    "ring",
+    RINGS + [make_trivial_extension(make_zmod(2), direct_sum(*[regular_module(make_zmod(2))] * 2)[0])],
+    ids=lambda r: r.label,
+)
+def test_first_member_containing_two_masks_is_their_sum(ring):
+    """The lemma ``u_S_complement`` reads K+K' by: the lattice is ordered by
+    size, so for any members a and b the first member whose mask contains
+    both masks is the join sum_submodules(a, b)."""
+    rng = random.Random(f"first-join-{ring.label}")
+    for module in _table_pool(ring, rng, 32):  # rotated copies: zero is not element 0
+        lattice = all_submodules(module)
+        masks = lattice.masks()
+        for a, am in zip(lattice, masks):
+            for b, bm in zip(lattice, masks):
+                both = am | bm
+                first = next(l for l, lm in zip(lattice, masks) if lm & both == both)
+                assert first == sum_submodules(a, b), (module.label, a, b)
 
 
 # ---------------------------------------------------------------------------
