@@ -22,6 +22,13 @@ class Caps:
     max_lattice: int = 512      # submodules enumerated per module
     max_hom: int = 20000        # projected homomorphism-search space
 
+    def __post_init__(self) -> None:
+        key = (self.max_ring, self.max_module, self.max_lattice, self.max_hom)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def check(self) -> None:
         if min(self.max_ring, self.max_module, self.max_lattice, self.max_hom) < 2:
             raise ConfigError("caps must be at least 2")

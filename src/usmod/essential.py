@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Optional
 
 from .caps import DEFAULT_CAPS, Caps
@@ -57,6 +58,7 @@ from .errors import DomainError
 from .modules import (
     FiniteModule,
     Submodule,
+    SubmoduleLattice,
     _mask,
     all_submodules,
     cyclic_submodule,
@@ -218,18 +220,23 @@ def quotient_characterization(
 
 
 def _essential_in_quotient(
-    masks: tuple[int, ...], tm: int, kpm: int, act_sigma: tuple[int, ...]
+    lattice: SubmoduleLattice, t: int, kp: int, act_sigma: tuple[int, ...]
 ) -> bool:
-    """T/K' is u-S-essential in M/K', for submodules K' <= T of M given by
-    their masks, decided on the lattice *masks* of M with no quotient built.
+    """T/K' is u-S-essential in M/K', for members K' <= T of the *lattice*
+    of M given by their indices *kp* and *t*, decided on the lattice masks
+    with no quotient built.
 
     The submodules of M/K' are L/K' for L containing K' (the correspondence
     theorem), (T/K') meet (L/K') = (T meet L)/K', and sigma kills L/K' iff
-    L lies in pre = sigma^-1(K'), |M| lookups in *act_sigma*.  So it holds
-    iff every L containing K' with T meet L inside pre lies inside pre:
-    one pass over the masks, a few operations each.
+    L lies in pre = sigma^-1(K'): |M| lookups of *act_sigma*'s entries in
+    K''s member set, all at C speed.  So it holds iff every L containing K'
+    with T meet L inside pre lies inside pre: one pass over the masks, a
+    few operations each.
     """
-    pre = _mask(x for x, y in enumerate(act_sigma) if kpm >> y & 1)
+    masks = lattice.masks()
+    tm, kpm = masks[t], masks[kp]
+    in_kp = lattice[kp].member_set().__contains__
+    pre = _mask(compress(range(len(act_sigma)), map(in_kp, act_sigma)))
     return all(
         lm & pre == lm for lm in masks if lm & kpm == kpm and tm & lm & pre == tm & lm
     )
@@ -269,15 +276,19 @@ def u_S_complement(
     maximal: list[int] = []
     for i in range(len(lattice) - 1, -1, -1):
         nm = masks[i]
-        if not nm & alive and all(nm | m != m for m in maximal):
+        if nm & alive:
+            continue
+        for m in maximal:
+            if nm | m == m:
+                break
+        else:
             maximal.append(nm)
             first = i
-    kpm = masks[first]
-    both = kmask | kpm
+    both = kmask | masks[first]
     j = next(j for j in range(first, len(lattice)) if masks[j] & both == both)
 
     check1 = is_u_S_essential_fast(lattice[j], module, mset).verdict
-    check2 = _essential_in_quotient(masks, masks[j], kpm, module.act[mset.sigma])
+    check2 = _essential_in_quotient(lattice, j, first, module.act[mset.sigma])
     return lattice[first], (check1, check2)
 
 

@@ -96,8 +96,11 @@ class FiniteModule:
             order += 1
         return order
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((len(self.add), self.zero, self.label, hash(self.ring))))
+
     def __hash__(self) -> int:
-        return hash((len(self.add), self.zero, self.label, hash(self.ring)))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FiniteModule({self.label}, m={self.size} over {self.ring.label})"

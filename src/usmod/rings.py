@@ -8,7 +8,9 @@ associative and distributive laws on an additive generating set only
 
 A ring is a plain frozen dataclass value: two rings are equal when every
 field is, labels and element names included, and the hash reads only the
-size, zero, one and label.  Every cache keyed on a ring or on a module over
+size, zero, one and label.  That hash is computed once, when the ring is
+built, and so are those of modules, multiplicative sets and caps: a cache
+lookup reads a stored int.  Every cache keyed on a ring or on a module over
 it therefore hands back results built for a ring that prints the same.
 
 An ideal is a submodule of R over itself, R/I a quotient module and R x R'
@@ -74,9 +76,13 @@ class FiniteRing:
             acc = self.mul[acc][a]
         return acc
 
+    def __post_init__(self) -> None:
+        # cheap but eq-consistent; tables are too big to hash, and even this
+        # key is hashed once here rather than on every cache lookup
+        object.__setattr__(self, "_hash", hash((len(self.add), self.zero, self.one, self.label)))
+
     def __hash__(self) -> int:
-        # cheap but eq-consistent; tables are too big to hash on every lookup
-        return hash((len(self.add), self.zero, self.one, self.label))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.label}, n={self.size})"
@@ -110,6 +116,12 @@ class MultiplicativeSet:
     ring: FiniteRing
     members: tuple[int, ...]  # sorted
     sigma: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.ring, self.members, self.sigma)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:

@@ -36,6 +36,8 @@ def serialize_module(module: FiniteModule) -> dict:
 def deserialize_module(ring, payload: dict) -> FiniteModule:
     payload = _fields(payload, {"add", "act", "zero", "label"}, "a module payload")
     add = _ints(payload["add"], 2, "add", InvalidModuleError)
+    if not isinstance(payload["label"], str):
+        raise InvalidModuleError(f"non-string label {payload['label']!r}")
     module = FiniteModule(
         ring=ring,
         add=add,

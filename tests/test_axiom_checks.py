@@ -610,3 +610,13 @@ def test_refuted_payload_refuses_non_integers(fmap, hmap):
     payload = json.loads(json.dumps(_refuted_payload(fmap, hmap)))
     with pytest.raises(DomainError, match="non-integer value"):
         replay_refuted_payload(payload)
+
+
+@pytest.mark.parametrize("label", [["x"], {"a": 1}, 3, None], ids=repr)
+def test_refuted_payload_refuses_a_non_string_label(label):
+    """A module label is hashed when the module is built, so a list or dict
+    would leak TypeError; every non-string label is refused first."""
+    payload = json.loads(json.dumps(_refuted_payload(list(range(6)), list(range(6)))))
+    payload["f"]["source"]["label"] = label
+    with pytest.raises(InvalidModuleError, match="non-string label"):
+        replay_refuted_payload(payload)

@@ -757,9 +757,9 @@ def test_quotient_check_matches_built_quotient(ring):
         for kp, t in pairs if len(pairs) <= 12 else rng.sample(pairs, 12):
             quot, eta = quotient_module(module, kp)
             image = image_of_submodule(eta, t)
-            tm, kpm = literal_mask(t.members), literal_mask(kp.members)
+            ti, kpi = lattice.index(t), lattice.index(kp)
             for mset in msets:
-                got = _essential_in_quotient(lattice.masks(), tm, kpm, module.act[mset.sigma])
+                got = _essential_in_quotient(lattice, ti, kpi, module.act[mset.sigma])
                 assert got == scan_fast(image, quot, mset)[0], (module.label, kp, t, mset.members)
 
 

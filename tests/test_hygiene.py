@@ -3,7 +3,9 @@ it did not name: no assert statement, no AssertionError and no bare,
 Exception or BaseException handler in any module of the package.
 
 It also keeps one identity rule: dataclasses compare by value, every field,
-so no class defines __eq__ by hand and no @dataclass passes eq=False.
+so no class defines __eq__ by hand and no @dataclass passes eq=False.  A
+hand-written __hash__ is the one statement ``return self._hash``, and its
+class's __post_init__ stores _hash, so a cache key is hashed once per object.
 
 Process-wide caches only shrink: the package holds at most
 MAX_PROCESS_CACHES functools cache decorators, so a new speedup keeps its
@@ -86,6 +88,34 @@ def test_process_wide_caches_do_not_grow():
         if _name(deco) in CACHE_DECORATORS
     ]
     assert len(found) <= MAX_PROCESS_CACHES, found
+
+
+def _stores_hash(node: ast.AST) -> bool:
+    """*node* calls ``object.__setattr__(self, "_hash", ...)`` somewhere."""
+    return any(
+        isinstance(part, ast.Call) and _name(part) == "__setattr__" and len(part.args) == 3
+        and isinstance(part.args[1], ast.Constant) and part.args[1].value == "_hash"
+        for part in ast.walk(node)
+    )
+
+
+def test_hashes_are_computed_once():
+    found, hashed = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+            if "__hash__" not in methods:
+                continue
+            hashed.append(cls.name)
+            body = methods["__hash__"].body
+            if len(body) != 1 or ast.unparse(body[0]) != "return self._hash":
+                found.append(f"{path.name}:{cls.name}: __hash__ is not `return self._hash`")
+            if "__post_init__" not in methods or not _stores_hash(methods["__post_init__"]):
+                found.append(f"{path.name}:{cls.name}: __post_init__ does not store _hash")
+    assert found == []
+    assert set(hashed) >= {"FiniteRing", "FiniteModule", "MultiplicativeSet", "Caps"}
 
 
 def _imported_names(tree: ast.AST):

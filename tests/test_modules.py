@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import random
@@ -6,7 +7,7 @@ import pytest
 
 from usmod import modules
 from usmod.errors import DomainError, ResourceExceededError
-from usmod.caps import Caps
+from usmod.caps import DEFAULT_CAPS, Caps, caps_from_env
 from usmod.corpus import Bounds, build_instance, build_ring, generate_corpus
 from usmod.modules import (
     Homomorphism,
@@ -43,7 +44,7 @@ from usmod.modules import (
     zero_hom,
     zero_module,
 )
-from usmod.rings import make_product, make_zmod
+from usmod.rings import FiniteRing, make_product, make_zmod, mult_set_closure
 
 
 @pytest.fixture(scope="module")
@@ -603,9 +604,11 @@ def _relabelled(x):
     ]
 
 
-def test_equal_rings_and_modules_hash_equal():
-    """a == b implies hash(a) == hash(b), over corpus rings and modules and
-    copies under another label or other element names."""
+def test_equal_rings_and_modules_hash_equal(monkeypatch):
+    """a == b implies hash(a) == hash(b), over corpus rings, modules and
+    multiplicative sets, copies under another label or other element names
+    (for a set: over such a copy of its ring, or over an equal fresh ring),
+    and caps built directly, by ``dataclasses.replace`` and by caps_from_env."""
     built = [build_instance(inst) for inst in generate_corpus(42, Bounds(max_instances=40))]
     rings = list({id(b.ring): b.ring for b in built}.values())
     modules_ = [b.module for b in built]
@@ -614,14 +617,63 @@ def test_equal_rings_and_modules_hash_equal():
         if ring.zmod_n is not None:
             modules_ += [cyclic_zmod_module(ring, d) for d in range(2, ring.zmod_n + 1)
                          if ring.zmod_n % d == 0]
-    for pool in (rings, modules_):
-        pool = [y for x in pool for y in _relabelled(x)]
+    msets = [
+        dataclasses.replace(m, ring=ring)
+        for m in {id(b.mset): b.mset for b in built}.values()
+        for ring in _relabelled(m.ring) + [dataclasses.replace(m.ring)]
+    ]
+    monkeypatch.setenv("USMOD_CAPS", "ring=64,hom=5000")
+    caps = [
+        Caps(), DEFAULT_CAPS, dataclasses.replace(DEFAULT_CAPS), Caps(max_hom=5000),
+        dataclasses.replace(DEFAULT_CAPS, max_hom=5000), caps_from_env(),
+        caps_from_env(Caps(max_ring=32)),
+    ]
+    for pool in (
+        [y for x in rings for y in _relabelled(x)],
+        [y for x in modules_ for y in _relabelled(x)],
+        msets,
+        caps,
+    ):
         for a, b in itertools.product(pool, repeat=2):
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+    assert len(set(caps)) == 2  # the defaults, and hom=5000 reached four ways
     z6 = make_zmod(6)
     assert regular_module(z6) != cyclic_zmod_module(z6, 6)
     assert len({regular_module(z6), cyclic_zmod_module(z6, 6)}) == 2
+
+
+def test_hash_is_computed_once_at_construction(monkeypatch):
+    """Once a module and a set are built, hashing them, and an
+    all_submodules cache hit, never hash the ring again; each stored hash
+    is that of the key the class has always hashed."""
+    z6 = dataclasses.replace(make_zmod(6), label="Z/6 (hash once)")
+    module, mset = regular_module(z6), mult_set_closure(z6, [4])
+    lattice = all_submodules(module)
+    want = (
+        hash((len(module.add), module.zero, module.label, hash(z6))),
+        hash((z6, mset.members, mset.sigma)),
+    )
+    assert hash(z6) == hash((len(z6.add), z6.zero, z6.one, z6.label))
+    assert hash(DEFAULT_CAPS) == hash(dataclasses.astuple(DEFAULT_CAPS))
+
+    def refuse(self):
+        raise RuntimeError("the ring was hashed again")
+
+    monkeypatch.setattr(FiniteRing, "__hash__", refuse)
+    with pytest.raises(RuntimeError):
+        hash(z6)
+    assert (hash(module), hash(mset)) == want
+    hits = all_submodules.cache_info().hits
+    assert all_submodules(module) is lattice
+    assert all_submodules.cache_info().hits == hits + 1
+
+
+def test_copies_keep_equality_and_the_hash():
+    z6 = make_zmod(6)
+    for x in (z6, regular_module(z6), mult_set_closure(z6, [4]), Caps(max_hom=5000)):
+        for y in (copy.copy(x), copy.deepcopy(x)):
+            assert y == x and hash(y) == hash(x), x
 
 
 def test_cached_constructions_keep_the_module_names():
