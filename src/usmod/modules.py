@@ -13,11 +13,12 @@ Tables are built by index arithmetic rather than through element objects.
 The direct sum M1 (+) M2 numbers the pair (x, y) as x*|M2| + y, so each of its
 rows is a scaled row of M1's table combined with a row of M2's.  The
 submodule lattice is the closure of the cyclic submodules under joining each
-submodule found with every cyclic one.  These two builders and the coset
+submodule found with every cyclic one, on bitmasks: X + Rg is the OR of the
+masks of the cosets of X that meet Rg.  These two builders and the coset
 projection of quotient_module are shared with rings.py, which uses them for
-products, ideals and quotient rings.  The join itself, coset by coset, is
-rings._join, which also grows spans, sums of submodules, the generating
-set, conductor ideals and the levels of a derivation plan.
+products, ideals and quotient rings.  The join on member sets, coset by
+coset, is rings._join, which grows spans, sums of submodules, the
+generating set, conductor ideals and the levels of a derivation plan.
 
 Homomorphisms are enumerated from a greedily chosen generating set by
 backtracking over the images of each generator.  A derivation plan, built
@@ -416,8 +417,9 @@ def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> Submodule
     first use.
 
     Built by rings._lattice, the closure of the cyclic submodules under
-    joins.  More than max(caps.max_lattice, #cyclics) submodules raise
-    ResourceExceededError.
+    joins on bitmasks, one join per coset of each member X that a cyclic
+    generator falls in, each an OR of X's coset masks.  More than
+    max(caps.max_lattice, #cyclics) submodules raise ResourceExceededError.
     """
     if module.size > caps.max_module:
         raise ResourceExceededError(

@@ -15,17 +15,19 @@ it therefore hands back results built for a ring that prints the same.
 
 An ideal is a submodule of R over itself, R/I a quotient module and R x R'
 a direct sum, so the table jobs both layers need are written once here and
-shared with modules.py: the join of two subgroups, coset by coset (_join),
-which grows the lattice of subgroups closed under an action (_lattice),
-spans, sums, conductor ideals and derivation plans; coset representatives
-and the projection (_cosets); and the componentwise table on pairs
-(_pair_table).
+shared with modules.py: the lattice of subgroups closed under an action
+(_lattice), closed on bitmasks, each join X + Rg an OR of the masks of X's
+cosets; the join of two subgroups on member sets, coset by coset (_join),
+which grows spans, sums, the generating set, conductor ideals and the
+levels of derivation plans; coset representatives and the projection
+(_cosets); and the componentwise table on pairs (_pair_table).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Optional, Sequence, TYPE_CHECKING
 
 from .caps import DEFAULT_CAPS, Caps
@@ -264,6 +266,8 @@ def _join(
     each y not yet reached adds y + X, read off the row of y at the members
     of X.  *reached* stays a union of cosets of X, so a y already inside
     adds nothing, and the returned representatives lie in distinct cosets.
+    This is the join behind spans, sums, the generating set, conductor
+    ideals and plan levels; the lattice closure (_lattice) joins on masks.
     """
     reps = []
     for y in ys:
@@ -279,34 +283,54 @@ def _lattice(add: Table, act: Table, cap: Optional[int]) -> list[tuple[int, ...]
     product, the submodules when it is a module's action.
 
     Each is a finite join of cyclic ones, {row[x] for row in act}, so this is
-    the closure of the distinct cyclics under joining each subgroup found
-    with each cyclic Rg (one generator g kept per cyclic; skipped when g is
-    already inside), by _join with one picker per subgroup found.  With a
-    *cap*, more than max(cap, #cyclics) subgroups raise
+    the closure of the distinct cyclics (one generator g kept per cyclic)
+    under joining each subgroup X found with each cyclic Rg, on bitmasks
+    (bit x set for each member x).  X's cosets are walked first, each from
+    the lowest element not yet covered: one read of that element's row at
+    X's members, whose mask is stored for each member in the list *coset*.
+    X + Rg is then the OR of coset[y] over the members y of Rg, since X + Y
+    is the union of the cosets of X that meet Y.  X + Rg = X + Rg' whenever
+    g and g' lie in one coset of X (Rg' lies in X + Rg), so a g whose coset
+    was already tried is skipped; X's own coset counts as tried, which skips
+    every g inside X.  A member tuple is built only for a mask not found
+    before.  The cost is O(|lattice|·(#cosets + sum of |Rg| over the
+    coset-distinct g)) row reads and mask ORs, plus |M| list stores per X.
+    With a *cap*, more than max(cap, #cyclics) subgroups raise
     ResourceExceededError.
     """
+    n = len(add)
     generator_of: dict[tuple[int, ...], int] = {}
     for x, column in enumerate(zip(*act)):
         generator_of.setdefault(tuple(sorted(set(column))), x)
     cyclics = list(generator_of.items())
-    found = set(generator_of)
-    queue = list(generator_of)
+    bits = [1 << x for x in range(n)]
+    found = {sum(map(bits.__getitem__, ys)): ys for ys in generator_of}
+    queue = list(found.items())
+    everything = (1 << n) - 1
     while queue:
-        xs = queue.pop()
-        inside = set(xs)
+        m, xs = queue.pop()
         plus_x = _picker(xs)
+        coset = [m] * n
+        rest = everything ^ m
+        while rest:
+            ys = plus_x(add[(rest & -rest).bit_length() - 1])
+            c = sum(map(bits.__getitem__, ys))
+            for y in ys:
+                coset[y] = c
+            rest ^= c
+        tried = {m}
         for ys, g in cyclics:
-            if g in inside:
+            c = coset[g]
+            if c in tried:
                 continue
-            reached = set(inside)
-            _join(add, plus_x, reached, ys)
-            zs = tuple(sorted(reached))
-            if zs not in found:
+            tried.add(c)
+            joined = reduce(or_, map(coset.__getitem__, ys), m)
+            if joined not in found:
                 if cap is not None and len(found) >= cap:
                     raise ResourceExceededError("submodule lattice exceeds cap")
-                found.add(zs)
-                queue.append(zs)
-    return sorted(found, key=lambda t: (len(t), t))
+                zs = found[joined] = tuple(compress(range(n), map(joined.__and__, bits)))
+                queue.append((joined, zs))
+    return sorted(found.values(), key=lambda t: (len(t), t))
 
 
 def _cosets(add: Table, members: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,14 +1,14 @@
 """Differential tests: the generator-driven closures, the mask-scanning
 essential deciders and the quotient route read on K's members, the
-index-arithmetic table builders, the lattice (joined coset by coset), its
+index-arithmetic table builders, the lattice (closed on coset masks), its
 bitmasks and kernel masks, coset and pair-table helpers that rings and
 modules share, the table primitives (kernel, kills, compose), the
 conductor-bucketed hom search, the extension questions answered by
 one lookup in a set of composites (u-S-epi, Baer, the endomorphism
 condition, splitting) and the uniform ones asked at sigma alone (the
 bounded catalogue test, the factoring of the three-way law) against the
-pairwise, set-based, composed, checked-replay, per-map and per-s
-formulations they replaced.
+pairwise, set-based, member-set join, composed, checked-replay, per-map
+and per-s formulations they replaced.
 
 Each reference below is the earlier implementation, kept here verbatim in
 substance; the library versions must agree with them on seeded random
@@ -17,6 +17,8 @@ message.
 """
 import dataclasses
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -68,7 +70,10 @@ from usmod.rings import (
     FiniteRing,
     Ideal,
     MultiplicativeSet,
+    _cosets,
+    _join,
     _lattice,
+    _picker,
     all_ideals,
     check_mult_set,
     check_ring_axioms,
@@ -325,6 +330,33 @@ def pairwise_sum_lattice(add, act, cap):
             if g in inside:
                 continue
             zs = tuple(sorted({add[x][y] for x in xs for y in ys}))
+            if zs not in found:
+                if cap is not None and len(found) >= cap:
+                    raise ResourceExceededError("submodule lattice exceeds cap")
+                found.add(zs)
+                queue.append(zs)
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def join_closure_lattice(add, act, cap):
+    """rings._lattice with each join X + Rg grown on member sets by
+    rings._join, skipping each g already inside X."""
+    generator_of = {}
+    for x, column in enumerate(zip(*act)):
+        generator_of.setdefault(tuple(sorted(set(column))), x)
+    cyclics = list(generator_of.items())
+    found = set(generator_of)
+    queue = list(generator_of)
+    while queue:
+        xs = queue.pop()
+        inside = set(xs)
+        plus_x = _picker(xs)
+        for ys, g in cyclics:
+            if g in inside:
+                continue
+            reached = set(inside)
+            _join(add, plus_x, reached, ys)
+            zs = tuple(sorted(reached))
             if zs not in found:
                 if cap is not None and len(found) >= cap:
                     raise ResourceExceededError("submodule lattice exceeds cap")
@@ -974,6 +1006,70 @@ def test_lattice_coset_joins_match_pairwise_sums(ring):
         for cap in {len(want) - 1, len(want) // 2, 1}:
             got = _lattice_or_refusal(_lattice, add, act, cap)
             assert got == _lattice_or_refusal(pairwise_sum_lattice, add, act, cap), cap
+
+
+LATTICE_CORPORA = {
+    "acceptance-seed-42": (42, Bounds(max_ring=36, max_module=64)),
+    "decide-search-seed-0": (0, Bounds(max_ring=48, max_module=96)),
+}
+
+
+@pytest.mark.parametrize("seed, bounds", LATTICE_CORPORA.values(), ids=LATTICE_CORPORA)
+def test_lattice_matches_join_closure_on_corpus_modules(seed, bounds):
+    """Every distinct module of the corpus, M + M for each of at most 8
+    elements and the ideals of every corpus ring, uncapped and at the caps
+    size - 1, size // 2 and 2, whose refusals must fall at the same point."""
+    specs = dict.fromkeys((inst.ring, inst.module) for inst in generate_corpus(seed, bounds))
+    corpus_rings = dict.fromkeys(build_ring(ring) for ring, _ in specs)
+    pool = [build_module(build_ring(ring), module) for ring, module in specs]
+    pool += [direct_sum(m, m)[0] for m in pool if m.size <= 8]
+    tables = [(r.add, r.mul) for r in corpus_rings] + [(m.add, m.act) for m in pool]
+    for add, act in tables:
+        want = join_closure_lattice(add, act, None)
+        assert _lattice(add, act, None) == want
+        for cap in {len(want) - 1, len(want) // 2, 2}:
+            got = _lattice_or_refusal(_lattice, add, act, cap)
+            assert got == _lattice_or_refusal(join_closure_lattice, add, act, cap), cap
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_join_depends_only_on_the_coset_of_the_generator(ring):
+    """The lemma behind the closure's skip: X + Rg = X + Rg' when g and g'
+    lie in one coset of X (each g checked against its coset's smallest
+    member, so every pair agrees), and X + Rg is the OR of the masks of the
+    cosets y + X over the members y of Rg."""
+    rng = random.Random(f"coset-lemma-{ring.label}")
+    for module in _table_pool(ring, rng, 24):  # rotated copies: zero is not element 0
+        add = module.add
+        for x in all_submodules(module):
+            reps, proj = _cosets(add, x.members)
+            for g in module.elements():
+                rg = cyclic_submodule(module, g)
+                joined = sum_submodules(x, rg)
+                rep = cyclic_submodule(module, reps[proj[g]])
+                assert joined == sum_submodules(x, rep), (module.label, x.members, g)
+                cosets = (modules._mask(add[y][z] for z in x.members) for y in rg.members)
+                assert modules._mask(joined.members) == reduce(or_, cosets), (module.label, g)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.label)
+def test_lattice_joins_once_per_coset_holding_a_generator(ring, monkeypatch):
+    """For each member X, one join per coset of X, other than X, that holds
+    the kept generator (the first element) of some cyclic submodule."""
+    joins = []
+    monkeypatch.setattr("usmod.rings.reduce", lambda *args: joins.append(args) or reduce(*args))
+    rng = random.Random(f"coset-count-{ring.label}")
+    for module in _table_pool(ring, rng, 24):
+        generator_of = {}
+        for g in module.elements():
+            generator_of.setdefault(cyclic_submodule(module, g).members, g)
+        want = 0
+        for x in all_submodules(module):
+            proj = _cosets(module.add, x.members)[1]
+            want += len({proj[g] for g in generator_of.values()} - {proj[module.zero]})
+        joins.clear()
+        _lattice(module.add, module.act, None)
+        assert len(joins) == want, module.label
 
 
 def test_products_match_idx_pairs_tables():
