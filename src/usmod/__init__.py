@@ -59,6 +59,6 @@ from .injective import (
     is_injective_baer,
     u_S_injectivity_certificate,
 )
-from .corpus import Bounds, Instance, build_instance, generate_corpus
+from .corpus import Bounds, Instance, build_instance, corpus_stream, generate_corpus
 from .laws import LawResult, REGISTRY, run_laws
 from .search import search_counterexamples

@@ -4,13 +4,22 @@ An Instance is a fully serializable recipe: ring spec, multiplicative-set
 spec, module spec and an optional submodule-generator spec, all relative to
 each other.  Building an instance never consults global state, so a witness
 serialized from a report replays bit-identically anywhere.
+
+One private generator walks the corpus and yields each instance with the
+ring, set, module and lattice member it names, all of which it has in hand.
+``generate_corpus`` keeps the instances as a list; ``corpus_stream`` hands
+them over built, generating each as it is consumed, so a scan that stops
+early generates no further.  ``build_instance`` builds an instance from its
+recipe alone (JSON, CLI, DSL, replay, shrink candidates) and returns the
+same cached objects.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from itertools import starmap
+from typing import Iterator, Optional
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import ConfigError, InternalError, InvalidMultiplicativeSetError, ResourceExceededError
@@ -272,8 +281,9 @@ def _ring_specs(bounds: Bounds) -> list[Spec]:
     return specs
 
 
-def _mset_specs(ring: FiniteRing) -> list[Spec]:
-    chosen: list[Spec] = []
+def _mset_specs(ring: FiniteRing) -> list[tuple[Spec, MultiplicativeSet]]:
+    """Up to MSETS_PER_RING (spec, set) pairs with distinct sets."""
+    chosen: list[tuple[Spec, MultiplicativeSet]] = []
     seen: set[tuple[int, ...]] = set()
 
     def admit(spec: Spec) -> None:
@@ -284,7 +294,7 @@ def _mset_specs(ring: FiniteRing) -> list[Spec]:
         if mset.members in seen or len(chosen) >= MSETS_PER_RING:
             return
         seen.add(mset.members)
-        chosen.append(spec)
+        chosen.append((spec, mset))
 
     admit(("closure", (ring.one,)))
     admit(("units",))
@@ -332,19 +342,85 @@ def _module_specs(ring: FiniteRing, bounds: Bounds, rng: random.Random, caps: Ca
     return chosen
 
 
-def _submodule_gens(module: FiniteModule, rng: random.Random, caps: Caps) -> list[Optional[tuple[int, ...]]]:
+def _submodule_picks(module: FiniteModule, rng: random.Random, caps: Caps) -> list[Optional[Submodule]]:
+    """Up to SUBMODULES_PER_MODULE distinct members of the cached lattice:
+    all of them, or the bottom, the top and a seeded shuffle of the rest.
+    [None] where the lattice exceeds *caps*."""
     try:
         lattice = all_submodules(module, caps)
     except ResourceExceededError:
         return [None]
     if len(lattice) <= SUBMODULES_PER_MODULE:
-        picks = list(lattice)
-    else:
-        picks = [lattice[0], lattice[-1]]
-        middle = list(lattice[1:-1])
-        rng.shuffle(middle)
-        picks.extend(middle[: SUBMODULES_PER_MODULE - 2])
-    return [sub.members for sub in picks]
+        return list(lattice)
+    picks = [lattice[0], lattice[-1]]
+    middle = list(lattice[1:-1])
+    rng.shuffle(middle)
+    picks.extend(middle[: SUBMODULES_PER_MODULE - 2])
+    return picks
+
+
+# the running example's whole lattice, pinned at the front of the corpus
+_ANCHOR_GENS = ((0,), (3,), (2,), (1,))
+
+
+def _anchor_gens(bounds: Bounds) -> tuple[tuple[int, ...], ...]:
+    return _ANCHOR_GENS if min(bounds.max_ring, bounds.max_module) >= 6 else ()
+
+
+def _rows(seed: int, bounds: Bounds, caps: Caps) -> Iterator[tuple]:
+    """Every corpus instance in order, before any sampling, as (instance,
+    ring, set, module, submodule), each object the one ``build_instance``
+    gives the instance.
+
+    Only the pinned anchors can repeat: within one ring the module specs,
+    the sets and the lattice members are each distinct, so an instance is
+    compared with the anchors on its ring alone.
+    """
+    rng = random.Random(seed)
+    profile = (bounds.max_ring, bounds.max_module)
+    anchors = [
+        Instance(("zmod", 6), ("closure", (4,)), ("regular",), gens, seed, profile)
+        for gens in _anchor_gens(bounds)
+    ]
+    for inst in anchors:
+        ring = build_ring(inst.ring, caps)
+        module = build_module(ring, inst.module, caps)
+        sub = _lattice_submodule(module, inst.submodule, caps)
+        yield inst, ring, build_mset(ring, inst.mset), module, sub
+
+    for ring_spec in _ring_specs(bounds):
+        try:
+            ring = build_ring(ring_spec, caps)
+        except ResourceExceededError:
+            continue
+        if ring.size > bounds.max_ring:
+            continue
+        pinned = [inst for inst in anchors if inst.ring == ring_spec]
+        msets = _mset_specs(ring)
+        for module_spec in _module_specs(ring, bounds, rng, caps):
+            module = build_module(ring, module_spec, caps)
+            picks = _submodule_picks(module, rng, caps)
+            for mset_spec, mset in msets:
+                for sub in picks:
+                    gens = None if sub is None else sub.members
+                    inst = Instance(ring_spec, mset_spec, module_spec, gens, seed, profile)
+                    if inst not in pinned:
+                        yield inst, ring, mset, module, sub
+
+
+def _stride_sample(items: list, bounds: Bounds) -> list:
+    """At most ``bounds.max_instances`` of *items* (0: all of them): the
+    pinned anchors first, as far as the limit allows, then a stride sample
+    of the rest for variety."""
+    limit = bounds.max_instances
+    if not limit or len(items) <= limit:
+        return items
+    anchors = len(_anchor_gens(bounds))
+    pinned = items[: min(anchors, limit)]
+    rest = items[anchors:]
+    budget = limit - len(pinned)
+    step = len(rest) / max(budget, 1)
+    return pinned + [rest[int(i * step)] for i in range(min(budget, len(rest)))]
 
 
 def generate_corpus(
@@ -358,43 +434,23 @@ def generate_corpus(
     ``max_instances`` as far as that limit allows.
     """
     bounds.check(caps)
-    rng = random.Random(seed)
-    profile = (bounds.max_ring, bounds.max_module)
-    out: list[Instance] = []
-    seen: set[Instance] = set()
+    return _stride_sample([row[0] for row in _rows(seed, bounds, caps)], bounds)
 
-    def emit(ring_spec: Spec, mset_spec: Spec, module_spec: Spec, gens) -> None:
-        inst = Instance(ring_spec, mset_spec, module_spec, gens, seed, profile)
-        if inst not in seen:
-            seen.add(inst)
-            out.append(inst)
 
-    # pinned anchors: the running example and its whole lattice
-    anchors = ((0,), (3,), (2,), (1,)) if min(bounds.max_ring, bounds.max_module) >= 6 else ()
-    for gens in anchors:
-        emit(("zmod", 6), ("closure", (4,)), ("regular",), gens)
+def corpus_stream(
+    seed: int, bounds: Bounds = Bounds(), caps: Caps = DEFAULT_CAPS
+) -> Iterator[BuiltInstance]:
+    """The instances of ``generate_corpus(seed, bounds, caps)`` in order,
+    each built as ``build_instance`` builds it, down to the identical ring,
+    set, module and submodule objects.
 
-    for ring_spec in _ring_specs(bounds):
-        try:
-            ring = build_ring(ring_spec, caps)
-        except ResourceExceededError:
-            continue
-        if ring.size > bounds.max_ring:
-            continue
-        mset_specs = _mset_specs(ring)
-        module_specs = _module_specs(ring, bounds, rng, caps)
-        for module_spec in module_specs:
-            module = build_module(ring, module_spec, caps)
-            gens_list = _submodule_gens(module, rng, caps)
-            for mset_spec in mset_specs:
-                for gens in gens_list:
-                    emit(ring_spec, mset_spec, module_spec, gens)
-
-    if bounds.max_instances and len(out) > bounds.max_instances:
-        # stride-sample for variety but keep the pinned anchors first
-        pinned = out[: min(len(anchors), bounds.max_instances)]
-        rest = out[len(anchors):]
-        budget = bounds.max_instances - len(pinned)
-        step = len(rest) / max(budget, 1)
-        out = pinned + [rest[int(i * step)] for i in range(min(budget, len(rest)))]
-    return out
+    The bounds are checked at the call.  With no ``max_instances`` limit
+    the stream is generated as it is consumed, and a consumer that stops
+    early generates nothing further; a limit needs the whole corpus for its
+    stride sample, so the rows are generated first and sampled.
+    """
+    bounds.check(caps)
+    rows = _rows(seed, bounds, caps)
+    if bounds.max_instances:
+        rows = iter(_stride_sample(list(rows), bounds))
+    return starmap(BuiltInstance, rows)

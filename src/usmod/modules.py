@@ -521,7 +521,12 @@ def direct_sum_many(
     injections = [identity_hom(mods[0])]
     projections = [identity_hom(mods[0])]
     for k, m in enumerate(mods[1:], start=2):
-        total, i1, i2, p1, p2 = direct_sum(total, m, caps, summands=tuple(mods[:k]))
+        # the first pair is direct_sum(M, N, caps) under its own cache key
+        # (any summands keyword, None too, is part of the key)
+        if k == 2:
+            total, i1, i2, p1, p2 = direct_sum(total, m, caps)
+        else:
+            total, i1, i2, p1, p2 = direct_sum(total, m, caps, summands=tuple(mods[:k]))
         injections = [compose(i1, inj) for inj in injections]
         injections.append(i2)
         projections = [compose(proj, p1) for proj in projections]

@@ -3,10 +3,12 @@
 Registered claims cover the converses the statements leave open (an
 instance that is uniformly-S-essential but not essential is expected and
 archived as an artifact) and violation hunts for every registered law
-(expected to come back empty).  Shrinking never leaves the ring family:
-a Z/n witness shrinks through the divisors of n, then through smaller
-multiplicative sets, ambient modules and submodules, re-verifying the
-claim after every step.  The hits of one search call often shrink through
+(expected to come back empty).  The search scans the seeded corpus as
+``corpus.corpus_stream`` generates it, each instance handed over built, so
+a search that stops at its limit or its time budget generates no further.
+Shrinking never leaves the ring family: a Z/n witness shrinks through the
+divisors of n, then through smaller multiplicative sets, ambient modules
+and submodules, re-verifying the claim after every step.  The hits of one search call often shrink through
 the same candidates, so the call keeps a memo that all its shrinks share:
 each candidate's size, built instance and claim result, each variant's
 candidates, and for each ring the first witness on a smaller ring, which
@@ -23,7 +25,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from .caps import DEFAULT_CAPS, Caps
-from .corpus import Bounds, BuiltInstance, Instance, _fields, build_instance, generate_corpus
+from .corpus import Bounds, BuiltInstance, Instance, _fields, build_instance, corpus_stream
 from .errors import (
     ConfigError,
     InternalError,
@@ -373,7 +375,14 @@ def search_counterexamples(
     """Scan a seeded instance stream for claim witnesses, shrink each one,
     and return up to *limit* distinct minimized hits.  A *limit* below 1 or a
     *time_budget* that is not positive is refused with ConfigError: either
-    would scan nothing and pass for an empty hunt."""
+    would scan nothing and pass for an empty hunt.
+
+    The stream is ``corpus_stream(seed, bounds, caps)``, each instance
+    handed over built, and is generated as it is scanned (unless
+    ``bounds.max_instances`` asks for a stride sample): reaching *limit*
+    stops generation, and *time_budget* covers generation as it goes.  Every
+    refusal, the bounds check included, is raised before anything is
+    generated."""
     if claim_id not in CLAIMS:
         raise ConfigError(f"unknown claim {claim_id!r}")
     if limit < 1:
@@ -385,24 +394,20 @@ def search_counterexamples(
     seen: set[Instance] = set()
     memo = _Memo()
     started = time.monotonic()
-    for inst in generate_corpus(seed, bounds, caps):
+    for built in corpus_stream(seed, bounds, caps):
         if time.monotonic() - started > time_budget:
             break
-        if len(hits) >= limit:
-            break
-        try:
-            built = build_instance(inst, caps)
-        except ResourceExceededError:
-            continue
         payload = claim.fn(built, caps)
         if payload is None:
             continue
-        memo.record(inst, built, payload)
-        small, small_payload = shrink(inst, claim, caps, memo)
+        memo.record(built.instance, built, payload)
+        small, small_payload = shrink(built.instance, claim, caps, memo)
         if small in seen:
             continue
         seen.add(small)
         hits.append(SearchHit(claim_id, small, small_payload))
+        if len(hits) >= limit:
+            break
     return hits
 
 

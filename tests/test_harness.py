@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -442,7 +443,9 @@ def _search_running_example(monkeypatch, error: Exception):
         raise error
 
     monkeypatch.setattr(search, "build_instance", build)
-    monkeypatch.setattr(search, "generate_corpus", lambda seed, bounds, caps: [RUNNING_EXAMPLE])
+    monkeypatch.setattr(
+        search, "corpus_stream", lambda seed, bounds, caps: iter([build_instance(RUNNING_EXAMPLE, caps)])
+    )
     claim = Claim("always", "holds on every instance", True, lambda built, caps: {})
     monkeypatch.setitem(search.CLAIMS, claim.claim_id, claim)
     return search_counterexamples(claim.claim_id)
@@ -475,6 +478,94 @@ def test_search_expands_each_shrink_variant_once(monkeypatch):
     monkeypatch.setattr(search, "build_instance", counting)
     hits = search_counterexamples("u-S-essential-not-essential", Bounds(max_ring=12), seed=0, limit=5)
     assert hits and built and max(built.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "seed, bounds, count",
+    [
+        (42, Bounds(max_instances=75), 75),
+        (42, Bounds(), 2766),
+        (0, Bounds(max_ring=48, max_module=96), 3498),
+        (7, Bounds(max_ring=12), 1150),
+        (3, Bounds(max_ring=5, max_module=5), 55),
+        (1, Bounds(max_ring=64, max_module=128, max_instances=500), 500),
+    ],
+    ids=["seed-42-sample", "seed-42", "seed-0-48-96", "seed-7-ring-12", "no-anchors", "seed-1-64-128-sample"],
+)
+def test_corpus_stream_is_the_built_list(seed, bounds, count):
+    """The stream hands over the instances of generate_corpus in order, none
+    repeated, each with the very ring, set, module and submodule objects
+    build_instance gives it."""
+    listed = generate_corpus(seed, bounds)
+    assert len(listed) == count and len(set(listed)) == count
+    streamed = list(corpus.corpus_stream(seed, bounds))
+    assert [b.instance for b in streamed] == listed
+    for b in streamed:
+        again = build_instance(b.instance)
+        assert again.ring is b.ring and again.mset is b.mset
+        assert again.module is b.module and again.submodule is b.submodule
+
+
+def test_corpus_stream_is_generated_as_it_is_consumed(monkeypatch):
+    """Without a max_instances limit, nothing past the instances taken is
+    generated: the four Z/6 anchors come before any ring's modules are
+    chosen, and the next instance needs one ring's modules."""
+    chosen = []
+    real = corpus._module_specs
+
+    def counting(ring, *args):
+        chosen.append(ring.label)
+        return real(ring, *args)
+
+    monkeypatch.setattr(corpus, "_module_specs", counting)
+    stream = corpus.corpus_stream(0, Bounds(max_ring=48, max_module=96))
+    assert chosen == []
+    assert [b.instance.submodule for b in itertools.islice(stream, 4)] == [(0,), (3,), (2,), (1,)]
+    assert chosen == []
+    next(stream)
+    assert len(chosen) == 1
+
+
+def test_search_builds_no_stream_instance(monkeypatch):
+    """A search that finds nothing builds no instance itself: the stream
+    hands every one over built."""
+    builds, seen = Counter(), Counter()
+
+    def counting(inst, caps):
+        builds[inst] += 1
+        return build_instance(inst, caps)
+
+    def never(built, caps):
+        seen[built.instance] += 1
+        return None
+
+    monkeypatch.setattr(search, "build_instance", counting)
+    monkeypatch.setitem(search.CLAIMS, "never", Claim("never", "holds nowhere", False, never))
+    bounds = Bounds(max_ring=48, max_module=96)
+    assert search_counterexamples("never", bounds, limit=10**6, time_budget=1e6) == []
+    assert not builds
+    assert list(seen) == generate_corpus(0, bounds) and set(seen.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "claim_id, bounds, limit, budget",
+    [
+        ("u-S-essential-not-essential", Bounds(max_ring=100), 5, 60.0),
+        ("u-S-essential-not-essential", Bounds(max_module=1), 5, 60.0),
+        ("u-S-essential-not-essential", Bounds(max_instances=-1), 5, 60.0),
+        ("u-S-essential-not-essential", Bounds(), 0, 60.0),
+        ("u-S-essential-not-essential", Bounds(), 5, 0.0),
+        ("no-such-claim", Bounds(), 5, 60.0),
+    ],
+    ids=["ring-over-caps", "module-below-2", "negative-max-instances", "limit-0", "budget-0", "unknown-claim"],
+)
+def test_search_refuses_before_generating(monkeypatch, claim_id, bounds, limit, budget):
+    def generating(*args):
+        raise AssertionError("the corpus was generated")
+
+    monkeypatch.setattr(corpus, "_rows", generating)
+    with pytest.raises(ConfigError):
+        search_counterexamples(claim_id, bounds, limit=limit, time_budget=budget)
 
 
 def test_corpus_and_law_run_key_instances_by_value(monkeypatch):

@@ -462,6 +462,18 @@ def test_direct_sum_many_records_summands():
     assert direct_sum_many(mods[:1])[0] is mods[0]
 
 
+def test_direct_sum_many_shares_the_pair_cache_entry():
+    """The first pair of an iterated sum is direct_sum(M, N, caps) under
+    that call's own cache key, so the pairwise sum is not rebuilt."""
+    m = dataclasses.replace(regular_module(make_zmod(3)), label="pair-key probe")
+    direct_sum_many([m, m, m])
+    before = direct_sum.cache_info()
+    pair = direct_sum(m, m, DEFAULT_CAPS)
+    after = direct_sum.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert direct_sum_many([m, m])[0] is pair[0]
+
+
 def test_hom_enumeration_complete_against_brute_force():
     # every enumerated map is linear, and brute-force map search agrees on a
     # small instance: Z/4 -> Z/4 over Z/4 has exactly 4 maps
